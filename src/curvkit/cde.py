@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cd import _check_dimension
 from .graph import Graph, VertexFunction, ball, check_function, _check_vertex
 from .localforms import LocalEvaluator
 from .operators import gamma2, gamma_f_ratio, gamma_local, laplacian
@@ -77,13 +78,6 @@ class CdeEstimate:
     argmin: CdeSample
     samples_used: int
     seed: int
-
-
-def _check_dimension(n: float) -> float:
-    n = float(n)
-    if not n > 0:
-        raise ValueError(f"dimension must be positive, got {n}")
-    return n
 
 
 def cde_ratio(g: Graph, x: int, n: float, f) -> float:

@@ -13,7 +13,7 @@ import argparse
 import csv
 import io
 import sys
-from math import isinf
+from math import isfinite, isinf
 from pathlib import Path
 
 from . import generators
@@ -104,8 +104,8 @@ def _load_graph(path: str) -> Graph:
 
 
 def _check_dim(dim: float) -> None:
-    if not dim > 0:
-        raise UsageError(f"--dim must be positive, got {dim}")
+    if not (dim > 0 and isfinite(dim)):
+        raise UsageError(f"--dim must be positive and finite, got {dim}")
 
 
 def _vertices(g: Graph, vertex: int | None) -> list[int]:

@@ -1,22 +1,20 @@
 """Small dense symmetric-matrix utilities.
 
 The matrices here are the local quadratic forms of the curvature
-computation, so their dimension is bounded by the 2-ball size. Exactness
-and bit-for-bit determinism matter more than speed: the eigensolver is a
-cyclic Jacobi iteration and Schur elimination goes through a hand-rolled
-pivoted Cholesky with a fixed pivot floor.
+computation, so their dimension is bounded by the 2-ball size. The
+numerics are numpy's LAPACK bindings: the eigensolve is ``np.linalg.eigh``
+and Schur elimination checks the eliminated block with a Cholesky
+factorization against a fixed pivot floor before ``np.linalg.solve``.
+Results are deterministic for a given numpy/LAPACK build.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 PIVOT_FLOOR = 1e-12
-_JACOBI_SWEEPS = 100
-_JACOBI_TOL = 1e-12
 
 
 class NonFiniteError(ValueError):
@@ -47,124 +45,41 @@ def check_symmetric(m: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
 
 
 def smallest_eigenvalue(m: np.ndarray | Sequence[Sequence[float]]) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and a unit eigenvector, by cyclic Jacobi rotations.
+    """Smallest eigenvalue and a unit eigenvector, by ``np.linalg.eigh``.
 
-    Sweeps stop when the off-diagonal Frobenius norm drops below 1e-12
-    times the diagonal norm (at most 100 sweeps). Deterministic for
-    identical input; the eigenvector sign is fixed so its largest-magnitude
-    component is positive.
+    Deterministic for identical input on a given numpy/LAPACK build; the
+    eigenvector sign is fixed so its largest-magnitude component is
+    positive.
     """
-    a = check_symmetric(m)
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0]), np.array([1.0])
-    # iterate on a unit-scale copy so the off-diagonal norm cannot overflow
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return 0.0, np.eye(n)[:, 0]
-    a = a / scale
-    v = np.eye(n)
-    for _ in range(_JACOBI_SWEEPS):
-        off_diag = a - np.diag(np.diag(a))
-        off = np.sqrt(np.sum(off_diag * off_diag))
-        diag_norm = np.sqrt(np.sum(np.diag(a) ** 2))
-        if off <= _JACOBI_TOL * max(diag_norm, np.finfo(float).tiny):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(a[p, q])
-                if abs(apq) <= 1e-300:
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                tau = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
-                # hypot avoids overflow of tau*tau for tiny pivots
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                _rotate(a, v, p, q, c, s)
-    diag = np.diag(a)
-    idx = int(np.argmin(diag))
-    lam = scale * float(diag[idx])
-    vec = v[:, idx].copy()
-    vec /= np.linalg.norm(vec)
-    pivot = int(np.argmax(np.abs(vec)))
-    if vec[pivot] < 0.0:
+    values, vectors = np.linalg.eigh(check_symmetric(m))
+    vec = vectors[:, 0]
+    if vec[np.argmax(np.abs(vec))] < 0.0:
         vec = -vec
-    return lam, vec
+    return float(values[0]), vec
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, c: float, s: float) -> None:
-    # Two-sided rotation a <- J^T a J and accumulation v <- v J, where J is
-    # the identity with J[p,p]=J[q,q]=c, J[p,q]=s, J[q,p]=-s.
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    v_p = v[:, p].copy()
-    v_q = v[:, q].copy()
-    v[:, p] = c * v_p - s * v_q
-    v[:, q] = s * v_p + c * v_q
-
-
-def _pivoted_cholesky(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Factor P^T a P = L L^T with diagonal pivoting; floor on pivots."""
-    n = a.shape[0]
-    work = a.copy()
-    perm = list(range(n))
-    for j in range(n):
-        k = j + int(np.argmax(np.diag(work)[j:]))
-        if work[k, k] <= PIVOT_FLOOR:
-            raise NotEliminableError(
-                f"pivot {work[k, k]:.3e} at step {j} is below the floor {PIVOT_FLOOR}"
-            )
-        if k != j:
-            work[[j, k], :] = work[[k, j], :]
-            work[:, [j, k]] = work[:, [k, j]]
-            perm[j], perm[k] = perm[k], perm[j]
-        ljj = np.sqrt(work[j, j])
-        work[j, j] = ljj
-        if j + 1 < n:
-            col = work[j + 1 :, j] / ljj
-            work[j + 1 :, j] = col
-            work[j, j + 1 :] = col
-            work[j + 1 :, j + 1 :] -= np.outer(col, col)
-    return np.tril(work), perm
-
-
-def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive definite a (pivoted Cholesky)."""
-    length, perm = _pivoted_cholesky(a)
-    rhs = b[perm, :]
-    n = a.shape[0]
-    y = np.empty_like(rhs)
-    for i in range(n):
-        y[i] = (rhs[i] - length[i, :i] @ y[:i]) / length[i, i]
-    z = np.empty_like(rhs)
-    for i in reversed(range(n)):
-        z[i] = (y[i] - length[i + 1 :, i] @ z[i + 1 :]) / length[i, i]
-    x = np.empty_like(rhs)
-    x[perm, :] = z
-    return x
-
-
-def _partition(m: np.ndarray, keep: Sequence[int]) -> tuple[list[int], list[int]]:
+def _partition(m: np.ndarray, keep: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     n = m.shape[0]
-    keep_list = sorted(set(int(i) for i in keep))
-    for i in keep_list:
-        if not 0 <= i < n:
-            raise ValueError(f"keep index {i} out of range 0..{n - 1}")
-    elim = [i for i in range(n) if i not in set(keep_list)]
-    return keep_list, elim
+    keep_idx = np.asarray(keep, dtype=np.intp)
+    outside = keep_idx[(keep_idx < 0) | (keep_idx >= n)]
+    if outside.size:
+        raise ValueError(f"keep index {outside.min()} out of range 0..{n - 1}")
+    kept = np.zeros(n, dtype=bool)
+    kept[keep_idx] = True
+    return np.flatnonzero(kept), np.flatnonzero(~kept)
+
+
+def _solve_eliminated(m_ee: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """M_ee^{-1} rhs, after checking M_ee is positive definite above the floor."""
+    try:
+        pivot = float(np.min(np.diag(np.linalg.cholesky(m_ee)))) ** 2
+    except np.linalg.LinAlgError:
+        raise NotEliminableError("eliminated block is not positive definite") from None
+    if pivot <= PIVOT_FLOOR:
+        raise NotEliminableError(
+            f"smallest Cholesky pivot {pivot:.3e} is below the floor {PIVOT_FLOOR}"
+        )
+    return np.linalg.solve(m_ee, rhs)
 
 
 def schur_minimize(m: np.ndarray | Sequence[Sequence[float]], keep: Sequence[int]) -> np.ndarray:
@@ -176,16 +91,15 @@ def schur_minimize(m: np.ndarray | Sequence[Sequence[float]], keep: Sequence[int
     positive definite (NotEliminableError otherwise).
     """
     a = check_symmetric(m)
-    keep_list, elim = _partition(a, keep)
-    if not elim:
+    keep_idx, elim = _partition(a, keep)
+    if not elim.size:
         return a.copy()
-    if not keep_list:
+    if not keep_idx.size:
         raise ValueError("cannot eliminate every coordinate")
     m_ee = a[np.ix_(elim, elim)]
-    m_ek = a[np.ix_(elim, keep_list)]
-    m_kk = a[np.ix_(keep_list, keep_list)]
-    x = _solve_spd(m_ee, m_ek)
-    s = m_kk - m_ek.T @ x
+    m_ek = a[np.ix_(elim, keep_idx)]
+    m_kk = a[np.ix_(keep_idx, keep_idx)]
+    s = m_kk - m_ek.T @ _solve_eliminated(m_ee, m_ek)
     return 0.5 * (s + s.T)
 
 
@@ -194,12 +108,12 @@ def schur_minimizer(
 ) -> np.ndarray:
     """Argmin over eliminated coordinates: w* = -M_ee^{-1} M_ek u."""
     a = check_symmetric(m)
-    keep_list, elim = _partition(a, keep)
+    keep_idx, elim = _partition(a, keep)
     u = np.asarray(u, dtype=np.float64)
-    if u.shape != (len(keep_list),):
-        raise ValueError(f"u has shape {u.shape}, expected ({len(keep_list)},)")
-    if not elim:
+    if u.shape != (keep_idx.size,):
+        raise ValueError(f"u has shape {u.shape}, expected ({keep_idx.size},)")
+    if not elim.size:
         return np.zeros(0)
     m_ee = a[np.ix_(elim, elim)]
-    m_ek = a[np.ix_(elim, keep_list)]
-    return -(_solve_spd(m_ee, m_ek) @ u)
+    m_ek = a[np.ix_(elim, keep_idx)]
+    return -(_solve_eliminated(m_ee, m_ek) @ u)

@@ -106,6 +106,20 @@ def cd_witness_value(g: Graph, x: int, i: int) -> float:
     return acc / k
 
 
+def _run_cd(g: Graph, x: int, dim: float, samples: int, seed: int):
+    result = cd_curvature(g, x, dim)
+    return cd_bound_girth5(g, x), result.curvature_K, result.minimizing_function
+
+
+def _run_cde(g: Graph, x: int, dim: float, samples: int, seed: int):
+    estimate = cde_estimate(g, x, dim, samples, seed)
+    return -g.degree(x) / 2.0 - 1.0, estimate.sampled_min, estimate.argmin.function
+
+
+# (name, computes (bound, value, candidate), re-verifies a candidate)
+_THEOREMS = (("cd", _run_cd, cd_check), ("cde", _run_cde, cde_check))
+
+
 def verify_theorems(
     g: Graph,
     theorem: str = "both",
@@ -118,8 +132,7 @@ def verify_theorems(
     """Verify the selected bound(s) at every vertex of g."""
     if theorem not in ("cd", "cde", "both"):
         raise ValueError(f"theorem must be cd, cde or both, got {theorem!r}")
-    run_cd = theorem in ("cd", "both")
-    run_cde = theorem in ("cde", "both")
+    selected = ("cd", "cde") if theorem == "both" else (theorem,)
     whole_graph_girth = graph_girth(g) if strict_global_girth else None
 
     records = []
@@ -128,51 +141,37 @@ def verify_theorems(
         gate_girth = whole_graph_girth if strict_global_girth else girth_here
         gate = gate_girth >= min_girth
 
-        cd_bound = cd_computed = cd_margin = None
-        cde_bound = cde_sampled = cde_margin = None
+        # name -> (bound, computed value, margin); all None when not run
+        results = {}
         witness: VertexFunction | None = None
         failed = False
-
-        if run_cd:
-            result = cd_curvature(g, x, dim)
-            cd_bound = cd_bound_girth5(g, x)
-            cd_computed = result.curvature_K
-            cd_margin = cd_computed - cd_bound
-            if gate and cd_margin < -MARGIN_TOL:
-                if not cd_check(g, x, dim, cd_bound, result.minimizing_function):
+        for name, compute, check in _THEOREMS:
+            if name not in selected:
+                results[name] = (None, None, None)
+                continue
+            bound, value, candidate = compute(g, x, dim, samples, seed)
+            margin = value - bound
+            if gate and margin < -MARGIN_TOL:
+                if not check(g, x, dim, bound, candidate):
                     failed = True
-                    witness = result.minimizing_function
+                    witness = candidate
                 else:
                     logger.warning(
-                        "vertex %d: cd margin %.3e did not re-verify as a violation",
+                        "vertex %d: %s margin %.3e did not re-verify as a violation",
                         x,
-                        cd_margin,
+                        name,
+                        margin,
                     )
-            elif gate and cd_margin < 0:
-                logger.info("vertex %d: tight cd margin %.3e", x, cd_margin)
-
-        if run_cde:
-            estimate = cde_estimate(g, x, dim, samples, seed)
-            cde_bound = -g.degree(x) / 2.0 - 1.0
-            cde_sampled = estimate.sampled_min
-            cde_margin = cde_sampled - cde_bound
-            if gate and cde_margin < -MARGIN_TOL:
-                if not cde_check(g, x, dim, cde_bound, estimate.argmin.function):
-                    failed = True
-                    witness = estimate.argmin.function
-                else:
-                    logger.warning(
-                        "vertex %d: cde margin %.3e did not re-verify as a violation",
-                        x,
-                        cde_margin,
-                    )
-            elif gate and cde_margin < 0:
-                logger.info("vertex %d: tight cde margin %.3e", x, cde_margin)
+            elif gate and margin < 0:
+                logger.info("vertex %d: tight %s margin %.3e", x, name, margin)
+            results[name] = (bound, value, margin)
 
         if not gate:
             verdict = "precondition_not_met"
         else:
             verdict = "fail" if failed else "pass"
+        cd_bound, cd_computed, cd_margin = results["cd"]
+        cde_bound, cde_sampled, cde_margin = results["cde"]
         records.append(
             VertexReport(
                 vertex=x,
@@ -186,7 +185,7 @@ def verify_theorems(
                 cde_margin=cde_margin,
                 verdict=verdict,
                 dim=float(dim),
-                seed=seed if run_cde else None,
+                seed=seed if "cde" in selected else None,
                 witness=witness,
             )
         )

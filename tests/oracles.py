@@ -3,7 +3,7 @@
 Deliberately different routes from the production code: girth by
 exhaustive simple-path enumeration, curvature by random-restart
 minimization of the defining ratio over function space (never touching
-the quadratic-form assembly, Schur elimination, or Jacobi eigensolver).
+the quadratic-form assembly, Schur elimination, or eigensolver).
 """
 
 from __future__ import annotations

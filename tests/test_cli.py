@@ -88,10 +88,12 @@ def test_curvature_cd_cycle_all_zero(capsys, tmp_path):
         assert rec["curvature"] == pytest.approx(0.0, abs=1e-8)
 
 
-def test_curvature_cd_dim_zero_is_usage_error(capsys, star3_file):
-    code, _, err = run(capsys, "curvature-cd", star3_file, "--dim", "0")
+@pytest.mark.parametrize("dim", ["0", "inf"])
+def test_curvature_cd_dim_zero_is_usage_error(capsys, star3_file, dim):
+    code, out, err = run(capsys, "curvature-cd", star3_file, "--dim", dim)
     assert code == 64
     assert "dim" in err
+    assert out == ""
 
 
 def test_curvature_cd_csv(capsys, star3_file):
@@ -213,6 +215,20 @@ def test_verify_strict_global_girth_flag(capsys, tmp_path):
         capsys, "verify", str(mixed), "--theorem", "cd", "--strict-global-girth"
     )
     assert code == 3
+
+
+def test_verify_non_finite_dim_is_usage_error(capsys, petersen_file, monkeypatch):
+    # rejected before any vertex is computed
+    import curvkit.cli as cli_mod
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("verify_theorems ran")
+
+    monkeypatch.setattr(cli_mod, "verify_theorems", unreachable)
+    code, out, err = run(capsys, "verify", petersen_file, "--dim", "inf")
+    assert code == 64
+    assert "dim" in err
+    assert out == ""
 
 
 def test_verify_fail_exit_code_via_stub(capsys, petersen_file, monkeypatch):

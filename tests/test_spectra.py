@@ -47,8 +47,9 @@ def test_extreme_scale_matrix():
         lam, vec = smallest_eigenvalue(base * scale)
         assert lam == pytest.approx(float(np.linalg.eigvalsh(base)[0]) * scale,
                                     rel=1e-9)
-        norm = np.linalg.norm(base * scale)
-        assert np.linalg.norm((base * scale) @ vec - lam * vec) <= 1e-9 * norm
+        # residual on the unscaled matrix: the scaled norm would overflow
+        norm = np.linalg.norm(base)
+        assert np.linalg.norm(base @ vec - (lam / scale) * vec) <= 1e-9 * norm
 
 
 def test_random_matrices_vs_rayleigh_oracle():
@@ -166,3 +167,15 @@ def test_schur_not_eliminable():
     m[1, 1] = 1e-13
     with pytest.raises(NotEliminableError):
         schur_minimize(m, [0])
+    # indefinite eliminated block with a positive diagonal
+    m = np.array(
+        [
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 2.0],
+            [0.0, 2.0, 1.0],
+        ]
+    )
+    with pytest.raises(NotEliminableError):
+        schur_minimize(m, [0])
+    with pytest.raises(NotEliminableError):
+        schur_minimizer(m, [0], np.array([1.0]))
