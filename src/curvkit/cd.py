@@ -11,8 +11,8 @@ condition becomes a generalized Rayleigh problem between two quadratic
 forms over the sphere-1/sphere-2 coordinates. The sphere-2 block of the
 numerator form is always diagonal with positive entries (no term of the
 local formula couples two distance-2 vertices), so those coordinates are
-eliminated by a Schur complement and a small symmetric eigensolve on the
-sphere-1 block finishes the job:
+eliminated by dividing by the diagonal sphere-2 block (a Schur complement)
+and a small symmetric eigensolve on the sphere-1 block finishes the job:
 
     K(x, n) = 2 d_x * lambda_min( Schur complement onto sphere 1 ).
 
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, LocalBall, VertexFunction, ball, check_function, _check_vertex
+from .graph import Graph, LocalBall, VertexFunction, check_function
+from .localforms import LocalEvaluator
 from .operators import gamma, gamma2, laplacian
 from .spectra import schur_minimize, schur_minimizer, smallest_eigenvalue
 
@@ -60,43 +61,15 @@ def assemble_cd_forms(g: Graph, x: int, n: float) -> tuple[np.ndarray, np.ndarra
 
     Returns (A, B, ball) over the ball coordinates (sphere 1 first):
     A represents f -> G_2(f)(x) - (1/n)(Df)^2(x) and B represents
-    f -> G(f)(x). B is diagonal: 1/(2 d_x) on sphere-1 coordinates, 0 on
-    sphere-2.
+    f -> G(f)(x). A is the closed local formula of the localforms module;
+    B is diagonal: 1/(2 d_x) on sphere-1 coordinates, 0 on sphere-2.
     """
     n = _check_dimension(n)
-    _check_vertex(g, x)
-    b = ball(g, x, 2)
-    dim = b.size
-    d_x = g.degree(x)
-    a_mat = np.zeros((dim, dim))
-    b_mat = np.zeros((dim, dim))
-
-    p = len(b.sphere1)
-    for i in range(p):
-        b_mat[i, i] = 1.0 / (2.0 * d_x)
-
-    # (1/2 - 1/n) (Df)^2 with Df(x) = (sum over sphere 1) / d_x
-    lap_coef = (0.5 - 1.0 / n) / (d_x * d_x)
-    for i in range(p):
-        for j in range(p):
-            a_mat[i, j] += lap_coef
-
-    # local formula: for each y ~ x and z ~ y, weight w = 1/(2 d_x d_y),
-    # add w*(f(z)-f(y))^2 - (w/2)*f(z)^2, with f(center) fixed to 0
-    for y in b.sphere1:
-        iy = b.index[y]
-        w = 1.0 / (2.0 * d_x * g.degree(y))
-        for z in g.adjacency[y]:
-            if z == x:
-                a_mat[iy, iy] += w
-                continue
-            iz = b.index[z]
-            a_mat[iy, iy] += w
-            a_mat[iz, iz] += w
-            a_mat[iy, iz] -= w
-            a_mat[iz, iy] -= w
-            a_mat[iz, iz] -= 0.5 * w
-    return a_mat, b_mat, b
+    ev = LocalEvaluator(g, x)
+    p = len(ev.ball.sphere1)
+    b_mat = np.zeros((ev.width - 1, ev.width - 1))
+    b_mat[:p, :p] = np.eye(p) / (2.0 * ev.degree)
+    return ev.cd_form(n), b_mat, ev.ball
 
 
 def cd_curvature(g: Graph, x: int, n: float = 2.0) -> CdResult:
@@ -109,12 +82,9 @@ def cd_curvature(g: Graph, x: int, n: float = 2.0) -> CdResult:
     curvature = 2.0 * g.degree(x) * lam
 
     values = np.zeros(g.vertex_count)
-    for y, component in zip(b.sphere1, vec):
-        values[y] = component
+    values[list(b.sphere1)] = vec
     if b.sphere2:
-        tail = schur_minimizer(a_mat, keep, vec)
-        for z, component in zip(b.sphere2, tail):
-            values[z] = component
+        values[list(b.sphere2)] = schur_minimizer(a_mat, keep, vec)
     return CdResult(
         vertex=x,
         dimension_n=float(n),

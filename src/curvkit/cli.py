@@ -4,7 +4,8 @@ Subcommands: girth, curvature-cd, curvature-cde, verify, gen.
 
 Exit codes: 0 success (verify: no failing vertex), 1 a curvature bound was
 violated (witness embedded in the JSON report), 2 input parse/validation
-error, 3 every vertex failed the girth precondition, 64 usage error.
+error, 3 every vertex failed the girth precondition, 4 the CDE sampler
+found no feasible sample at some vertex, 64 usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from . import generators
 from .cd import cd_curvature
-from .cde import cde_estimate
+from .cde import NoFeasibleSampleError, cde_estimate
 from .generators import BadParameterError
 from .girth import vertex_girth
 from .graph import Graph, GraphError, parse_edge_list, serialize_edge_list
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_NO_ELIGIBLE_VERTEX = 3
+EXIT_NO_FEASIBLE_SAMPLE = 4
 EXIT_USAGE = 64
 
 
@@ -304,6 +306,9 @@ def main(argv=None) -> int:
     except (GraphError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except NoFeasibleSampleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_FEASIBLE_SAMPLE
 
 
 def entry() -> None:

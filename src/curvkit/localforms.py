@@ -1,11 +1,12 @@
-"""Batched evaluation of the local curvature quantities at one vertex.
+"""The closed local formulas of the curvature quantities at one vertex.
 
-The samplers and search oracles evaluate the Laplacian and the gradient
-forms at a fixed center for thousands of candidate functions. This module
-precomputes the 2-ball structure once and evaluates whole batches with
-numpy. It mirrors the closed local formulas of the operators module
-(cross-checked in tests); the definitional implementations there remain
-the reference.
+The 2-ball structure is precomputed once, as (y, z, weight) arrays over
+the pairs y ~ x, z ~ y, and whole batches of candidate functions are
+evaluated with numpy. This is the only statement of the closed local G_2
+formula: the CD quadratic form is assembled from the same arrays, and the
+scalar ``operators.gamma2_local`` is a one-row call into this module. The
+definitional implementations in the operators module are the independent
+route; tests cross-check the two.
 
 Batch layout: rows are candidate functions, columns are ball vertices in
 the fixed order [center, sphere1..., sphere2...].
@@ -33,6 +34,8 @@ class LocalEvaluator:
         self.width = 1 + b.size
         self.s1_cols = np.array([col[y] for y in b.sphere1], dtype=np.intp)
         self.s2_cols = np.array([col[z] for z in b.sphere2], dtype=np.intp)
+        # the vertex behind each column
+        self.vertices = np.array((x,) + b.coordinates, dtype=np.intp)
 
         pair_y: list[int] = []
         pair_z: list[int] = []
@@ -59,9 +62,7 @@ class LocalEvaluator:
     def to_vertex_function_values(self, row: np.ndarray, fill: float = 0.0) -> np.ndarray:
         """Expand one ball row to a full vertex-value array."""
         out = np.full(self.graph.vertex_count, float(fill))
-        out[self.center] = row[0]
-        for v, i in self.ball.index.items():
-            out[v] = row[i + 1]
+        out[self.vertices] = row
         return out
 
     def laplacian(self, rows: np.ndarray) -> np.ndarray:
@@ -72,11 +73,39 @@ class LocalEvaluator:
         return (diff * diff).sum(axis=1) / (2.0 * self.degree)
 
     def gamma2(self, rows: np.ndarray) -> np.ndarray:
+        """Closed local formula for G_2(f) at the center:
+
+            ( (Df)^2(x) + (1/d_x) sum_{y ~ x} (1/d_y) sum_{z ~ y}
+                  [ (f(z)-f(y))^2 - (f(z)-f(x))^2 / 2 ] ) / 2
+
+        The inner sum runs over every z ~ y, including z = x.
+        """
         lap = self.laplacian(rows)
         dyz = rows[:, self.pair_z] - rows[:, self.pair_y]
         dxz = rows[:, self.pair_z] - rows[:, [0]]
         acc = ((dyz * dyz - 0.5 * dxz * dxz) * self.pair_w).sum(axis=1)
         return 0.5 * lap * lap + acc
+
+    def cd_form(self, n: float) -> np.ndarray:
+        """Matrix of f -> G_2(f) - (1/n)(Df)^2 at the center, with f(x) = 0.
+
+        Over the ball coordinates (columns 1.. of the batch layout, sphere 1
+        first). Each pair contributes w (f(z) - f(y))^2 - (w/2) f(z)^2; the
+        entries that touch the center column drop out with f(x) = 0. The
+        sphere-2 block is diagonal: no pair couples two distance-2 vertices.
+        """
+        y, z, w = self.pair_y, self.pair_z, self.pair_w
+        p = len(self.s1_cols)
+        a = np.zeros((self.width, self.width))
+        # (1/2 - 1/n) (Df)^2 with Df(x) = (sum over sphere 1) / d_x;
+        # sphere 1 is columns 1..p
+        a[1 : p + 1, 1 : p + 1] = (0.5 - 1.0 / n) / (self.degree * self.degree)
+        np.add.at(
+            a,
+            (np.concatenate([y, z, y, z]), np.concatenate([y, z, z, y])),
+            np.concatenate([w, 0.5 * w, -w, -w]),
+        )
+        return a[1:, 1:]
 
     def gamma_at_s1(self, rows: np.ndarray) -> np.ndarray:
         """G(f)(y) for every sphere-1 vertex y, shape (B, |S1|)."""

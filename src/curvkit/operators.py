@@ -12,8 +12,9 @@ Conventions (fixed package-wide):
   G_2(f) = D(G(f))/2 - G(f,Df).
 
 Each form ships in two flavors: the definitional evaluation above and a
-closed local formula over the 2-ball. The two are algebraically equal and
-serve as mutual oracles; tests cross-check them to 1e-12 relative.
+closed local formula over the 2-ball (for G_2, the one in the localforms
+module). The two are algebraically equal and serve as mutual oracles;
+tests cross-check them to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import Graph, VertexFunction, ball, check_function, _check_vertex
+from .localforms import LocalEvaluator
 
 FunctionLike = VertexFunction | Sequence[float] | np.ndarray
 
@@ -158,31 +160,12 @@ def gamma2(g: Graph, f: FunctionLike, x: int) -> float:
 
 
 def gamma2_local(g: Graph, f: FunctionLike, x: int) -> float:
-    """Closed local formula for G_2(f)(x) over the 2-ball:
-
-        ( (Df)^2(x) + (1/d_x) sum_{y ~ x} (1/d_y) sum_{z ~ y}
-              [ (f(z)-f(y))^2 - (f(z)-f(x))^2 / 2 ] ) / 2
-
-    The inner sum runs over every z ~ y, including z = x.
+    """Closed local formula for G_2(f)(x) over the 2-ball, evaluated as a
+    one-row batch of ``LocalEvaluator.gamma2`` (the formula is stated there).
     """
     vals = check_function(g, f)
-    _check_vertex(g, x)
-    nbrs = g.adjacency[x]
-    fx = vals[x]
-    lap = 0.0
-    for y in nbrs:
-        lap += vals[y] - fx
-    lap /= len(nbrs)
-    acc = 0.0
-    for y in nbrs:
-        fy = vals[y]
-        inner = 0.0
-        for z in g.adjacency[y]:
-            dyz = vals[z] - fy
-            dxz = vals[z] - fx
-            inner += dyz * dyz - 0.5 * dxz * dxz
-        acc += inner / len(g.adjacency[y])
-    return 0.5 * (lap * lap + acc / len(nbrs))
+    ev = LocalEvaluator(g, x)
+    return float(ev.gamma2(vals[ev.vertices][None, :])[0])
 
 
 def _require_positive_two_ball(g: Graph, vals: np.ndarray, x: int) -> None:

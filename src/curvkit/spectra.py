@@ -2,10 +2,11 @@
 
 The matrices here are the local quadratic forms of the curvature
 computation, so their dimension is bounded by the 2-ball size. The
-numerics are numpy's LAPACK bindings: the eigensolve is ``np.linalg.eigh``
-and Schur elimination checks the eliminated block with a Cholesky
-factorization against a fixed pivot floor before ``np.linalg.solve``.
-Results are deterministic for a given numpy/LAPACK build.
+eigensolve is numpy's LAPACK ``np.linalg.eigh``. Schur elimination
+handles only a diagonal eliminated block, the one the curvature forms
+have (sphere 2 is never coupled to itself): it checks that the block is
+exactly diagonal with every entry above a fixed pivot floor and then
+divides by it. Results are deterministic for a given numpy/LAPACK build.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ class NonFiniteError(ValueError):
 
 
 class NotEliminableError(ValueError):
-    """Eliminated block is not strictly positive definite.
+    """Eliminated block is not diagonal with entries above the pivot floor.
 
-    For a quadratic form this means unconstrained minimization over the
-    eliminated coordinates is unbounded below (or degenerate).
+    A non-positive entry means unconstrained minimization over the
+    eliminated coordinates is unbounded below (or degenerate); a
+    non-diagonal block is outside what the division route handles.
     """
 
 
@@ -69,17 +71,27 @@ def _partition(m: np.ndarray, keep: Sequence[int]) -> tuple[np.ndarray, np.ndarr
     return np.flatnonzero(kept), np.flatnonzero(~kept)
 
 
-def _solve_eliminated(m_ee: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """M_ee^{-1} rhs, after checking M_ee is positive definite above the floor."""
-    try:
-        pivot = float(np.min(np.diag(np.linalg.cholesky(m_ee)))) ** 2
-    except np.linalg.LinAlgError:
-        raise NotEliminableError("eliminated block is not positive definite") from None
-    if pivot <= PIVOT_FLOOR:
+def _eliminate(
+    m: np.ndarray | Sequence[Sequence[float]], keep: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split m into (kept block, eliminated-kept block, eliminated diagonal,
+    kept indices), after checking the eliminated block is diagonal with
+    every entry above the pivot floor (its Cholesky pivots are the entries).
+    """
+    a = check_symmetric(m)
+    keep_idx, elim = _partition(a, keep)
+    rows = a.take(elim, axis=0)
+    m_ee = rows.take(elim, axis=1)
+    diag = np.diag(m_ee)
+    # diagonal exactly when every nonzero of the block is on its diagonal
+    if np.count_nonzero(m_ee) != np.count_nonzero(diag):
+        raise NotEliminableError("eliminated block is not diagonal")
+    if diag.size and diag.min() <= PIVOT_FLOOR:
         raise NotEliminableError(
-            f"smallest Cholesky pivot {pivot:.3e} is below the floor {PIVOT_FLOOR}"
+            f"smallest pivot {diag.min():.3e} is not above the floor {PIVOT_FLOOR}"
         )
-    return np.linalg.solve(m_ee, rhs)
+    m_kk = a.take(keep_idx, axis=0).take(keep_idx, axis=1)
+    return m_kk, rows.take(keep_idx, axis=1), diag, keep_idx
 
 
 def schur_minimize(m: np.ndarray | Sequence[Sequence[float]], keep: Sequence[int]) -> np.ndarray:
@@ -87,33 +99,24 @@ def schur_minimize(m: np.ndarray | Sequence[Sequence[float]], keep: Sequence[int
 
     For every vector u on the kept coordinates,
     u^T S u = min over w of [u; w]^T m [u; w], the minimum running over the
-    eliminated coordinates. Requires the eliminated block to be strictly
-    positive definite (NotEliminableError otherwise).
+    eliminated coordinates. The eliminated block must be diagonal with
+    entries d above PIVOT_FLOOR (NotEliminableError otherwise); then
+    S = M_kk - M_ek^T (M_ek / d).
     """
-    a = check_symmetric(m)
-    keep_idx, elim = _partition(a, keep)
-    if not elim.size:
-        return a.copy()
-    if not keep_idx.size:
+    m_kk, m_ek, diag, _ = _eliminate(m, keep)
+    if diag.size and not m_kk.size:
         raise ValueError("cannot eliminate every coordinate")
-    m_ee = a[np.ix_(elim, elim)]
-    m_ek = a[np.ix_(elim, keep_idx)]
-    m_kk = a[np.ix_(keep_idx, keep_idx)]
-    s = m_kk - m_ek.T @ _solve_eliminated(m_ee, m_ek)
+    s = m_kk - m_ek.T @ (m_ek / diag[:, None])
     return 0.5 * (s + s.T)
 
 
 def schur_minimizer(
     m: np.ndarray | Sequence[Sequence[float]], keep: Sequence[int], u: np.ndarray
 ) -> np.ndarray:
-    """Argmin over eliminated coordinates: w* = -M_ee^{-1} M_ek u."""
-    a = check_symmetric(m)
-    keep_idx, elim = _partition(a, keep)
+    """Argmin over eliminated coordinates: w* = -(M_ek u) / d, same contract
+    as schur_minimize."""
+    _, m_ek, diag, keep_idx = _eliminate(m, keep)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (keep_idx.size,):
         raise ValueError(f"u has shape {u.shape}, expected ({keep_idx.size},)")
-    if not elim.size:
-        return np.zeros(0)
-    m_ee = a[np.ix_(elim, elim)]
-    m_ek = a[np.ix_(elim, keep_idx)]
-    return -(_solve_eliminated(m_ee, m_ek) @ u)
+    return -(m_ek @ u) / diag

@@ -3,7 +3,9 @@
 Deliberately different routes from the production code: girth by
 exhaustive simple-path enumeration, curvature by random-restart
 minimization of the defining ratio over function space (never touching
-the quadratic-form assembly, Schur elimination, or eigensolver).
+the quadratic-form assembly, Schur elimination, or eigensolver), and
+Schur elimination of a general positive-definite block by Cholesky
+factorization (production divides by a diagonal block).
 """
 
 from __future__ import annotations
@@ -53,6 +55,24 @@ def brute_force_vertex_girth(g: Graph, x: int) -> float:
 
 def brute_force_graph_girth(g: Graph) -> float:
     return min(brute_force_vertex_girth(g, x) for x in range(g.vertex_count))
+
+
+def cholesky_schur(m: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
+    """Schur complement onto the kept coordinates and the minimizer map.
+
+    Returns (S, W) with S = M_kk - M_ek^T M_ee^{-1} M_ek and
+    W = -M_ee^{-1} M_ek, so the argmin over the eliminated coordinates is
+    W @ u. The eliminated block may be any positive-definite matrix; it is
+    factored as L L^T and the two triangular systems are solved.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    keep = np.asarray(keep, dtype=np.intp)
+    elim = np.setdiff1d(np.arange(m.shape[0]), keep)
+    m_ek = m[np.ix_(elim, keep)]
+    chol = np.linalg.cholesky(m[np.ix_(elim, elim)])
+    half = np.linalg.solve(chol, m_ek)  # L^{-1} M_ek
+    schur = m[np.ix_(keep, keep)] - half.T @ half
+    return 0.5 * (schur + schur.T), -np.linalg.solve(chol.T, half)
 
 
 def min_ratio_descent(

@@ -19,10 +19,11 @@ from curvkit import (
     petersen,
     random_tree,
     random_with_girth,
+    schur_minimize,
     star,
     vertex_girth,
 )
-from oracles import rayleigh_cd_minimum
+from oracles import cholesky_schur, rayleigh_cd_minimum
 
 
 def _embed(g, b, coords):
@@ -66,6 +67,28 @@ def test_sphere2_block_diagonal_positive(corpus_small):
             off = block - np.diag(np.diag(block))
             assert np.max(np.abs(off), initial=0.0) == 0.0
             assert np.all(np.diag(block) > 0.0)
+
+
+def test_schur_route_matches_cholesky_reference(corpus_small):
+    # the division route against the general Cholesky Schur complement,
+    # on every vertex; the witness's sphere-2 part is compared with the
+    # reference argmin for its own sphere-1 values (not with an
+    # eigenvector: degenerate eigenspaces make the basis arbitrary)
+    for g in corpus_small:
+        for x in range(g.vertex_count):
+            for n in (1.0, 2.0, math.inf):
+                a, _, b = assemble_cd_forms(g, x, n)
+                keep = list(range(len(b.sphere1)))
+                ref_s, ref_w = cholesky_schur(a, keep)
+                s = schur_minimize(a, keep)
+                # relative to the scale of the form: S may vanish exactly
+                assert np.max(np.abs(s - ref_s)) <= 1e-12 * np.max(np.abs(a))
+                values = cd_curvature(g, x, n).minimizing_function.values
+                tail = values[list(b.sphere2)]
+                expected = ref_w @ values[list(b.sphere1)]
+                assert np.max(np.abs(tail - expected), initial=0.0) <= 1e-12 * np.max(
+                    np.abs(expected), initial=0.0
+                )
 
 
 def test_b_form_structure():
@@ -161,13 +184,14 @@ def test_dimension_validation():
 
 
 def test_locality_of_curvature():
-    # values beyond the 2-ball cannot matter: the witness re-check uses
-    # operators that only look at the 2-ball, and forms are ball-indexed
-    g = path(7)
-    res_a = cd_curvature(g, 0, 2.0)
-    a1, _, _ = assemble_cd_forms(g, 0, 2.0)
-    assert a1.shape == (2, 2)  # sphere1 = {1}, sphere2 = {2}
-    assert res_a.curvature_K == cd_curvature(g, 0, 2.0).curvature_K
+    # the graph beyond the 2-ball cannot matter: path(4) and path(7) share
+    # the 2-ball of vertex 0 and its sphere-1 degrees, but vertex 3 has
+    # degree 1 in one and 2 in the other
+    a_long, _, _ = assemble_cd_forms(path(7), 0, 2.0)
+    a_short, _, _ = assemble_cd_forms(path(4), 0, 2.0)
+    assert a_long.shape == (2, 2)  # sphere1 = {1}, sphere2 = {2}
+    assert np.array_equal(a_long, a_short)
+    assert cd_curvature(path(7), 0, 2.0).curvature_K == cd_curvature(path(4), 0, 2.0).curvature_K
 
 
 def test_eigen_route_matches_function_space_oracle():

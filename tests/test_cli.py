@@ -255,6 +255,22 @@ def test_verify_fail_exit_code_via_stub(capsys, petersen_file, monkeypatch):
     assert doc["summary"]["fail"] == 1
 
 
+def test_verify_no_feasible_sample_exit_code(capsys, petersen_file, monkeypatch):
+    # the sampler running out of proposals is an error, not a violation;
+    # stubbed because a real case (the star(30) centre) takes seconds
+    import curvkit.verify as verify_mod
+    from curvkit import NoFeasibleSampleError
+
+    def exhausted(*args, **kwargs):
+        raise NoFeasibleSampleError("only 4004/10000 feasible samples")
+
+    monkeypatch.setattr(verify_mod, "cde_estimate", exhausted)
+    code, out, err = run(capsys, "verify", petersen_file, "--theorem", "cde")
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == ["error: only 4004/10000 feasible samples"]
+
+
 # ---- gen -------------------------------------------------------------------
 
 def test_gen_cycle_six_lines(capsys):

@@ -8,7 +8,7 @@ from curvkit import (
     schur_minimizer,
     smallest_eigenvalue,
 )
-from oracles import rayleigh_matrix_minimum
+from oracles import cholesky_schur, rayleigh_matrix_minimum
 
 
 def _random_symmetric(rng, n):
@@ -128,29 +128,52 @@ def test_schur_cycle_curvature_form_vanishes():
     assert np.allclose(w, [2.0, -4.0], atol=1e-12)
 
 
+def _random_form(rng, diagonal):
+    """Random symmetric 7x7 form, 3 kept coordinates, with a strictly
+    positive-definite (optionally diagonal) eliminated block."""
+    dim, keep_count = 7, 3
+    keep = sorted(rng.choice(dim, size=keep_count, replace=False).tolist())
+    elim = [i for i in range(dim) if i not in keep]
+    m = _random_symmetric(rng, dim)
+    if diagonal:
+        block = np.diag(rng.uniform(0.1, 3.0, size=len(elim)))
+    else:
+        q = rng.normal(size=(len(elim), len(elim)))
+        block = q @ q.T + 0.5 * np.eye(len(elim))
+    m[np.ix_(elim, elim)] = block
+    return m, keep, elim
+
+
+def _check_variational(rng, m, keep, elim, s, minimizer):
+    """u^T S u is the minimum over w of [u; w]^T m [u; w], attained at
+    minimizer(u)."""
+    full = np.zeros(m.shape[0])
+    for _ in range(100):
+        u = rng.normal(size=len(keep))
+        quad_s = u @ s @ u
+        w_star = minimizer(u)
+        full[keep] = u
+        full[elim] = w_star
+        assert quad_s == pytest.approx(full @ m @ full, abs=1e-9)
+        for _ in range(2):
+            full[elim] = w_star + rng.normal(size=len(elim))
+            assert full @ m @ full >= quad_s - 1e-9
+
+
 def test_schur_variational_property():
     rng = np.random.default_rng(11)
+    # dense eliminated blocks: the general Cholesky reference
     for _ in range(5):
-        dim, keep_count = 7, 3
-        keep = sorted(rng.choice(dim, size=keep_count, replace=False).tolist())
-        elim = [i for i in range(dim) if i not in keep]
-        m = _random_symmetric(rng, dim)
-        # make the eliminated block strictly positive definite
-        q = rng.normal(size=(len(elim), len(elim)))
-        m[np.ix_(elim, elim)] = q @ q.T + 0.5 * np.eye(len(elim))
+        m, keep, elim = _random_form(rng, diagonal=False)
+        s, w_map = cholesky_schur(m, keep)
+        _check_variational(rng, m, keep, elim, s, lambda u: w_map @ u)
+    # diagonal eliminated blocks: the division route, which must agree
+    # with the reference
+    for _ in range(5):
+        m, keep, elim = _random_form(rng, diagonal=True)
         s = schur_minimize(m, keep)
-        for _ in range(100):
-            u = rng.normal(size=keep_count)
-            quad_s = u @ s @ u
-            w_star = schur_minimizer(m, keep, u)
-            full = np.zeros(dim)
-            full[keep] = u
-            full[elim] = w_star
-            assert quad_s == pytest.approx(full @ m @ full, abs=1e-9)
-            for _ in range(2):
-                w = w_star + rng.normal(size=len(elim))
-                full[elim] = w
-                assert full @ m @ full >= quad_s - 1e-9
+        assert np.allclose(s, cholesky_schur(m, keep)[0], rtol=1e-12, atol=1e-12)
+        _check_variational(rng, m, keep, elim, s, lambda u: schur_minimizer(m, keep, u))
 
 
 def test_schur_not_eliminable():
@@ -175,6 +198,12 @@ def test_schur_not_eliminable():
             [0.0, 2.0, 1.0],
         ]
     )
+    with pytest.raises(NotEliminableError):
+        schur_minimize(m, [0])
+    with pytest.raises(NotEliminableError):
+        schur_minimizer(m, [0], np.array([1.0]))
+    # positive definite but not diagonal: outside the division route
+    m[1:, 1:] = [[2.0, 1.0], [1.0, 2.0]]
     with pytest.raises(NotEliminableError):
         schur_minimize(m, [0])
     with pytest.raises(NotEliminableError):
