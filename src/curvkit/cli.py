@@ -4,8 +4,8 @@ Subcommands: girth, curvature-cd, curvature-cde, verify, gen.
 
 Exit codes: 0 success (verify: no failing vertex), 1 a curvature bound was
 violated (witness embedded in the JSON report), 2 input parse/validation
-error, 3 every vertex failed the girth precondition, 4 the CDE sampler
-found no feasible sample at some vertex, 64 usage error.
+error, 3 every vertex failed the girth precondition, 4 the CDE search
+found no candidate with a finite ratio at some vertex, 64 usage error.
 """
 
 from __future__ import annotations
@@ -89,10 +89,7 @@ def build_parser() -> _Parser:
     p_verify.set_defaults(handler=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="write a generated graph as an edge list")
-    p_gen.add_argument(
-        "family",
-        choices=["cycle", "path", "star", "complete", "tree", "petersen", "random-girth"],
-    )
+    p_gen.add_argument("family", choices=list(_GEN_FAMILIES))
     p_gen.add_argument("params", type=int, nargs="*")
     p_gen.add_argument("--min-girth", type=int, default=5)
     p_gen.add_argument("--seed", type=int, default=0)
@@ -250,37 +247,27 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# family -> (parameter count, builder from the parsed arguments)
+_GEN_FAMILIES = {
+    "cycle": (1, lambda a: generators.cycle(*a.params)),
+    "path": (1, lambda a: generators.path(*a.params)),
+    "star": (1, lambda a: generators.star(*a.params)),
+    "complete": (1, lambda a: generators.complete(*a.params)),
+    "tree": (1, lambda a: generators.random_tree(*a.params, a.seed)),
+    "petersen": (0, lambda a: generators.petersen()),
+    "random-girth": (
+        2, lambda a: generators.random_with_girth(*a.params, a.min_girth, a.seed)
+    ),
+}
+
+
 def cmd_gen(args) -> int:
-    family = args.family
-    params = args.params
-
-    def need(count: int) -> None:
-        if len(params) != count:
-            raise UsageError(
-                f"family {family!r} takes {count} parameter(s), got {len(params)}"
-            )
-
-    if family == "cycle":
-        need(1)
-        g = generators.cycle(params[0])
-    elif family == "path":
-        need(1)
-        g = generators.path(params[0])
-    elif family == "star":
-        need(1)
-        g = generators.star(params[0])
-    elif family == "complete":
-        need(1)
-        g = generators.complete(params[0])
-    elif family == "tree":
-        need(1)
-        g = generators.random_tree(params[0], args.seed)
-    elif family == "petersen":
-        need(0)
-        g = generators.petersen()
-    else:
-        need(2)
-        g = generators.random_with_girth(params[0], params[1], args.min_girth, args.seed)
+    count, build = _GEN_FAMILIES[args.family]
+    if len(args.params) != count:
+        raise UsageError(
+            f"family {args.family!r} takes {count} parameter(s), got {len(args.params)}"
+        )
+    g = build(args)
 
     text = serialize_edge_list(g)
     if args.output:

@@ -40,23 +40,22 @@ class LocalEvaluator:
         pair_y: list[int] = []
         pair_z: list[int] = []
         pair_w: list[float] = []
-        owner: list[int] = []
-        for iy, y in enumerate(b.sphere1):
+        for y in b.sphere1:
             dy = g.degree(y)
             for z in g.adjacency[y]:
                 pair_y.append(col[y])
                 pair_z.append(col[z])
                 pair_w.append(1.0 / (2.0 * self.degree * dy))
-                owner.append(iy)
         self.pair_y = np.array(pair_y, dtype=np.intp)
         self.pair_z = np.array(pair_z, dtype=np.intp)
         self.pair_w = np.array(pair_w)
         # per-neighbor aggregation matrix: (f(z)-f(y))^2 summed over z ~ y,
-        # scaled by 1/(2 d_y), yields G(f)(y) for each sphere-1 vertex
-        p = len(b.sphere1)
-        group = np.zeros((len(owner), p))
-        for row, iy in enumerate(owner):
-            group[row, iy] = 1.0 / (2.0 * g.degree(b.sphere1[iy]))
+        # scaled by 1/(2 d_y), yields G(f)(y) for each sphere-1 vertex; the
+        # pairs of the i-th sphere-1 vertex are d_y consecutive rows
+        s1_degree = np.array([g.degree(y) for y in b.sphere1])
+        owner = np.repeat(np.arange(len(s1_degree)), s1_degree)
+        group = np.zeros((len(owner), len(s1_degree)))
+        group[np.arange(len(owner)), owner] = 1.0 / (2.0 * s1_degree[owner])
         self.gamma_s1_weights = group
 
     def to_vertex_function_values(self, row: np.ndarray, fill: float = 0.0) -> np.ndarray:

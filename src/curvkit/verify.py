@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .cd import cd_check, cd_curvature
 from .cde import cde_check, cde_estimate
-from .girth import GirthValue, graph_girth, vertex_girth
+from .girth import GirthValue, vertex_girth
 from .graph import Graph, VertexFunction, _check_vertex
 
 MARGIN_TOL = 1e-8
@@ -133,11 +133,11 @@ def verify_theorems(
     if theorem not in ("cd", "cde", "both"):
         raise ValueError(f"theorem must be cd, cde or both, got {theorem!r}")
     selected = ("cd", "cde") if theorem == "both" else (theorem,)
-    whole_graph_girth = graph_girth(g) if strict_global_girth else None
+    girths = [vertex_girth(g, x) for x in range(g.vertex_count)]
+    whole_graph_girth = min(girths)
 
     records = []
-    for x in range(g.vertex_count):
-        girth_here = vertex_girth(g, x)
+    for x, girth_here in enumerate(girths):
         gate_girth = whole_graph_girth if strict_global_girth else girth_here
         gate = gate_girth >= min_girth
 

@@ -10,6 +10,7 @@ from curvkit import (
     cde_estimate,
     cde_ratio,
     cycle,
+    gamma,
     gamma2,
     gamma_f_ratio_split,
     gamma_local,
@@ -178,6 +179,18 @@ def test_batch_ratios_match_scalar_path(corpus_small):
             assert approx_equal(values[i], cde_ratio(g, x, 2.0, full), rel=1e-12)
 
 
+def test_gamma_at_s1_matches_definitional_gamma(corpus_small):
+    # the per-neighbor aggregation matrix against G(f)(y) from the definition
+    for g in corpus_small:
+        vals = np.exp(np.random.default_rng(31).normal(size=g.vertex_count))
+        for x in range(g.vertex_count):
+            ev = LocalEvaluator(g, x)
+            row = vals[ev.vertices][None, :]
+            local = ev.gamma_at_s1(row)[0]
+            for i, y in enumerate(ev.ball.sphere1):
+                assert approx_equal(local[i], gamma(g, vals, vals, y), rel=1e-12)
+
+
 def test_parameter_validation(petersen_graph):
     with pytest.raises(ValueError):
         cde_estimate(petersen_graph, 0, 2.0, samples=0, seed=0)
@@ -212,6 +225,21 @@ def test_high_degree_structured_branch():
     ev = LocalEvaluator(g, 0)
     rows = _structured_rows(ev, derive_stream(6, 0))
     assert 19 < len(rows) <= 8000
+
+
+def test_high_degree_center_is_sampled_without_rejection():
+    # at degree 40 almost no log-uniform draw has Df(x) < 0 on its own;
+    # every draw is made feasible, so the search runs and respects the bound
+    g = star(40)
+    values = []
+    for samples in (50, 400, 2000):
+        est = cde_estimate(g, 0, 2.0, samples=samples, seed=3)
+        values.append(est.sampled_min)
+        f = est.argmin.function
+        assert f[0] == 1.0
+        assert all(f[v] > 0.0 for v in range(g.vertex_count))
+        assert laplacian(g, f, 0) < 0.0
+    assert values[0] >= values[1] >= values[2] >= -40.0 / 2.0 - 1.0
 
 
 def test_unusual_seeds():

@@ -126,6 +126,16 @@ def test_curvature_cde_petersen_bound(capsys, petersen_file):
         assert rec["seed"] == 1
 
 
+def test_curvature_cde_high_degree_center(capsys, tmp_path):
+    star40 = tmp_path / "star40.edges"
+    star40.write_text(serialize_edge_list(star(40)))
+    code, out, _ = run(capsys, "curvature-cde", str(star40), "--vertex", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["records"]) == 1
+    assert doc["records"][0]["sampled_min"] >= -21.0
+
+
 def test_curvature_cde_bad_samples(capsys, star3_file):
     code, _, err = run(capsys, "curvature-cde", star3_file, "--samples", "0")
     assert code == 64 and "samples" in err
@@ -256,8 +266,9 @@ def test_verify_fail_exit_code_via_stub(capsys, petersen_file, monkeypatch):
 
 
 def test_verify_no_feasible_sample_exit_code(capsys, petersen_file, monkeypatch):
-    # the sampler running out of proposals is an error, not a violation;
-    # stubbed because a real case (the star(30) centre) takes seconds
+    # a search that ends without a finite candidate is an error, not a
+    # violation; stubbed because every draw is feasible, so no real graph
+    # is known to reach it
     import curvkit.verify as verify_mod
     from curvkit import NoFeasibleSampleError
 

@@ -136,6 +136,27 @@ def test_mixed_girth_gating():
     assert strict.all_precondition_not_met
 
 
+def test_strict_global_girth_computes_each_vertex_girth_once(monkeypatch):
+    # the whole-graph gate is the minimum of the per-vertex girths already
+    # computed for the report, not a second all-vertex pass
+    import curvkit.girth
+    import curvkit.verify
+
+    g = Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])
+    calls = []
+
+    def counted(graph, x):
+        calls.append(x)
+        return original(graph, x)
+
+    original = curvkit.girth.vertex_girth
+    monkeypatch.setattr(curvkit.verify, "vertex_girth", counted)
+    monkeypatch.setattr(curvkit.girth, "vertex_girth", counted)
+    report = verify_cd_theorem(g, strict_global_girth=True)
+    assert report.all_precondition_not_met
+    assert sorted(calls) == list(range(g.vertex_count))
+
+
 def test_min_girth_threshold_parameter():
     g = cycle(4)
     default = verify_cd_theorem(g)
