@@ -11,7 +11,11 @@ The estimator therefore searches for violating functions: seeded random
 sampling over the 2-ball (every draw is mapped to a feasible function, so
 none is rejected), pattern-search refinement of the best candidates,
 plus a structured scan of the family f(z) = f(y)^2 (the distance-2
-assignment that minimizes the per-neighbor block). The result is an
+assignment that minimizes the per-neighbor block). A refinement move
+changes one coordinate, so it is scored by delta over the pairs that
+coordinate touches (localforms.MoveTable) rather than by re-evaluating a
+whole row; time and memory per sweep grow with the number of pairs, not
+with their square. The result is an
 upper bound on the true pointwise infimum; "no violation found" is the
 acceptance outcome, a found violation is re-verified definitionally
 before being reported.
@@ -31,7 +35,7 @@ import numpy as np
 
 from .cd import _check_dimension
 from .graph import Graph, VertexFunction, ball, check_function, _check_vertex
-from .localforms import LocalEvaluator
+from .localforms import LocalEvaluator, MoveTable
 from .operators import gamma2, gamma_f_ratio, gamma_local, laplacian
 from .rng import counter_uniforms, derive_stream
 
@@ -46,6 +50,7 @@ _TOP_K = 10
 _REFINE_CAP = 512
 _DESCENT_SWEEPS = 40
 _DESCENT_MIN_STEP = 1e-3
+_RATIO_CHUNK = 2048   # rows per ratio call, bounding its temporaries
 
 
 class InfeasibleFunctionError(ValueError):
@@ -141,11 +146,11 @@ def cde_estimate(
     ceiling = (1.0 - u[:, 0]) ** (1.0 / ev.degree) * (1.0 - FEASIBILITY_MARGIN)
     raw[:, ev.s1_cols] = s1 * np.minimum(1.0, ceiling / s1.mean(axis=1))[:, None]
     raw[:, 0] = 1.0
-    raw_ratios = _batch_ratios(ev, raw, n)
+    raw_ratios = _chunked_ratios(ev, raw, n)
 
     # --- structured family --------------------------------------------------
     structured = _structured_rows(ev, stream)
-    structured_ratios = _batch_ratios(ev, structured, n)
+    structured_ratios = _chunked_ratios(ev, structured, n)
 
     # --- refinement: every sample entering the running top-10 ---------------
     # (prefix-stable trigger, so larger sample counts refine a superset; the
@@ -206,6 +211,15 @@ def _batch_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
     return np.where(good, ev.cde_numerator(rows, n) / safe, np.inf)
 
 
+def _chunked_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
+    """_batch_ratios over blocks of _RATIO_CHUNK rows; rows are independent,
+    so only the size of the temporaries changes."""
+    if len(rows) <= _RATIO_CHUNK:
+        return _batch_ratios(ev, rows, n)
+    starts = range(0, len(rows), _RATIO_CHUNK)
+    return np.concatenate([_batch_ratios(ev, rows[i : i + _RATIO_CHUNK], n) for i in starts])
+
+
 def _structured_rows(ev: LocalEvaluator, stream: int) -> np.ndarray:
     """Feasible rows of the family f(center)=1, f(y)=t_y, f(z)=t_parent^2.
 
@@ -259,56 +273,56 @@ def _descend(
     Each sweep proposes a multiplicative up/down move of every non-center
     coordinate of every candidate, accepts a candidate's best improving
     move, and otherwise halves that candidate's step. Positivity and
-    Df(x) < 0 are maintained by clamping with margin 1e-9. Deterministic;
-    never returns a worse value than the start.
+    Df(x) < 0 are maintained by clamping with margin 1e-9. Proposals are
+    scored by delta (see ``localforms.MoveTable``), so a sweep costs
+    O(candidates x pairs) time and memory; a move is accepted when its
+    score is below the ratio of the candidate as it stands, evaluated in
+    full from the row in the same sweep. The returned values are
+    ``_batch_ratios`` of the returned rows, so they never exceed those of
+    the starts beyond rounding. Deterministic; a candidate's path depends
+    only on its own start.
     """
     current = np.array(starts, dtype=np.float64)
-    count = len(current)
-    best = _batch_ratios(ev, current, n)
-    step = np.full(count, 0.5)
-
-    ncoords = ev.width - 1
-    nprops = 2 * ncoords
-    # proposal slot j modifies column slot_col[j]; even slots scale up,
-    # odd slots scale down
-    slot_col = np.repeat(np.arange(1, ev.width), 2)
-    slot_is_s1 = np.isin(slot_col, ev.s1_cols)
-    cand_idx = np.arange(count)[:, None]
-    slot_idx = np.arange(nprops)[None, :]
-    budget = ev.degree * (1.0 - FEASIBILITY_MARGIN)
-
+    step = np.full(len(current), 0.5)
+    table = MoveTable(ev)
     for _ in range(_DESCENT_SWEEPS):
-        active = step >= _DESCENT_MIN_STEP
-        if not active.any():
+        live = np.flatnonzero(step >= _DESCENT_MIN_STEP)
+        if not live.size:
             break
-        factors = np.empty((count, nprops))
-        factors[:, 0::2] = (1.0 + step)[:, None]
-        factors[:, 1::2] = (1.0 / (1.0 + step))[:, None]
-        proposals = np.repeat(current[:, None, :], nprops, axis=1)
-        moved = proposals[cand_idx, slot_idx, slot_col[None, :]] * factors
-        moved = np.maximum(moved, FEASIBILITY_MARGIN)
-        proposals[cand_idx, slot_idx, slot_col[None, :]] = moved
-        # clamp sphere-1 moves so Df(x) <= -margin: shrink the moved
-        # coordinate by the budget excess
-        s1_sum = proposals[:, :, ev.s1_cols].sum(axis=2)
-        excess = np.where(slot_is_s1[None, :], s1_sum - budget, 0.0)
-        excess = np.maximum(excess, 0.0)
-        moved = moved - excess
-        proposals[cand_idx, slot_idx, slot_col[None, :]] = np.maximum(
-            moved, FEASIBILITY_MARGIN
-        )
-        dead = moved <= FEASIBILITY_MARGIN
-
-        flat = proposals.reshape(count * nprops, ev.width)
-        values = _batch_ratios(ev, flat, n)
-        lap = ev.laplacian(flat)
-        values = np.where(lap < 0.0, values, np.inf).reshape(count, nprops)
-        values = np.where(dead, np.inf, values)
-
+        moved, values, _, _, unmoved = _score_moves(ev, table, current[live], step[live], n)
+        # slot j moves column j // 2 + 1, up for even j and down for odd j
+        moved = moved.transpose(1, 2, 0).reshape(len(live), -1)
+        values = values.transpose(1, 2, 0).reshape(len(live), -1)
         pick = np.argmin(values, axis=1)
-        pick_val = values[np.arange(count), pick]
-        improved = active & (pick_val < best)
-        best = np.where(improved, pick_val, best)
-        current[improved] = proposals[np.arange(count), pick][improved]
-        step = np.where(active & ~improved, step * 0.5, step)
-    return best, current
+        improved = values[np.arange(len(live)), pick] < unmoved
+        current[live[improved], pick[improved] // 2 + 1] = moved[improved, pick[improved]]
+        step[live[~improved]] *= 0.5
+    return _batch_ratios(ev, current, n), current
+
+
+def _score_moves(
+    ev: LocalEvaluator, table: MoveTable, current: np.ndarray, step: np.ndarray, n: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every clamped up/down move of every non-center coordinate, scored.
+
+    Returns (moved, values, dead, lap, unmoved): the first four of shape
+    (2, B, width - 1), the new value of column c at [k, :, c - 1], up for
+    k = 0 and down for k = 1; its ratio, +inf where the move is dead or
+    leaves Df(x) >= 0; the dead flags; Df(x) after the move; and the ratio
+    of each candidate before any move.
+    """
+    old = current[:, 1:]
+    up = (1.0 + step)[:, None]
+    moved = np.maximum(np.stack([old * up, old / up]), FEASIBILITY_MARGIN)
+    # clamp sphere-1 moves so Df(x) <= -margin: shrink the moved
+    # coordinate by the budget excess
+    budget = ev.degree * (1.0 - FEASIBILITY_MARGIN)
+    p = len(ev.s1_cols)   # sphere 1 is columns 1..p
+    s1 = current[:, 1 : p + 1]
+    others = s1.sum(axis=1)[:, None] - s1
+    moved[:, :, :p] -= np.maximum(others + moved[:, :, :p] - budget, 0.0)
+    dead = moved <= FEASIBILITY_MARGIN
+    moved = np.maximum(moved, FEASIBILITY_MARGIN)
+    ratio, lap, unmoved = table.ratios(current, moved, n)
+    values = np.where(dead | ~(lap < 0.0), np.inf, ratio)
+    return moved, values, dead, lap, unmoved

@@ -11,8 +11,10 @@ found no candidate with a finite ratio at some vertex, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import logging
 import sys
 from math import isfinite, isinf
 from pathlib import Path
@@ -85,6 +87,12 @@ def build_parser() -> _Parser:
         "--strict-global-girth",
         action="store_true",
         help="gate on the whole-graph girth instead of per-vertex girth",
+    )
+    p_verify.add_argument(
+        "-v",
+        "--verbose",
+        action="store_true",
+        help="log tight and not re-verified margins to stderr",
     )
     p_verify.set_defaults(handler=cmd_verify)
 
@@ -211,6 +219,25 @@ def cmd_curvature_cde(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _log_to_stderr(enabled: bool):
+    """Send curvkit logging at INFO and above to stderr inside the block."""
+    if not enabled:
+        yield
+        return
+    logger = logging.getLogger("curvkit")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def cmd_verify(args) -> int:
     _check_dim(args.dim)
     if args.samples < 1:
@@ -218,15 +245,16 @@ def cmd_verify(args) -> int:
     if args.min_girth < 3:
         raise UsageError(f"--min-girth must be >= 3, got {args.min_girth}")
     g = _load_graph(args.file)
-    report = verify_theorems(
-        g,
-        theorem=args.theorem,
-        samples=args.samples,
-        seed=args.seed,
-        dim=args.dim,
-        min_girth=args.min_girth,
-        strict_global_girth=args.strict_global_girth,
-    )
+    with _log_to_stderr(args.verbose):
+        report = verify_theorems(
+            g,
+            theorem=args.theorem,
+            samples=args.samples,
+            seed=args.seed,
+            dim=args.dim,
+            min_girth=args.min_girth,
+            strict_global_girth=args.strict_global_girth,
+        )
     run_cde = args.theorem in ("cde", "both")
     params = {
         "theorem": args.theorem,

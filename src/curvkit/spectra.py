@@ -94,6 +94,17 @@ def _eliminate(
     return m_kk, rows.take(keep_idx, axis=1), diag, keep_idx
 
 
+def _complement(m_kk: np.ndarray, m_ek: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """S = M_kk - M_ek^T (M_ek / d), from one split by _eliminate."""
+    s = m_kk - m_ek.T @ (m_ek / diag[:, None])
+    return 0.5 * (s + s.T)
+
+
+def _minimizer(m_ek: np.ndarray, diag: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """w* = -(M_ek u) / d, from one split by _eliminate."""
+    return -(m_ek @ u) / diag
+
+
 def schur_minimize(m: np.ndarray | Sequence[Sequence[float]], keep: Sequence[int]) -> np.ndarray:
     """Schur complement of m onto the kept coordinates.
 
@@ -106,8 +117,7 @@ def schur_minimize(m: np.ndarray | Sequence[Sequence[float]], keep: Sequence[int
     m_kk, m_ek, diag, _ = _eliminate(m, keep)
     if diag.size and not m_kk.size:
         raise ValueError("cannot eliminate every coordinate")
-    s = m_kk - m_ek.T @ (m_ek / diag[:, None])
-    return 0.5 * (s + s.T)
+    return _complement(m_kk, m_ek, diag)
 
 
 def schur_minimizer(
@@ -119,4 +129,4 @@ def schur_minimizer(
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (keep_idx.size,):
         raise ValueError(f"u has shape {u.shape}, expected ({keep_idx.size},)")
-    return -(m_ek @ u) / diag
+    return _minimizer(m_ek, diag, u)

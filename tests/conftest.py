@@ -68,6 +68,15 @@ def small_mixed_corpus() -> list[Graph]:
     return graphs
 
 
+def tree_hub(k: int, leaves: int = 3) -> Graph:
+    """Center 0 of degree k; each neighbor carries `leaves` private leaves."""
+    edges = [(0, y) for y in range(1, k + 1)]
+    edges += [
+        (y, k + 1 + leaves * (y - 1) + i) for y in range(1, k + 1) for i in range(leaves)
+    ]
+    return Graph.from_edges(edges)
+
+
 def random_functions(g: Graph, count: int, seed: int) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
     return [rng.normal(size=g.vertex_count) for _ in range(count)]

@@ -5,7 +5,9 @@ exhaustive simple-path enumeration, curvature by random-restart
 minimization of the defining ratio over function space (never touching
 the quadratic-form assembly, Schur elimination, or eigensolver), and
 Schur elimination of a general positive-definite block by Cholesky
-factorization (production divides by a diagonal block).
+factorization (production divides by a diagonal block), and the CDE
+descent moves scored by building every proposal row and evaluating it in
+full (production updates the ratio by delta).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from math import inf
 
 import numpy as np
 
+from curvkit.cde import FEASIBILITY_MARGIN, _batch_ratios
 from curvkit.graph import Graph
 from curvkit.localforms import LocalEvaluator
 from curvkit.rng import counter_uniforms, derive_stream
@@ -167,7 +170,8 @@ def rayleigh_cd_minimum(
     rows[:, 1:] = 2.0 * u.reshape(restarts, ncoords) - 1.0
 
     def eval_nd(batch):
-        return ev.cd_numerator(batch, n), ev.gamma(batch)
+        lap = ev.laplacian(batch)
+        return ev.gamma2(batch) - lap * lap / n, ev.gamma(batch)
 
     num, den = eval_nd(rows)
     ratios = _safe_ratio(num, den)
@@ -192,3 +196,46 @@ def rayleigh_matrix_minimum(
     ratios = _safe_ratio(num, den)
     order = np.argsort(ratios)[: min(top, restarts)]
     return min_ratio_descent(eval_nd, rows[order], np.arange(dim))
+
+
+def proposal_tensor_moves(
+    ev: LocalEvaluator, current: np.ndarray, step: np.ndarray, n: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One descent sweep's proposals, each built as a full row and scored.
+
+    Proposal slot j of a candidate moves column j // 2 + 1 by the factor
+    1 + step (even j) or 1 / (1 + step) (odd j), floored at the margin;
+    a sphere-1 move is then shrunk by the excess of the sphere-1 sum over
+    d_x (1 - margin), so Df(x) <= -margin. Returns (moved, values, dead,
+    lap), each (count, 2 (width - 1)): the moved column's new value, the
+    ratio by ``_batch_ratios`` (+inf where dead or Df(x) >= 0), the dead
+    flags, and Df(x) of the proposal.
+    """
+    current = np.asarray(current, dtype=np.float64)
+    count = len(current)
+    nprops = 2 * (ev.width - 1)
+    slot_col = np.repeat(np.arange(1, ev.width), 2)
+    slot_is_s1 = np.isin(slot_col, ev.s1_cols)
+    cand_idx = np.arange(count)[:, None]
+    slot_idx = np.arange(nprops)[None, :]
+    budget = ev.degree * (1.0 - FEASIBILITY_MARGIN)
+
+    factors = np.empty((count, nprops))
+    factors[:, 0::2] = (1.0 + step)[:, None]
+    factors[:, 1::2] = (1.0 / (1.0 + step))[:, None]
+    proposals = np.repeat(current[:, None, :], nprops, axis=1)
+    moved = proposals[cand_idx, slot_idx, slot_col[None, :]] * factors
+    moved = np.maximum(moved, FEASIBILITY_MARGIN)
+    proposals[cand_idx, slot_idx, slot_col[None, :]] = moved
+    s1_sum = proposals[:, :, ev.s1_cols].sum(axis=2)
+    excess = np.where(slot_is_s1[None, :], s1_sum - budget, 0.0)
+    moved = moved - np.maximum(excess, 0.0)
+    final = np.maximum(moved, FEASIBILITY_MARGIN)
+    proposals[cand_idx, slot_idx, slot_col[None, :]] = final
+    dead = moved <= FEASIBILITY_MARGIN
+
+    flat = proposals.reshape(count * nprops, ev.width)
+    values = _batch_ratios(ev, flat, n).reshape(count, nprops)
+    lap = ev.laplacian(flat).reshape(count, nprops)
+    values = np.where(dead | ~(lap < 0.0), np.inf, values)
+    return final, values, dead, lap

@@ -20,6 +20,8 @@ from curvkit import (
     random_tree,
     random_with_girth,
     schur_minimize,
+    schur_minimizer,
+    smallest_eigenvalue,
     star,
     vertex_girth,
 )
@@ -89,6 +91,23 @@ def test_schur_route_matches_cholesky_reference(corpus_small):
                 assert np.max(np.abs(tail - expected), initial=0.0) <= 1e-12 * np.max(
                     np.abs(expected), initial=0.0
                 )
+
+
+def test_curvature_matches_the_validating_public_route(corpus_small):
+    # cd_curvature splits the form once; schur_minimize / schur_minimizer
+    # each split and validate it again, and must give the same bits
+    for g in corpus_small:
+        for x in range(g.vertex_count):
+            a, _, b = assemble_cd_forms(g, x, 2.0)
+            keep = list(range(len(b.sphere1)))
+            lam, vec = smallest_eigenvalue(schur_minimize(a, keep))
+            result = cd_curvature(g, x, 2.0)
+            assert result.curvature_K == 2.0 * g.degree(x) * lam
+            values = result.minimizing_function.values
+            assert np.array_equal(values[list(b.sphere1)], vec)
+            if b.sphere2:
+                expected = schur_minimizer(a, keep, vec)
+                assert np.array_equal(values[list(b.sphere2)], expected)
 
 
 def test_b_form_structure():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,17 @@ from curvkit import (
     star,
     vertex_girth,
 )
-from curvkit.cde import _batch_ratios, _structured_rows
-from curvkit.localforms import LocalEvaluator
+from conftest import girth5_corpus, tree_hub
+from curvkit.cde import (
+    FEASIBILITY_MARGIN,
+    _batch_ratios,
+    _descend,
+    _score_moves,
+    _structured_rows,
+)
+from curvkit.localforms import LocalEvaluator, MoveTable
 from curvkit.rng import derive_stream
+from oracles import proposal_tensor_moves
 
 
 def _feasible_function(g, x, seed):
@@ -177,6 +187,87 @@ def test_batch_ratios_match_scalar_path(corpus_small):
                 continue
             full = ev.to_vertex_function_values(rows[i], fill=1.0)
             assert approx_equal(values[i], cde_ratio(g, x, 2.0, full), rel=1e-12)
+
+
+def _move_rows(ev, rng):
+    """Sampler-like rows plus edge cases: the sphere-1 sum at the budget (up
+    moves clamp), values next to the floor (down moves die), and
+    Df(x) > 0 (moves that keep it are excluded)."""
+    d = ev.degree
+    rows = np.exp(rng.uniform(-3.0, 3.0, size=(8, ev.width)))
+    rows[:, 0] = 1.0
+    s1 = rows[:, ev.s1_cols]
+    ceiling = rng.uniform(0.05, 1.0, size=8)
+    rows[:, ev.s1_cols] = s1 * np.minimum(1.0, ceiling / s1.mean(axis=1))[:, None]
+    spread = np.linspace(0.2, 1.8, d) / np.linspace(0.2, 1.8, d).sum() if d > 1 else 1.0
+    rows[1, ev.s1_cols] = spread * d * (1.0 - FEASIBILITY_MARGIN)
+    rows[2, ev.s1_cols[0]] = rows[2, -1] = 1.2e-9
+    rows[3, ev.s1_cols] = spread * 1.5 * d
+    return rows
+
+
+def test_delta_moves_match_proposal_tensor(corpus_small):
+    # every descent move scored by delta against the same move built as a
+    # full row and evaluated by _batch_ratios; triangles and 4-cycles (a
+    # column at the z end of several pairs) come from the small corpus
+    graphs = list(corpus_small) + girth5_corpus()[::3]
+    steps = np.array([0.5, 0.25, 1e-3, 3.0, 0.7, 0.01, 0.125, 0.9])
+    rng = np.random.default_rng(41)
+    excluded = 0
+    for g in graphs:
+        for x in range(g.vertex_count):
+            ev = LocalEvaluator(g, x)
+            table = MoveTable(ev)
+            rows = _move_rows(ev, rng)
+            for n in (2.0, 3.5, np.inf):
+                ref_moved, ref_values, ref_dead, ref_lap = proposal_tensor_moves(
+                    ev, rows, steps, n
+                )
+                moved, values, dead, lap, unmoved = _score_moves(ev, table, rows, steps, n)
+                # (2, B, width - 1) -> (B, slot), slot j = column j // 2 + 1
+                moved, values, dead, lap = (
+                    a.transpose(1, 2, 0).reshape(len(rows), -1)
+                    for a in (moved, values, dead, lap)
+                )
+                assert np.array_equal(dead, ref_dead)
+                assert np.array_equal(lap < 0.0, ref_lap < 0.0)
+                assert np.array_equal(np.isinf(values), np.isinf(ref_values))
+                assert np.allclose(moved, ref_moved, rtol=1e-14, atol=0.0)
+                finite = np.isfinite(ref_values)
+                a, b = values[finite], ref_values[finite]
+                assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), np.abs(b)) + 1e-12)
+                full = _batch_ratios(ev, rows, n)
+                assert np.all(np.abs(unmoved - full) <= 1e-12 * np.abs(full) + 1e-12)
+                excluded += int(ref_dead.sum()) + int((ref_lap >= 0.0).sum())
+    assert excluded > 0   # the edge rows reach both exclusions
+
+
+def test_descend_returns_full_values_not_above_the_starts(corpus_small):
+    rng = np.random.default_rng(5)
+    for g in corpus_small[::3]:
+        for x in range(0, g.vertex_count, 3):
+            ev = LocalEvaluator(g, x)
+            starts = _move_rows(ev, rng)[[0, 1, 2, 4, 5, 6, 7]]   # Df(x) < 0
+            values, rows = _descend(ev, starts, 2.0)
+            assert np.array_equal(values, _batch_ratios(ev, rows, 2.0))
+            start_values = _batch_ratios(ev, starts, 2.0)
+            assert np.all(values <= start_values + 1e-12 * np.abs(start_values))
+            assert np.all(rows > 0.0) and np.all(ev.laplacian(rows) < 0.0)
+
+
+def test_hub_center_estimate_memory_is_bounded():
+    # degree-100 center, 401-wide 2-ball, default sample count: scored by
+    # delta the search traces ~120 MiB; building every proposal row as a
+    # full row peaks near 1.3 GB of RSS here
+    g = tree_hub(100)
+    tracemalloc.start()
+    try:
+        est = cde_estimate(g, 0, 2.0, samples=10000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+    assert est.sampled_min >= -100 / 2.0 - 1.0
 
 
 def test_gamma_at_s1_matches_definitional_gamma(corpus_small):

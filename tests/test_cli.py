@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import time
 
 import jsonschema
 import pytest
 
+from conftest import girth5_corpus, tree_hub
 from curvkit import parse_edge_list, petersen, serialize_edge_list, star
 from curvkit.cli import main
 from curvkit.report import load_schema
@@ -225,6 +227,48 @@ def test_verify_strict_global_girth_flag(capsys, tmp_path):
         capsys, "verify", str(mixed), "--theorem", "cd", "--strict-global-girth"
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "name, graph, budget",
+    [("star40", star(40), 10.0), ("hub100", tree_hub(100), 40.0)],
+    ids=["star40", "hub100"],
+)
+def test_verify_high_degree_within_budget(capsys, tmp_path, name, graph, budget):
+    # both theorems at every vertex of a degree-40 star and a degree-100 hub
+    # (3 leaves per neighbor); on a 2-core VM the hub takes ~7 s with moves
+    # scored by delta and ~93 s when every proposal is built as a full row
+    f = tmp_path / f"{name}.edges"
+    f.write_text(serialize_edge_list(graph))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(f), "--theorem", "both", "--samples", "100")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    records = json.loads(out)["records"]
+    assert len(records) == graph.vertex_count
+    assert all(r["verdict"] == "pass" for r in records)
+    assert elapsed < budget, f"{name}: {elapsed:.1f} s over the {budget:.0f} s budget"
+
+
+def test_verify_verbose_logs_tight_margins(capsys, tmp_path):
+    # README: margins in (-1e-8, 0) are logged as tight; -v sends those lines
+    # to stderr and leaves stdout byte-identical
+    f = tmp_path / "g.edges"
+    f.write_text(serialize_edge_list(girth5_corpus()[2]))
+    code, quiet, quiet_err = run(capsys, "verify", str(f), "--theorem", "cd")
+    code_v, loud, loud_err = run(capsys, "verify", str(f), "--theorem", "cd", "-v")
+    assert code == code_v == 0
+    assert loud == quiet
+    assert quiet_err == ""
+    tight = [
+        r["vertex"]
+        for r in json.loads(quiet)["records"]
+        if r["verdict"] == "pass" and -1e-8 < r["cd_margin"] < 0.0
+    ]
+    assert tight
+    for x in tight:
+        assert f"vertex {x}: tight cd margin" in loud_err
+    assert len(loud_err.splitlines()) == len(tight)
 
 
 def test_verify_non_finite_dim_is_usage_error(capsys, petersen_file, monkeypatch):
