@@ -26,7 +26,8 @@ from .generators import (
     random_with_girth,
     star,
 )
-from .girth import GirthValue, graph_girth, has_girth_at_least, vertex_girth
+from .girth import GirthValue, all_vertex_girths, graph_girth, has_girth_at_least
+from .girth import vertex_girth
 from .graph import (
     DisconnectedError,
     EdgeListParseError,
@@ -97,6 +98,7 @@ __all__ = [
     "SelfLoopError",
     "VertexFunction",
     "VertexReport",
+    "all_vertex_girths",
     "approx_equal",
     "assemble_cd_forms",
     "ball",

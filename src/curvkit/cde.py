@@ -146,6 +146,7 @@ def cde_estimate(
     ceiling = (1.0 - u[:, 0]) ** (1.0 / ev.degree) * (1.0 - FEASIBILITY_MARGIN)
     raw[:, ev.s1_cols] = s1 * np.minimum(1.0, ceiling / s1.mean(axis=1))[:, None]
     raw[:, 0] = 1.0
+    del u, s1   # the draws and the sphere-1 copy are as large as raw
     raw_ratios = _chunked_ratios(ev, raw, n)
 
     # --- structured family --------------------------------------------------

@@ -23,7 +23,7 @@ from . import generators
 from .cd import cd_curvature
 from .cde import NoFeasibleSampleError, cde_estimate
 from .generators import BadParameterError
-from .girth import vertex_girth
+from .girth import all_vertex_girths
 from .graph import Graph, GraphError, parse_edge_list, serialize_edge_list
 from .report import dumps, format_float, girth_json, report_csv_rows, report_document
 from .verify import verify_theorems
@@ -136,7 +136,7 @@ def _girth_text(value) -> str:
 
 def cmd_girth(args) -> int:
     g = _load_graph(args.file)
-    values = [vertex_girth(g, x) for x in range(g.vertex_count)]
+    values = all_vertex_girths(g)
     whole = min(values)
     if args.format == "text":
         if args.per_vertex:

@@ -23,6 +23,7 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BLOCK = 1 << 16  # draws mixed per block by counter_uniforms
 
 
 def mix64(z: int) -> int:
@@ -67,9 +68,21 @@ def counter_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    out = np.empty(count, dtype=np.float64)
+    # mixed in place one fixed-size block at a time, so the only temporaries
+    # are a block and its shift, not several arrays of the output's size
+    for lo in range(0, count, _BLOCK):
+        hi = min(lo + _BLOCK, count)
+        z = np.arange(start + lo + 1, start + hi + 1, dtype=np.uint64)
+        z *= np.uint64(GOLDEN)
+        z += np.uint64(seed & MASK64)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        block = out[lo:hi]
+        block[...] = z
+        block *= 2.0**-53
+    return out

@@ -1,17 +1,21 @@
 """Independent oracles used by the test suite.
 
 Deliberately different routes from the production code: girth by
-exhaustive simple-path enumeration, curvature by random-restart
+exhaustive simple-path enumeration and by a full BFS plus a scan of every
+edge (production runs a bridge pass and an early-stop BFS), curvature by random-restart
 minimization of the defining ratio over function space (never touching
 the quadratic-form assembly, Schur elimination, or eigensolver), and
 Schur elimination of a general positive-definite block by Cholesky
 factorization (production divides by a diagonal block), and the CDE
 descent moves scored by building every proposal row and evaluating it in
-full (production updates the ratio by delta).
+full (production updates the ratio by delta). The counter-mode uniforms
+are also given as one whole-array expression (production mixes in place,
+block by block).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from math import inf
 
 import numpy as np
@@ -19,7 +23,7 @@ import numpy as np
 from curvkit.cde import FEASIBILITY_MARGIN, _batch_ratios
 from curvkit.graph import Graph
 from curvkit.localforms import LocalEvaluator
-from curvkit.rng import counter_uniforms, derive_stream
+from curvkit.rng import _MIX1, _MIX2, GOLDEN, MASK64, counter_uniforms, derive_stream
 
 
 def brute_force_vertex_girth(g: Graph, x: int) -> float:
@@ -58,6 +62,44 @@ def brute_force_vertex_girth(g: Graph, x: int) -> float:
 
 def brute_force_graph_girth(g: Graph) -> float:
     return min(brute_force_vertex_girth(g, x) for x in range(g.vertex_count))
+
+
+def full_scan_vertex_girth(g: Graph, x: int) -> float:
+    """Shortest cycle through x from a full BFS and a scan of every edge.
+
+    The BFS labels every vertex with its distance and its root branch (the
+    first-hop neighbor its tree path uses); every edge {u, w} (u, w != x)
+    joining different branches closes a cycle through x of length
+    dist(u) + dist(w) + 1, and the minimum over all edges is exact. O(n + m)
+    per vertex whatever the girth, with no bridge pass and no early stop.
+    """
+    n = g.vertex_count
+    dist = [-1] * n
+    branch = [-1] * n
+    dist[x] = 0
+    queue: deque[int] = deque()
+    for y in g.adjacency[x]:
+        dist[y] = 1
+        branch[y] = y
+        queue.append(y)
+    while queue:
+        u = queue.popleft()
+        for w in g.adjacency[u]:
+            if dist[w] == -1:
+                dist[w] = dist[u] + 1
+                branch[w] = branch[u]
+                queue.append(w)
+
+    best = inf
+    for u in range(n):
+        if u == x:
+            continue
+        for w in g.adjacency[u]:
+            if w <= u or w == x:
+                continue
+            if branch[u] != branch[w]:
+                best = min(best, dist[u] + dist[w] + 1)
+    return best
 
 
 def cholesky_schur(m: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
@@ -239,3 +281,13 @@ def proposal_tensor_moves(
     lap = ev.laplacian(flat).reshape(count, nprops)
     values = np.where(dead | ~(lap < 0.0), np.inf, values)
     return final, values, dead, lap
+
+
+def whole_array_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Counter-mode SplitMix64 uniforms as one expression over all counters."""
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53

@@ -138,7 +138,8 @@ def test_mixed_girth_gating():
 
 def test_strict_global_girth_computes_each_vertex_girth_once(monkeypatch):
     # the whole-graph gate is the minimum of the per-vertex girths already
-    # computed for the report, not a second all-vertex pass
+    # computed for the report, not a second all-vertex pass; the bridge pass
+    # leaves the tail 3-4-5 (girth inf) unsearched
     import curvkit.girth
     import curvkit.verify
 
@@ -154,7 +155,8 @@ def test_strict_global_girth_computes_each_vertex_girth_once(monkeypatch):
     monkeypatch.setattr(curvkit.girth, "vertex_girth", counted)
     report = verify_cd_theorem(g, strict_global_girth=True)
     assert report.all_precondition_not_met
-    assert sorted(calls) == list(range(g.vertex_count))
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {0, 1, 2}
 
 
 def test_min_girth_threshold_parameter():
