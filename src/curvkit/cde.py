@@ -15,8 +15,11 @@ assignment that minimizes the per-neighbor block). A refinement move
 changes one coordinate, so it is scored by delta over the pairs that
 coordinate touches (localforms.MoveTable) rather than by re-evaluating a
 whole row; time and memory per sweep grow with the number of pairs, not
-with their square. The result is an
-upper bound on the true pointwise infimum; "no violation found" is the
+with their square. Sampling and the scans run per vertex; the refinement
+runs over the candidates of many consecutive vertices at once, in one
+lockstep descent per batch of rows of mixed widths, so its numpy call
+count does not grow with the number of vertices. The result is an upper
+bound on the true pointwise infimum; "no violation found" is the
 acceptance outcome, a found violation is re-verified definitionally
 before being reported.
 
@@ -29,6 +32,7 @@ candidate set for a larger count is a superset).
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +55,7 @@ _REFINE_CAP = 512
 _DESCENT_SWEEPS = 40
 _DESCENT_MIN_STEP = 1e-3
 _RATIO_CHUNK = 2048   # rows per ratio call, bounding its temporaries
+_DESCENT_BATCH = 1 << 13   # coordinates (rows x (width - 1)) per lockstep descent
 
 
 class InfeasibleFunctionError(ValueError):
@@ -119,87 +124,158 @@ def cde_estimate(
 ) -> CdeEstimate:
     """Search for low-ratio feasible functions at x; deterministic in seed.
 
-    Draws `samples` feasible functions: center fixed to 1 by scale
-    invariance, other 2-ball values log-uniform in [e^-3, e^3], and the
-    sphere-1 values scaled down, where needed, to a mean at or below a
-    drawn ceiling in (0, 1), so every draw has Df(x) < 0. Refines every
-    sample that enters the running top-10 by projected pattern search, and
-    always scans the structured family f(z) = f(parent y)^2 over a grid of
-    sphere-1 values. The returned minimum never increases when `samples`
-    grows (counter-mode draws make the candidate set a superset).
+    The batch of one of ``cde_estimates``, which gives the same estimate
+    for x bit for bit whatever other vertices it searches alongside.
+    """
+    (estimate,) = cde_estimates(g, [x], n, samples, seed)
+    return estimate
+
+
+def cde_estimates(
+    g: Graph, vertices: Iterable[int], n: float = 2.0, samples: int = 10000, seed: int = 0
+) -> Iterator[CdeEstimate]:
+    """The estimate at each of these vertices, yielded in their order.
+
+    At each vertex, draws `samples` feasible functions: center fixed to 1
+    by scale invariance, other 2-ball values log-uniform in [e^-3, e^3],
+    and the sphere-1 values scaled down, where needed, to a mean at or
+    below a drawn ceiling in (0, 1), so every draw has Df(x) < 0. Every
+    sample that enters the running top-10 is refined by projected pattern
+    search, and the structured family f(z) = f(parent y)^2 is always
+    scanned over a grid of sphere-1 values. The returned minimum never
+    increases when `samples` grows (counter-mode draws make the candidate
+    set a superset).
+
+    Sampling and the scans run per vertex; the refinement runs in batches
+    of consecutive vertices of up to ``_DESCENT_BATCH`` coordinates, one
+    lockstep descent per batch. A candidate's path depends only on its own
+    start, so the estimates do not depend on the batching. Arguments are
+    checked before the first estimate is requested.
     """
     n = _check_dimension(n)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_vertex(g, x)
+    vertices = list(vertices)
+    for x in vertices:
+        _check_vertex(g, x)
+    return _estimates(g, vertices, n, samples, seed)
 
+
+def _estimates(
+    g: Graph, vertices: list[int], n: float, samples: int, seed: int
+) -> Iterator[CdeEstimate]:
+    batch: list[tuple] = []
+    coords = 0
+    for x in vertices:
+        ev, starts, best = _search(g, x, n, samples, seed)
+        size = len(starts) * (ev.width - 1)
+        if batch and coords + size > _DESCENT_BATCH:
+            yield from _refine(batch, n, samples, seed)
+            batch, coords = [], 0
+        batch.append((ev, starts, best))
+        coords += size
+    if batch:
+        yield from _refine(batch, n, samples, seed)
+
+
+def _search(g: Graph, x: int, n: float, samples: int, seed: int):
+    """Sample and scan at x. Returns (evaluator, descent starts, (best
+    value, its row) so far); the row is None while no candidate is finite."""
     ev = LocalEvaluator(g, x)
-    width = ev.width
     stream = derive_stream(seed, x)
-
-    # --- sampling, feasible by construction (Df(x) < 0) ---------------------
-    # row i reads counters i*width .. (i+1)*width - 1; column 0 draws a
-    # ceiling c in (0, 1) for the sphere-1 mean, the others draw the values
-    u = counter_uniforms(stream, 0, samples * width).reshape(samples, width)
-    raw = np.exp(_LOG_HALF_RANGE * (2.0 * u - 1.0))
-    s1 = raw[:, ev.s1_cols]
-    ceiling = (1.0 - u[:, 0]) ** (1.0 / ev.degree) * (1.0 - FEASIBILITY_MARGIN)
-    raw[:, ev.s1_cols] = s1 * np.minimum(1.0, ceiling / s1.mean(axis=1))[:, None]
-    raw[:, 0] = 1.0
-    del u, s1   # the draws and the sphere-1 copy are as large as raw
+    raw = _sampled_rows(ev, stream, samples)
     raw_ratios = _chunked_ratios(ev, raw, n)
-
-    # --- structured family --------------------------------------------------
+    # refine every sample that enters the running top-10
+    starts = raw[_trigger_rows(raw_ratios)]
+    best = _better((np.inf, None), raw_ratios, raw)
+    del raw, raw_ratios
     structured = _structured_rows(ev, stream)
-    structured_ratios = _chunked_ratios(ev, structured, n)
+    best = _better(best, _chunked_ratios(ev, structured, n), structured)
+    return ev, starts, best
 
-    # --- refinement: every sample entering the running top-10 ---------------
-    # (prefix-stable trigger, so larger sample counts refine a superset; the
-    # trigger sequence of a shorter run is a prefix of a longer run's, which
-    # keeps the count cap monotonicity-safe)
+
+def _better(best: tuple, ratios: np.ndarray, rows: np.ndarray) -> tuple:
+    """(value, row) of the smallest ratio where it is below best's value,
+    else best."""
+    if len(ratios):
+        j = int(np.argmin(ratios))
+        if ratios[j] < best[0]:
+            return float(ratios[j]), rows[j].copy()
+    return best
+
+
+def _sampled_rows(ev: LocalEvaluator, stream: int, samples: int) -> np.ndarray:
+    """The sampled rows, feasible by construction (Df(x) < 0), built in
+    the array of their draws.
+
+    Row i reads counters i*width .. (i+1)*width - 1; column 0 draws a
+    ceiling c in (0, 1) for the sphere-1 mean, the others draw the values
+    exp(3 (2u - 1)), computed in place operation by operation.
+    """
+    raw = counter_uniforms(stream, 0, samples * ev.width).reshape(samples, ev.width)
+    ceiling = (1.0 - raw[:, 0]) ** (1.0 / ev.degree) * (1.0 - FEASIBILITY_MARGIN)
+    raw *= 2.0
+    raw -= 1.0
+    raw *= _LOG_HALF_RANGE
+    np.exp(raw, out=raw)
+    s1 = raw[:, ev.s1_cols]
+    s1 *= np.minimum(1.0, ceiling / s1.mean(axis=1))[:, None]
+    raw[:, ev.s1_cols] = s1
+    raw[:, 0] = 1.0
+    return raw
+
+
+def _refine(batch: list[tuple], n: float, samples: int, seed: int) -> Iterator[CdeEstimate]:
+    """Descend every start of the batch in lockstep, then yield each
+    vertex's estimate; one full-length function exists at a time."""
+    evs, starts, bests = zip(*batch)
+    for ev, best, (values, rows) in zip(evs, bests, _descend(list(evs), list(starts), n)):
+        best_value, best_row = _better(best, values, rows)
+        x = ev.center
+        if best_row is None or not np.isfinite(best_value):
+            raise NoFeasibleSampleError(f"no feasible candidate at vertex {x}")
+        # pad with 1.0 outside the 2-ball: positive, and irrelevant by locality
+        full = ev.to_vertex_function_values(best_row, fill=1.0)
+        sample = CdeSample(vertex=x, function=VertexFunction(full), ratio=best_value)
+        yield CdeEstimate(
+            vertex=x,
+            dimension_n=n,
+            sampled_min=best_value,
+            argmin=sample,
+            samples_used=samples,
+            seed=seed,
+        )
+
+
+def _trigger_rows(ratios: np.ndarray) -> list[int]:
+    """Rows that enter the running top-``_TOP_K`` of ratios, in order,
+    at most ``_REFINE_CAP`` of them.
+
+    Prefix-stable, so a larger sample count refines a superset: the
+    trigger sequence of a shorter run is a prefix of a longer run's, which
+    keeps the cap monotonicity-safe. Blocks of doubling length are
+    prefiltered against the 10th-smallest ratio before them; that value
+    only falls, so a row not below it never enters, and only the rows
+    below it go through the heap.
+    """
     heap: list[float] = []   # max-heap via negation, the 10 smallest so far
-    trigger_rows: list[int] = []
-    for i, r in enumerate(raw_ratios.tolist()):
-        if len(heap) < _TOP_K:
-            heapq.heappush(heap, -r)
-            trigger_rows.append(i)
-        elif r < -heap[0]:
-            heapq.heappushpop(heap, -r)
-            trigger_rows.append(i)
-    trigger_rows = trigger_rows[:_REFINE_CAP]
-
-    best_value = np.inf
-    best_row: np.ndarray | None = None
-    for source_vals, source_rows in (
-        (raw_ratios, raw),
-        (structured_ratios, structured),
-    ):
-        if len(source_vals):
-            j = int(np.argmin(source_vals))
-            if source_vals[j] < best_value:
-                best_value = float(source_vals[j])
-                best_row = source_rows[j].copy()
-    if trigger_rows:
-        refined_vals, refined_rows = _descend(ev, raw[trigger_rows], n)
-        j = int(np.argmin(refined_vals))
-        if refined_vals[j] < best_value:
-            best_value = float(refined_vals[j])
-            best_row = refined_rows[j].copy()
-
-    if best_row is None or not np.isfinite(best_value):
-        raise NoFeasibleSampleError(f"no feasible candidate at vertex {x}")
-
-    # pad with 1.0 outside the 2-ball: positive, and irrelevant by locality
-    full = ev.to_vertex_function_values(best_row, fill=1.0)
-    sample = CdeSample(vertex=x, function=VertexFunction(full), ratio=best_value)
-    return CdeEstimate(
-        vertex=x,
-        dimension_n=n,
-        sampled_min=best_value,
-        argmin=sample,
-        samples_used=samples,
-        seed=seed,
-    )
+    rows: list[int] = []
+    start, length = 0, _TOP_K
+    while start < len(ratios) and len(rows) < _REFINE_CAP:
+        block = ratios[start : start + length]
+        hits = np.flatnonzero(block < -heap[0]) if len(heap) == _TOP_K else range(len(block))
+        for i in hits:
+            r = float(block[i])
+            if len(heap) < _TOP_K:
+                heapq.heappush(heap, -r)
+            elif r < -heap[0]:
+                heapq.heappushpop(heap, -r)
+            else:
+                continue
+            rows.append(start + int(i))
+        start += length
+        length *= 2
+    return rows[:_REFINE_CAP]
 
 
 def _batch_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
@@ -227,7 +303,8 @@ def _structured_rows(ev: LocalEvaluator, stream: int) -> np.ndarray:
     Sphere-1 assignments come from the fixed grid 0.1..1.9. Degrees <= 3
     get the full grid product; larger degrees get all-uniform plus
     single-deviation configurations plus a fixed seeded block of random
-    grid configurations (independent of the sample count).
+    grid configurations (independent of the sample count), cut at
+    ``_STRUCTURED_CAP`` configurations before any is built.
     """
     p = len(ev.s1_cols)
     grid = np.array(_GRID)
@@ -237,21 +314,21 @@ def _structured_rows(ev: LocalEvaluator, stream: int) -> np.ndarray:
             [a.ravel() for a in np.meshgrid(*([grid] * p), indexing="ij")], axis=1
         )
     else:
-        configs = [np.full(p, t) for t in grid]
-        for slot in range(p):
-            for t_dev in grid:
-                for t_rest in grid:
-                    if t_dev == t_rest:
-                        continue
-                    row = np.full(p, t_rest)
-                    row[slot] = t_dev
-                    configs.append(row)
-        room = _STRUCTURED_CAP - len(configs)
+        # deviation q: slot q // (k (k - 1)) takes grid value i, the rest
+        # grid value j != i, for (i, j) in row-major order
+        deviations = min(p * k * (k - 1), _STRUCTURED_CAP - k)
+        slot, pair = np.divmod(np.arange(deviations), k * (k - 1))
+        i, j = np.divmod(pair, k - 1)
+        j += j >= i
+        mesh = np.empty((k + deviations, p))
+        mesh[:k] = grid[:, None]
+        mesh[k:] = grid[j][:, None]
+        mesh[k + np.arange(deviations), slot] = grid[i]
+        room = _STRUCTURED_CAP - len(mesh)
         if room > 0:
             sub = derive_stream(stream, _STRUCTURED_STREAM_TAG)
             u = counter_uniforms(sub, 0, room * p).reshape(room, p)
-            configs.extend(grid[np.minimum((u * k).astype(int), k - 1)])
-        mesh = np.array(configs[:_STRUCTURED_CAP])
+            mesh = np.concatenate([mesh, grid[np.minimum((u * k).astype(int), k - 1)]])
 
     feasible = mesh[mesh.sum(axis=1) < p]   # Df(x) < 0
     rows = np.empty((len(feasible), ev.width))
@@ -259,69 +336,81 @@ def _structured_rows(ev: LocalEvaluator, stream: int) -> np.ndarray:
     rows[:, ev.s1_cols] = feasible
     if len(ev.s2_cols):
         sphere1 = set(ev.ball.sphere1)
-        for z, col in zip(ev.ball.sphere2, ev.s2_cols):
-            parent = min(v for v in ev.graph.adjacency[z] if v in sphere1)
-            parent_col = ev.ball.index[parent] + 1
-            rows[:, col] = rows[:, parent_col] ** 2
+        parents = [
+            ev.ball.index[min(v for v in ev.graph.adjacency[z] if v in sphere1)] + 1
+            for z in ev.ball.sphere2
+        ]
+        rows[:, ev.s2_cols] = rows[:, parents] ** 2
     return rows
 
 
 def _descend(
-    ev: LocalEvaluator, starts: np.ndarray, n: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Projected pattern search over a batch of candidates in lockstep.
+    evs: list[LocalEvaluator], starts: list[np.ndarray], n: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Projected pattern search over the candidates of many vertices in
+    lockstep: starts[i] holds the start rows at evs[i].
 
     Each sweep proposes a multiplicative up/down move of every non-center
     coordinate of every candidate, accepts a candidate's best improving
-    move, and otherwise halves that candidate's step. Positivity and
-    Df(x) < 0 are maintained by clamping with margin 1e-9. Proposals are
-    scored by delta (see ``localforms.MoveTable``), so a sweep costs
-    O(candidates x pairs) time and memory; a move is accepted when its
-    score is below the ratio of the candidate as it stands, evaluated in
-    full from the row in the same sweep. The returned values are
-    ``_batch_ratios`` of the returned rows, so they never exceed those of
-    the starts beyond rounding. Deterministic; a candidate's path depends
-    only on its own start.
+    move (the first in column order, up before down, among equal scores),
+    and otherwise halves that candidate's step. Positivity and Df(x) < 0
+    are maintained by clamping with margin 1e-9. Proposals are scored by
+    delta over the ragged rows of all vertices at once (see
+    ``localforms.MoveTable``), so a sweep costs O(candidates x pairs) time
+    and memory and a handful of numpy calls whatever the number of
+    vertices; a move is accepted when its score is below the ratio of the
+    candidate as it stands, evaluated in full from the row in the same
+    sweep. A candidate whose step fell below the floor is still scored
+    with the rest (few stop within the sweep cap) but no longer moves.
+    Returns (values, rows) per vertex, the values being
+    ``_batch_ratios`` of the rows, so they never exceed those of the
+    starts beyond rounding. Deterministic; a candidate's path depends only
+    on its own start.
     """
-    current = np.array(starts, dtype=np.float64)
-    step = np.full(len(current), 0.5)
-    table = MoveTable(ev)
+    table = MoveTable(evs, [len(s) for s in starts])
+    current = np.concatenate([np.ravel(s) for s in starts]).astype(np.float64)
+    step = np.full(len(table.first), 0.5)
     for _ in range(_DESCENT_SWEEPS):
-        live = np.flatnonzero(step >= _DESCENT_MIN_STEP)
-        if not live.size:
+        live = step >= _DESCENT_MIN_STEP
+        if not live.any():
             break
-        moved, values, _, _, unmoved = _score_moves(ev, table, current[live], step[live], n)
-        # slot j moves column j // 2 + 1, up for even j and down for odd j
-        moved = moved.transpose(1, 2, 0).reshape(len(live), -1)
-        values = values.transpose(1, 2, 0).reshape(len(live), -1)
-        pick = np.argmin(values, axis=1)
-        improved = values[np.arange(len(live)), pick] < unmoved
-        current[live[improved], pick[improved] // 2 + 1] = moved[improved, pick[improved]]
-        step[live[~improved]] *= 0.5
-    return _batch_ratios(ev, current, n), current
+        moved, values, _, _, unmoved = _score_moves(table, current, step, n)
+        # slot 2 m + k is the k-th move of coordinate m: per row, column
+        # order, up before down
+        slots = values.T.ravel()
+        seg = 2 * table.c_first
+        best = np.minimum.reduceat(slots, seg)
+        hit = slots == np.repeat(best[table.c_row], 2)
+        pick = np.minimum.reduceat(np.where(hit, np.arange(len(slots)), len(slots)), seg)
+        improved = live & (best < unmoved)
+        m, k = np.divmod(pick[improved], 2)
+        current[table.coord_idx[m]] = moved[k, m]
+        step[live & ~improved] *= 0.5
+    return [(_batch_ratios(ev, rows, n), rows) for ev, rows in zip(evs, table.split(current))]
 
 
 def _score_moves(
-    ev: LocalEvaluator, table: MoveTable, current: np.ndarray, step: np.ndarray, n: float
+    table: MoveTable, current: np.ndarray, step: np.ndarray, n: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every clamped up/down move of every non-center coordinate, scored.
+    """Every clamped up/down move of every non-center coordinate of every
+    row of the table, scored; step holds each row's step.
 
     Returns (moved, values, dead, lap, unmoved): the first four of shape
-    (2, B, width - 1), the new value of column c at [k, :, c - 1], up for
-    k = 0 and down for k = 1; its ratio, +inf where the move is dead or
-    leaves Df(x) >= 0; the dead flags; Df(x) after the move; and the ratio
-    of each candidate before any move.
+    (2, M), M the coordinates in the table's order, up at k = 0 and down at
+    k = 1; the new value of the coordinate; its ratio, +inf where the move
+    is dead or leaves Df(x) >= 0; the dead flags; Df(x) after the move; and
+    the ratio of each row before any move.
     """
-    old = current[:, 1:]
-    up = (1.0 + step)[:, None]
+    old = current[table.coord_idx]
+    up = 1.0 + step[table.c_row]
     moved = np.maximum(np.stack([old * up, old / up]), FEASIBILITY_MARGIN)
     # clamp sphere-1 moves so Df(x) <= -margin: shrink the moved
     # coordinate by the budget excess
-    budget = ev.degree * (1.0 - FEASIBILITY_MARGIN)
-    p = len(ev.s1_cols)   # sphere 1 is columns 1..p
-    s1 = current[:, 1 : p + 1]
-    others = s1.sum(axis=1)[:, None] - s1
-    moved[:, :, :p] -= np.maximum(others + moved[:, :, :p] - budget, 0.0)
+    budget = table.degree * (1.0 - FEASIBILITY_MARGIN)
+    s1 = current[table.s1_idx]
+    others = np.add.reduceat(s1, table.s_first)[table.s_row] - s1
+    excess = others + moved[:, table.s1_coord] - budget[table.s_row]
+    moved[:, table.s1_coord] -= np.maximum(excess, 0.0)
     dead = moved <= FEASIBILITY_MARGIN
     moved = np.maximum(moved, FEASIBILITY_MARGIN)
     ratio, lap, unmoved = table.ratios(current, moved, n)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import generators
 from .cd import cd_curvature
-from .cde import NoFeasibleSampleError, cde_estimate
+from .cde import NoFeasibleSampleError, cde_estimates
 from .generators import BadParameterError
 from .girth import all_vertex_girths
 from .graph import Graph, GraphError, parse_edge_list, serialize_edge_list
@@ -185,11 +185,11 @@ def cmd_curvature_cde(args) -> int:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     g = _load_graph(args.file)
     records = []
-    for x in _vertices(g, args.vertex):
-        est = cde_estimate(g, x, args.dim, args.samples, args.seed)
+    vertices = _vertices(g, args.vertex)
+    for est in cde_estimates(g, vertices, args.dim, args.samples, args.seed):
         records.append(
             {
-                "vertex": x,
+                "vertex": est.vertex,
                 "dim": args.dim,
                 "samples": est.samples_used,
                 "seed": est.seed,

@@ -142,7 +142,8 @@ def _pair_form(yz, xz, yz2, xz2, w):
 
 
 class MoveTable:
-    """The CDE ratio after one coordinate of a row moves, updated by delta.
+    """The CDE ratio after one coordinate of a row moves, updated by delta,
+    for the candidate rows of many vertices at once.
 
     Moving column c from a to v changes only the pairs with c at either
     end, G(f)(y) for the owners y of those pairs and, when c is in sphere
@@ -154,137 +155,186 @@ class MoveTable:
     every term of the ratio updates in O(pairs touching c), and a squared
     difference with c at one end changes by (v - a)(v + a - 2 f(other end)).
     Where c is a pair's y end, c owns the pair: those pairs are the
-    consecutive block of c, summed with ``np.add.reduceat``, and both f(c)
-    and G(f)(c) change. Where c is a z end, only G(f)(owner) changes and
-    (f(y) - f(x))/f(y) stays put, so the update is linear in the per-pair
-    changes; the z ends form an incidence from columns to pairs, summed per
-    column in rounds of one z end per column (a column may be no pair's z
-    end, and sits several pairs' z end only where the ball has 4-cycles or
-    triangles).
+    consecutive block of c, and both f(c) and G(f)(c) change. Where c is a
+    z end, only G(f)(owner) changes and (f(y) - f(x))/f(y) stays put, so
+    the update is linear in the per-pair changes, summed per column with
+    ``np.bincount`` (a column may be no pair's z end, and sits several
+    pairs' z end only where the ball has 4-cycles or triangles).
+
+    Ragged layout: the rows of the i-th evaluator are counts[i] rows of its
+    own width, and all rows lie one after another in one flat array, the
+    evaluators in order (``first`` holds where each row begins). The pairs,
+    sphere-1 entries and non-center coordinates of every row are offset
+    into flat gather arrays, so every per-row and per-owner sum is a
+    segment sum over that row's own entries and no row is padded: a row's
+    values do not depend on the rows beside it. A move array holds the K
+    new values of each coordinate as (K, M), the M coordinates row after
+    row, column 1 first.
     """
 
-    def __init__(self, ev: LocalEvaluator):
-        self.ev = ev
-        p = len(ev.s1_cols)   # sphere 1 is columns 1..p
-        ncols = ev.width - 1
-        self.owner_start = np.concatenate([[0], np.cumsum(ev.s1_degree)[:-1]])
-        self.owner_w = ev.pair_w[self.owner_start]   # 1/(2 d_x d_y)
-        self.two_dy = 2.0 * ev.s1_degree
-        # pair (y, z) with z != x moves with column z; the owners of each
-        # column's z ends, in rounds (round j holds every column's j-th one)
-        z_end = ev.pair_z > 0
-        z_col = ev.pair_z[z_end] - 1
-        order = np.argsort(z_col, kind="stable")
-        z_col, z_owner = z_col[order], ev.pair_owner[z_end][order]
-        w_z = ev.pair_w[z_end][order]
-        rank = np.arange(len(z_col)) - np.searchsorted(z_col, z_col)
-        rounds = rank.max() + 1 if len(rank) else 0
-        self.z_owner = np.zeros((rounds, ncols), dtype=np.intp)
-        self.z_owner[rank, z_col] = z_owner
-        self.z_mask = np.zeros((rounds, ncols, 1))
-        self.z_mask[rank, z_col] = 1.0
+    def __init__(self, evs: list[LocalEvaluator], counts):
+        self.evs = evs
+        self.counts = np.asarray(counts, dtype=np.intp)
+        # per evaluator, and its entries concatenated in evaluator order
+        degree = np.array([ev.degree for ev in evs], dtype=np.intp)
+        npairs = np.array([len(ev.pair_y) for ev in evs], dtype=np.intp)
+        self.ncoords = np.array([ev.width - 1 for ev in evs], dtype=np.intp)
+        pair_y = np.concatenate([ev.pair_y for ev in evs])
+        pair_z = np.concatenate([ev.pair_z for ev in evs])
+        pair_w = np.concatenate([ev.pair_w for ev in evs])
+        pair_owner = np.concatenate([ev.pair_owner for ev in evs])
+        s1_degree = np.concatenate([ev.s1_degree for ev in evs])
+        owner_start = _firsts(s1_degree)   # each owner's first pair
+        pair_first, s1_first, coord_first = (_firsts(a) for a in (npairs, degree, self.ncoords))
+        s1_of = np.repeat(np.arange(len(evs)), degree)
+
         # a pair term changes by (v - a) times the pair form of the moved
         # differences, (1, 0) at the y end and (1, 1) at the z end, against
         # (v + a - 2 f(other end), v + a - 2 f(x)); per column, the parts
         # proportional to v + a and to f(x)
-        self.sum_coef = np.bincount(
-            z_col, _pair_form(1.0, 1.0, 1.0, 1.0, w_z), ncols
-        ).astype(np.float64)
-        self.sum_coef[:p] += np.add.reduceat(
-            _pair_form(1.0, 0.0, 1.0, 1.0, ev.pair_w), self.owner_start
-        )
-        self.center_coef = np.bincount(
-            z_col, _pair_form(1.0, 1.0, 0.0, -2.0, w_z), ncols
-        ).astype(np.float64)
+        z_end = pair_z > 0
+        z_col = (coord_first[np.repeat(np.arange(len(evs)), npairs)] + pair_z - 1)[z_end]
+        w_z = pair_w[z_end]
+        total = int(self.ncoords.sum())
+        sum_coef = np.bincount(z_col, _pair_form(1.0, 1.0, 1.0, 1.0, w_z), total)
+        sum_coef = sum_coef.astype(np.float64)   # integer zeros where no pair has a z end
+        # sphere 1 is columns 1..d_x, so also each vertex's first d_x coordinates
+        s1_col = coord_first[s1_of] + np.arange(len(s1_of)) - s1_first[s1_of]
+        sum_coef[s1_col] += np.add.reduceat(_pair_form(1.0, 0.0, 1.0, 1.0, pair_w), owner_start)
+        center_coef = np.bincount(z_col, _pair_form(1.0, 1.0, 0.0, -2.0, w_z), total)
 
-    def _z_sums(self, per_owner: np.ndarray) -> np.ndarray:
-        """Per column, the sum of per_owner (B, |S1|, 2) over the owners of
-        the pairs with their z end at that column, shape (B, ncols, 2)."""
-        sums = np.zeros((len(per_owner), self.z_owner.shape[1], 2))
-        for owner, mask in zip(self.z_owner, self.z_mask):
-            sums += np.take(per_owner, owner, axis=1) * mask
-        return sums
+        # per row: its pairs, sphere-1 entries and coordinates
+        of = np.repeat(np.arange(len(evs)), self.counts)
+        self.vertex_of = of
+        self.first = _firsts(self.ncoords[of] + 1)   # where each row starts: f(x)
+        self.degree = degree[of].astype(np.float64)
+        s_tpl, self.s_row, self.s_first, s_local = _ragged(s1_first, degree, of)
+        p_tpl, self.p_row, self.p_first, _ = _ragged(pair_first, npairs, of)
+        c_tpl, self.c_row, self.c_first, self.c_local = _ragged(coord_first, self.ncoords, of)
+        self.s1_idx = self.first[self.s_row] + 1 + s_local
+        self.s1_coord = self.c_first[self.s_row] + s_local
+        self.s1_degree = s1_degree[s_tpl].astype(np.float64)
+        self.owner_w = pair_w[owner_start][s_tpl]   # 1/(2 d_x d_y)
+        self.owner_first = self.p_first[self.s_row] + (owner_start - pair_first[s1_of])[s_tpl]
+        self.py_idx = self.first[self.p_row] + pair_y[p_tpl]
+        self.pz_idx = self.first[self.p_row] + pair_z[p_tpl]
+        self.pair_w = pair_w[p_tpl]
+        # pairs with a z end other than the center, by column and owner
+        z_end = np.flatnonzero(pair_z[p_tpl] > 0)
+        self.z_coord = self.c_first[self.p_row[z_end]] + pair_z[p_tpl[z_end]] - 1
+        self.z_owner = self.s_first[self.p_row[z_end]] + pair_owner[p_tpl[z_end]]
+        self.coord_idx = self.first[self.c_row] + 1 + self.c_local
+        self.sum_coef = sum_coef[c_tpl]
+        self.center_coef = center_coef[c_tpl]
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The rows of each evaluator, (count, width) views into flat."""
+        sizes = self.counts * (self.ncoords + 1)
+        return [
+            flat[a : a + size].reshape(count, ev.width)
+            for ev, a, size, count in zip(self.evs, _firsts(sizes), sizes, self.counts)
+        ]
 
     def ratios(
-        self, rows: np.ndarray, values: np.ndarray, n: float
+        self, flat: np.ndarray, values: np.ndarray, n: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CDE ratio and Df(x) of each row with one column replaced.
 
-        rows are strictly positive, shape (B, width); values[k, b, c - 1] is
-        the k-th new value of column c in row b, shape (K, B, width - 1).
-        Returns (ratio, Df(x), unmoved): the first two shaped like values,
-        the ratio +inf where G(f)(x) vanishes, and the ratio of each row as
-        it is. A move whose delta would lose accuracy (the row's terms
-        outweigh the moved numerator and G(f)(x) by more than
-        ``_DELTA_CANCEL``) is evaluated in full instead.
+        flat holds every row, strictly positive; values[k, m] is the k-th new
+        value of the m-th coordinate, shape (K, M). Returns (ratio, Df(x),
+        unmoved): the first two shaped like values, the ratio +inf where
+        G(f)(x) vanishes, and the ratio of each row as it is. A
+        move whose delta would lose accuracy (the row's terms outweigh the
+        moved numerator and G(f)(x) by more than ``_DELTA_CANCEL``) is
+        evaluated in full instead, on its own row.
 
         The numerator is base + (1/2 - 1/n) Df(x)^2 + G(f)(x) Df(x) / (2 f(x)),
         where base is the sum of the pair terms minus sum_y h(y) / (2 d_x),
         h(y) = (f(y) - f(x)) G(f)(y) / f(y).
         """
-        ev = self.ev
-        p = len(ev.s1_cols)
-        scale = 1.0 / (2.0 * ev.degree)
+        s_row, c_row = self.s_row, self.c_row
+        scale = 1.0 / (2.0 * self.degree)
         kappa = 0.5 - 1.0 / n
-        fx = rows[:, :1]
-        fy = rows[:, 1 : p + 1]
-        fz = rows[:, ev.pair_z]
-        dyz = fz - rows[:, ev.pair_y]
-        dxz = fz - fx
-        terms = _pair_form(dyz, dxz, dyz, dxz, ev.pair_w)
-        gy2 = np.add.reduceat(dyz * dyz, self.owner_start, axis=1)   # 2 d_y G(f)(y)
-        nbr = np.add.reduceat(fz, self.owner_start, axis=1)   # sum of f next to y
-        dev = fy - fx
+        fx = flat[self.first]
+        fy = flat[self.s1_idx]
+        fz = flat[self.pz_idx]
+        dyz = fz - flat[self.py_idx]
+        dxz = fz - fx[self.p_row]
+        terms = _pair_form(dyz, dxz, dyz, dxz, self.pair_w)
+        gy2 = np.add.reduceat(dyz * dyz, self.owner_first)   # 2 d_y G(f)(y)
+        nbr = np.add.reduceat(fz, self.owner_first)   # sum of f next to y
+        fx_s, scale_s, two_dy = fx[s_row], scale[s_row], 2.0 * self.s1_degree
+        dev = fy - fx_s
         dev2 = dev * dev
-        dev_dy = dev / self.two_dy
+        dev_dy = dev / two_dy
         h = dev_dy * gy2 / fy
-        fy_sum = fy.sum(axis=1)
-        dev2_sum = dev2.sum(axis=1)
-        lap0 = fy_sum / ev.degree - fx[:, 0]
+        fy_sum = np.add.reduceat(fy, self.s_first)
+        dev2_sum = np.add.reduceat(dev2, self.s_first)
+        lap0 = fy_sum / self.degree - fx
         gx0 = dev2_sum * scale
-        base = terms.sum(axis=1) - h.sum(axis=1) * scale
-        size = np.abs(terms).sum(axis=1) + np.abs(h).sum(axis=1) * scale + gx0
-        num0 = base + (kappa * lap0 + gx0 / (2.0 * fx[:, 0])) * lap0
+        base = np.add.reduceat(terms, self.p_first) - np.add.reduceat(h, self.s_first) * scale
+        size = (
+            np.add.reduceat(np.abs(terms), self.p_first)
+            + np.add.reduceat(np.abs(h), self.s_first) * scale
+            + gx0
+        )
+        num0 = base + (kappa * lap0 + gx0 / (2.0 * fx)) * lap0
         unmoved = np.divide(num0, gx0, out=np.full_like(num0, np.inf), where=gx0 > 0.0)
 
         # the pair terms and h change by (v - a)((v + a) quad + lin), apart
         # from the moved sphere-1 vertex's own h; at a pair's z end, the
         # owner's h changes by (f(y) - f(x)) / (2 d_y f(y)) times the change
         # of (f(z) - f(y))^2
-        z_sums = self._z_sums(
-            np.stack(
-                [2.0 * scale * dev_dy - 2.0 * self.owner_w * fy, -scale * dev_dy / fy],
-                axis=2,
-            )
+        ncoords = len(self.coord_idx)
+        at_z = 2.0 * scale_s * dev_dy - 2.0 * self.owner_w * fy
+        lin = fx[c_row] * self.center_coef + np.bincount(
+            self.z_coord, at_z[self.z_owner], ncoords
         )
-        lin = fx * self.center_coef + z_sums[:, :, 0]
-        lin[:, :p] -= 2.0 * self.owner_w * nbr
-        quad = self.sum_coef + z_sums[:, :, 1]
+        lin[self.s1_coord] -= 2.0 * self.owner_w * nbr
+        at_z = -scale_s * dev_dy / fy
+        quad = self.sum_coef + np.bincount(self.z_coord, at_z[self.z_owner], ncoords)
 
-        old = rows[:, 1:]
+        old = flat[self.coord_idx]
         delta = values - old
-        num = delta * ((values + old) * quad + lin) + base[:, None]
+        num = delta * ((values + old) * quad + lin) + base[c_row]
         # a sphere-1 move also changes its own f and G(f), Df(x) and G(f)(x)
-        dp, vp = delta[:, :, :p], values[:, :, :p]
-        g_own = gy2 / self.two_dy + dp * (0.5 * (vp + fy) - nbr / ev.s1_degree)
-        num[:, :, :p] -= ((vp - fx) * g_own / vp - h) * scale
+        dp, vp = delta[:, self.s1_coord], values[:, self.s1_coord]
+        g_own = gy2 / two_dy + dp * (0.5 * (vp + fy) - nbr / self.s1_degree)
+        num[:, self.s1_coord] -= ((vp - fx_s) * g_own / vp - h) * scale_s
         lap = np.empty_like(values)
-        lap[:] = lap0[:, None]
-        lap[:, :, :p] = ((fy_sum[:, None] - fy) + vp) / ev.degree - fx
+        lap[:] = lap0[c_row]
+        lap[:, self.s1_coord] = ((fy_sum[s_row] - fy) + vp) / self.degree[s_row] - fx_s
         gx = np.empty_like(values)
-        gx[:] = gx0[:, None]
-        gx[:, :, :p] = ((dev2_sum[:, None] - dev2) + (vp - fx) ** 2) * scale
-        num += (kappa * lap + gx / (2.0 * fx)) * lap
+        gx[:] = gx0[c_row]
+        gx[:, self.s1_coord] = ((dev2_sum[s_row] - dev2) + (vp - fx_s) ** 2) * scale_s
+        num += (kappa * lap + gx / (2.0 * fx[c_row])) * lap
         ratio = np.divide(num, gx, out=np.full_like(num, np.inf), where=gx > 0.0)
 
         # the deltas add to the row's own pair terms, h and G(f)(x), so their
         # rounding error is relative to the size of those, not to the result's
-        redo = ~(size[:, None] <= _DELTA_CANCEL * np.maximum(gx, np.abs(num)))
-        if redo.any():
-            k, b, c = np.nonzero(redo)
-            full = rows[b]
-            full[np.arange(len(b)), c + 1] = values[k, b, c]
-            den = ev.gamma(full)
-            num = ev.cde_numerator(full, n)
-            ratio[k, b, c] = np.divide(num, den, out=np.full_like(den, np.inf), where=den > 0.0)
+        redo = ~(size[c_row] <= _DELTA_CANCEL * np.maximum(gx, np.abs(num)))
+        for k, m in zip(*np.nonzero(redo)):   # rare: one row at a time
+            ev = self.evs[self.vertex_of[c_row[m]]]
+            start = self.first[c_row[m]]
+            full = flat[None, start : start + ev.width].copy()
+            full[0, self.c_local[m] + 1] = values[k, m]
+            den = ev.gamma(full)[0]
+            ratio[k, m] = ev.cde_numerator(full, n)[0] / den if den > 0.0 else np.inf
         return ratio, lap, unmoved
+
+
+def _firsts(lengths: np.ndarray) -> np.ndarray:
+    """Where each of consecutive segments of these lengths begins."""
+    return np.cumsum(lengths) - lengths
+
+
+def _ragged(first: np.ndarray, length: np.ndarray, of: np.ndarray):
+    """The entries first[i] .. first[i] + length[i] - 1 of each i in `of`,
+    concatenated in that order. Returns (entry, segment, segment start,
+    offset in segment) per output entry, except segment start, which is
+    per segment."""
+    lengths = length[of]
+    seg = np.repeat(np.arange(len(of)), lengths)
+    starts = _firsts(lengths)
+    local = np.arange(len(seg)) - starts[seg]
+    return first[of][seg] + local, seg, starts, local

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from math import inf
 
 from .cd import cd_check, cd_curvature
-from .cde import cde_check, cde_estimate
+# cde_estimate is no longer called here, but stays importable under this
+# module's name, which perfbench/tracer.py wraps
+from .cde import cde_check, cde_estimate, cde_estimates  # noqa: F401
 from .girth import GirthValue, on_cycle, vertex_girth
 from .graph import Graph, VertexFunction, _check_vertex
 
@@ -107,17 +109,20 @@ def cd_witness_value(g: Graph, x: int, i: int) -> float:
     return acc / k
 
 
-def _run_cd(g: Graph, x: int, dim: float, samples: int, seed: int):
-    result = cd_curvature(g, x, dim)
-    return cd_bound_girth5(g, x), result.curvature_K, result.minimizing_function
+def _run_cd(g: Graph, dim: float, samples: int, seed: int):
+    for x in range(g.vertex_count):
+        result = cd_curvature(g, x, dim)
+        yield cd_bound_girth5(g, x), result.curvature_K, result.minimizing_function
 
 
-def _run_cde(g: Graph, x: int, dim: float, samples: int, seed: int):
-    estimate = cde_estimate(g, x, dim, samples, seed)
-    return -g.degree(x) / 2.0 - 1.0, estimate.sampled_min, estimate.argmin.function
+def _run_cde(g: Graph, dim: float, samples: int, seed: int):
+    for estimate in cde_estimates(g, range(g.vertex_count), dim, samples, seed):
+        bound = -g.degree(estimate.vertex) / 2.0 - 1.0
+        yield bound, estimate.sampled_min, estimate.argmin.function
 
 
-# (name, computes (bound, value, candidate), re-verifies a candidate)
+# (name, yields (bound, value, candidate) per vertex in order, re-verifies a
+# candidate)
 _THEOREMS = (("cd", _run_cd, cd_check), ("cde", _run_cde, cde_check))
 
 
@@ -138,6 +143,11 @@ def verify_theorems(
     cyclic = on_cycle(g)
     girths = [vertex_girth(g, x) if cyclic[x] else inf for x in range(g.vertex_count)]
     whole_graph_girth = min(girths)
+    computed = {
+        name: compute(g, dim, samples, seed)
+        for name, compute, _ in _THEOREMS
+        if name in selected
+    }
 
     records = []
     for x, girth_here in enumerate(girths):
@@ -148,11 +158,11 @@ def verify_theorems(
         results = {}
         witness: VertexFunction | None = None
         failed = False
-        for name, compute, check in _THEOREMS:
+        for name, _, check in _THEOREMS:
             if name not in selected:
                 results[name] = (None, None, None)
                 continue
-            bound, value, candidate = compute(g, x, dim, samples, seed)
+            bound, value, candidate = next(computed[name])
             margin = value - bound
             if gate and margin < -MARGIN_TOL:
                 if not check(g, x, dim, bound, candidate):

@@ -10,17 +10,31 @@ factorization (production divides by a diagonal block), and the CDE
 descent moves scored by building every proposal row and evaluating it in
 full (production updates the ratio by delta). The counter-mode uniforms
 are also given as one whole-array expression (production mixes in place,
-block by block).
+block by block), the sampled CDE rows as whole-array expressions
+(production computes them in place), the CDE refinement triggers by a heap walk over every
+sampled ratio (production prefilters blocks against the current 10th
+smallest), and the structured CDE rows by listing every configuration in
+Python before the cap (production builds only the kept ones with numpy).
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from math import inf
 
 import numpy as np
 
-from curvkit.cde import FEASIBILITY_MARGIN, _batch_ratios
+from curvkit.cde import (
+    _GRID,
+    _LOG_HALF_RANGE,
+    _REFINE_CAP,
+    _STRUCTURED_CAP,
+    _STRUCTURED_STREAM_TAG,
+    _TOP_K,
+    FEASIBILITY_MARGIN,
+    _batch_ratios,
+)
 from curvkit.graph import Graph
 from curvkit.localforms import LocalEvaluator
 from curvkit.rng import _MIX1, _MIX2, GOLDEN, MASK64, counter_uniforms, derive_stream
@@ -291,3 +305,71 @@ def whole_array_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     z = z ^ (z >> np.uint64(31))
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def heap_trigger_rows(ratios: np.ndarray) -> list[int]:
+    """Rows entering the running top-10 of ratios, by a heap over every row,
+    cut at the refinement cap."""
+    heap: list[float] = []   # max-heap via negation, the 10 smallest so far
+    trigger_rows: list[int] = []
+    for i, r in enumerate(ratios.tolist()):
+        if len(heap) < _TOP_K:
+            heapq.heappush(heap, -r)
+            trigger_rows.append(i)
+        elif r < -heap[0]:
+            heapq.heappushpop(heap, -r)
+            trigger_rows.append(i)
+    return trigger_rows[:_REFINE_CAP]
+
+
+def listed_structured_rows(ev: LocalEvaluator, stream: int) -> np.ndarray:
+    """The structured CDE rows, every configuration listed as its own array
+    before the list is cut at the cap, and the distance-2 columns filled
+    one by one."""
+    p = len(ev.s1_cols)
+    grid = np.array(_GRID)
+    k = len(grid)
+    if k**p <= _STRUCTURED_CAP:
+        mesh = np.stack(
+            [a.ravel() for a in np.meshgrid(*([grid] * p), indexing="ij")], axis=1
+        )
+    else:
+        configs = [np.full(p, t) for t in grid]
+        for slot in range(p):
+            for t_dev in grid:
+                for t_rest in grid:
+                    if t_dev == t_rest:
+                        continue
+                    row = np.full(p, t_rest)
+                    row[slot] = t_dev
+                    configs.append(row)
+        room = _STRUCTURED_CAP - len(configs)
+        if room > 0:
+            sub = derive_stream(stream, _STRUCTURED_STREAM_TAG)
+            u = counter_uniforms(sub, 0, room * p).reshape(room, p)
+            configs.extend(grid[np.minimum((u * k).astype(int), k - 1)])
+        mesh = np.array(configs[:_STRUCTURED_CAP])
+
+    feasible = mesh[mesh.sum(axis=1) < p]   # Df(x) < 0
+    rows = np.empty((len(feasible), ev.width))
+    rows[:, 0] = 1.0
+    rows[:, ev.s1_cols] = feasible
+    if len(ev.s2_cols):
+        sphere1 = set(ev.ball.sphere1)
+        for z, col in zip(ev.ball.sphere2, ev.s2_cols):
+            parent = min(v for v in ev.graph.adjacency[z] if v in sphere1)
+            parent_col = ev.ball.index[parent] + 1
+            rows[:, col] = rows[:, parent_col] ** 2
+    return rows
+
+
+def expression_sampled_rows(ev: LocalEvaluator, stream: int, samples: int) -> np.ndarray:
+    """The sampled CDE rows as whole-array expressions over the draws."""
+    width = ev.width
+    u = counter_uniforms(stream, 0, samples * width).reshape(samples, width)
+    raw = np.exp(_LOG_HALF_RANGE * (2.0 * u - 1.0))
+    s1 = raw[:, ev.s1_cols]
+    ceiling = (1.0 - u[:, 0]) ** (1.0 / ev.degree) * (1.0 - FEASIBILITY_MARGIN)
+    raw[:, ev.s1_cols] = s1 * np.minimum(1.0, ceiling / s1.mean(axis=1))[:, None]
+    raw[:, 0] = 1.0
+    return raw

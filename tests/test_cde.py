@@ -22,17 +22,28 @@ from curvkit import (
     star,
     vertex_girth,
 )
-from conftest import girth5_corpus, tree_hub
+import curvkit.cde as cde_mod
+from conftest import girth5_corpus, small_mixed_corpus, tree_hub
 from curvkit.cde import (
     FEASIBILITY_MARGIN,
+    _REFINE_CAP,
     _batch_ratios,
+    _chunked_ratios,
     _descend,
+    _sampled_rows,
     _score_moves,
     _structured_rows,
+    _trigger_rows,
+    cde_estimates,
 )
 from curvkit.localforms import LocalEvaluator, MoveTable
 from curvkit.rng import derive_stream
-from oracles import proposal_tensor_moves
+from oracles import (
+    expression_sampled_rows,
+    heap_trigger_rows,
+    listed_structured_rows,
+    proposal_tensor_moves,
+)
 
 
 def _feasible_function(g, x, seed):
@@ -206,53 +217,186 @@ def _move_rows(ev, rng):
     return rows
 
 
-def test_delta_moves_match_proposal_tensor(corpus_small):
-    # every descent move scored by delta against the same move built as a
-    # full row and evaluated by _batch_ratios; triangles and 4-cycles (a
-    # column at the z end of several pairs) come from the small corpus
+def _mixed_width_batch():
+    """(graph, vertex) pairs of very different 2-ball widths: a degree-1
+    center, a triangle, a hub center and corpus vertices."""
+    corpus = girth5_corpus()[1]
+    return [(path(5), 0), (cycle(3), 0), (tree_hub(14), 0)] + [
+        (corpus, x) for x in range(0, corpus.vertex_count, 2)
+    ]
+
+
+def _move_batches(corpus_small):
+    """Batches of (graph, vertex) scored in one table: every vertex of each
+    graph, then one mixed-width batch across graphs."""
     graphs = list(corpus_small) + girth5_corpus()[::3]
+    batches = [[(g, x) for x in range(g.vertex_count)] for g in graphs]
+    return batches + [_mixed_width_batch()]
+
+
+def _per_vertex(table, moves):
+    """Split (2, M) move arrays into per-vertex (count, slot) arrays, slot
+    j moving column j // 2 + 1, up for even j and down for odd j."""
+    cuts = np.cumsum(table.counts * table.ncoords)[:-1]
+    return [
+        part.reshape(2, count, -1).transpose(1, 2, 0).reshape(count, -1)
+        for part, count in zip(np.split(moves, cuts, axis=1), table.counts)
+    ]
+
+
+def test_delta_moves_match_proposal_tensor(corpus_small):
+    # every descent move scored by delta, over the ragged rows of many
+    # vertices at once, against the same move built as a full row and
+    # evaluated by _batch_ratios; triangles and 4-cycles (a column at the z
+    # end of several pairs) come from the small corpus
     steps = np.array([0.5, 0.25, 1e-3, 3.0, 0.7, 0.01, 0.125, 0.9])
     rng = np.random.default_rng(41)
     excluded = 0
-    for g in graphs:
-        for x in range(g.vertex_count):
-            ev = LocalEvaluator(g, x)
-            table = MoveTable(ev)
-            rows = _move_rows(ev, rng)
-            for n in (2.0, 3.5, np.inf):
+    for batch in _move_batches(corpus_small):
+        evs = [LocalEvaluator(g, x) for g, x in batch]
+        rows = [_move_rows(ev, rng) for ev in evs]
+        table = MoveTable(evs, [len(r) for r in rows])
+        current = np.concatenate([r.ravel() for r in rows])
+        step = np.tile(steps, len(evs))
+        for n in (2.0, 3.5, np.inf):
+            scored = _score_moves(table, current, step, n)
+            moved, values, dead, lap = (_per_vertex(table, a) for a in scored[:4])
+            unmoved = np.split(scored[4], np.cumsum(table.counts)[:-1])
+            for i, ev in enumerate(evs):
                 ref_moved, ref_values, ref_dead, ref_lap = proposal_tensor_moves(
-                    ev, rows, steps, n
+                    ev, rows[i], steps, n
                 )
-                moved, values, dead, lap, unmoved = _score_moves(ev, table, rows, steps, n)
-                # (2, B, width - 1) -> (B, slot), slot j = column j // 2 + 1
-                moved, values, dead, lap = (
-                    a.transpose(1, 2, 0).reshape(len(rows), -1)
-                    for a in (moved, values, dead, lap)
-                )
-                assert np.array_equal(dead, ref_dead)
-                assert np.array_equal(lap < 0.0, ref_lap < 0.0)
-                assert np.array_equal(np.isinf(values), np.isinf(ref_values))
-                assert np.allclose(moved, ref_moved, rtol=1e-14, atol=0.0)
+                assert np.array_equal(dead[i], ref_dead)
+                assert np.array_equal(lap[i] < 0.0, ref_lap < 0.0)
+                assert np.array_equal(np.isinf(values[i]), np.isinf(ref_values))
+                assert np.allclose(moved[i], ref_moved, rtol=1e-14, atol=0.0)
                 finite = np.isfinite(ref_values)
-                a, b = values[finite], ref_values[finite]
+                a, b = values[i][finite], ref_values[finite]
                 assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), np.abs(b)) + 1e-12)
-                full = _batch_ratios(ev, rows, n)
-                assert np.all(np.abs(unmoved - full) <= 1e-12 * np.abs(full) + 1e-12)
+                full = _batch_ratios(ev, rows[i], n)
+                assert np.all(np.abs(unmoved[i] - full) <= 1e-12 * np.abs(full) + 1e-12)
                 excluded += int(ref_dead.sum()) + int((ref_lap >= 0.0).sum())
     assert excluded > 0   # the edge rows reach both exclusions
 
 
+def test_scored_moves_do_not_depend_on_the_rows_beside_them():
+    # the same vertex's rows, scored alone and inside a mixed-width batch,
+    # give bit-identical moves and scores
+    rng = np.random.default_rng(7)
+    batch = _mixed_width_batch()
+    evs = [LocalEvaluator(g, x) for g, x in batch]
+    rows = [_move_rows(ev, rng)[[0, 1, 4, 5]] for ev in evs]
+    steps = np.array([0.5, 0.03, 0.25, 2.0])
+    table = MoveTable(evs, [4] * len(evs))
+    current = np.concatenate([r.ravel() for r in rows])
+    together = _score_moves(table, current, np.tile(steps, len(evs)), 2.0)
+    together = [_per_vertex(table, a) for a in together[:4]] + [together[4].reshape(-1, 4)]
+    for i, (ev, r) in enumerate(zip(evs, rows)):
+        alone_table = MoveTable([ev], [4])
+        alone = _score_moves(alone_table, r.ravel().copy(), steps, 2.0)
+        alone = [_per_vertex(alone_table, a)[0] for a in alone[:4]] + [alone[4]]
+        for a, b in zip(alone, together):
+            assert np.array_equal(a, b[i])
+
+
 def test_descend_returns_full_values_not_above_the_starts(corpus_small):
     rng = np.random.default_rng(5)
-    for g in corpus_small[::3]:
-        for x in range(0, g.vertex_count, 3):
-            ev = LocalEvaluator(g, x)
-            starts = _move_rows(ev, rng)[[0, 1, 2, 4, 5, 6, 7]]   # Df(x) < 0
-            values, rows = _descend(ev, starts, 2.0)
+    batches = [
+        [(g, x) for x in range(0, g.vertex_count, 3)] for g in corpus_small[::3]
+    ] + [_mixed_width_batch()]
+    for batch in batches:
+        evs = [LocalEvaluator(g, x) for g, x in batch]
+        starts = [_move_rows(ev, rng)[[0, 1, 2, 4, 5, 6, 7]] for ev in evs]   # Df(x) < 0
+        refined = _descend(evs, starts, 2.0)
+        assert len(refined) == len(evs)
+        for ev, start, (values, rows) in zip(evs, starts, refined):
+            assert rows.shape == start.shape
             assert np.array_equal(values, _batch_ratios(ev, rows, 2.0))
-            start_values = _batch_ratios(ev, starts, 2.0)
+            start_values = _batch_ratios(ev, start, 2.0)
             assert np.all(values <= start_values + 1e-12 * np.abs(start_values))
             assert np.all(rows > 0.0) and np.all(ev.laplacian(rows) < 0.0)
+
+
+def test_estimates_do_not_depend_on_the_batching(monkeypatch):
+    # each vertex alone against all vertices in batches of several
+    # vertices each (a small batch constant makes many batches)
+    g = girth5_corpus()[1]
+    batches = []
+    descend = cde_mod._descend
+
+    def counting(evs, starts, n):
+        batches.append(len(evs))
+        return descend(evs, starts, n)
+
+    monkeypatch.setattr(cde_mod, "_descend", counting)
+    monkeypatch.setattr(cde_mod, "_DESCENT_BATCH", 3000)
+    together = list(cde_estimates(g, range(g.vertex_count), 2.0, samples=2000, seed=3))
+    assert len(batches) >= 2 and max(batches) >= 2
+    assert sum(batches) == g.vertex_count
+    assert [e.vertex for e in together] == list(range(g.vertex_count))
+    for x, est in enumerate(together):
+        alone = cde_estimate(g, x, 2.0, samples=2000, seed=3)
+        assert alone.sampled_min == est.sampled_min
+        assert np.array_equal(alone.argmin.function.values, est.argmin.function.values)
+
+
+def test_estimates_check_arguments_before_the_first_estimate(petersen_graph):
+    with pytest.raises(ValueError):
+        cde_estimates(petersen_graph, [0, 10], 2.0, samples=10, seed=0)
+    with pytest.raises(ValueError):
+        cde_estimates(petersen_graph, [0], 2.0, samples=0, seed=0)
+    assert list(cde_estimates(petersen_graph, [], 2.0, samples=10, seed=0)) == []
+
+
+def _trigger_cases():
+    rng = np.random.default_rng(13)
+    cases = {
+        "ties": np.array([1.0] * 30 + [0.5] * 30 + [0.25, 0.5, 0.25] * 10),
+        "inf": np.array([np.inf] * 15 + [3.0, np.inf, 2.0, 1.0] * 5),
+        "fewer_than_10": np.array([3.0, 1.0, 2.0]),
+        "empty": np.zeros(0),
+        "cut_at_cap": np.linspace(1.0, 0.0, 3 * _REFINE_CAP),
+        "integers": rng.integers(0, 40, size=5000).astype(float),
+    }
+    for i, (g, x) in enumerate([(petersen(), 0), (star(8), 0), (tree_hub(6), 0)]
+                               + [(girth5_corpus()[k], k % 5) for k in (0, 7, 20)]):
+        ev = LocalEvaluator(g, x)
+        raw = _sampled_rows(ev, derive_stream(i, x), 10000)
+        cases[f"sampled_{i}"] = _chunked_ratios(ev, raw, 2.0)
+    return cases
+
+
+def test_trigger_rows_match_heap_walk():
+    for name, ratios in _trigger_cases().items():
+        assert _trigger_rows(ratios) == heap_trigger_rows(ratios), name
+    assert len(_trigger_rows(np.linspace(1.0, 0.0, 3 * _REFINE_CAP))) == _REFINE_CAP
+
+
+def test_sampled_rows_are_bit_identical_to_the_expression():
+    for g, x in [(star(3), 0), (petersen(), 4), (tree_hub(40), 0), (path(5), 0)]:
+        ev = LocalEvaluator(g, x)
+        for seed, samples in ((0, 1), (5, 777), (2**64 - 1, 3000)):
+            stream = derive_stream(seed, x)
+            assert np.array_equal(
+                _sampled_rows(ev, stream, samples), expression_sampled_rows(ev, stream, samples)
+            )
+
+
+@pytest.mark.parametrize("p", [1, 3, 4, 14, 100])
+def test_structured_rows_match_listed_rows(p):
+    for g, x in [(tree_hub(p), 0), (star(p), 0) if p > 1 else (path(4), 0)]:
+        ev = LocalEvaluator(g, x)
+        assert ev.degree == p
+        for seed in (0, 9):
+            stream = derive_stream(seed, x)
+            assert np.array_equal(_structured_rows(ev, stream), listed_structured_rows(ev, stream))
+    for g in small_mixed_corpus()[:4]:   # 4-cycles: a distance-2 vertex with two parents
+        for x in range(g.vertex_count):
+            ev = LocalEvaluator(g, x)
+            assert np.array_equal(
+                _structured_rows(ev, derive_stream(1, x)),
+                listed_structured_rows(ev, derive_stream(1, x)),
+            )
 
 
 def test_hub_center_estimate_memory_is_bounded():
@@ -268,6 +412,20 @@ def test_hub_center_estimate_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MiB"
     assert est.sampled_min >= -100 / 2.0 - 1.0
+
+
+def test_hub_center_estimate_peak_is_one_sample_array():
+    # the 10^4 x 401 sampled rows are 30.6 MiB; they are built in the
+    # draws' array, dropped before the structured scan, and the structured
+    # configurations are made only up to the cap
+    g = tree_hub(100)
+    tracemalloc.start()
+    try:
+        cde_estimate(g, 0, 2.0, samples=10000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_gamma_at_s1_matches_definitional_gamma(corpus_small):

@@ -319,7 +319,7 @@ def test_verify_no_feasible_sample_exit_code(capsys, petersen_file, monkeypatch)
     def exhausted(*args, **kwargs):
         raise NoFeasibleSampleError("only 4004/10000 feasible samples")
 
-    monkeypatch.setattr(verify_mod, "cde_estimate", exhausted)
+    monkeypatch.setattr(verify_mod, "cde_estimates", exhausted)
     code, out, err = run(capsys, "verify", petersen_file, "--theorem", "cde")
     assert code == 4
     assert out == ""

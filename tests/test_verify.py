@@ -1,3 +1,4 @@
+import tracemalloc
 from math import inf
 
 import pytest
@@ -13,6 +14,7 @@ from curvkit import (
     petersen,
     path,
     random_tree,
+    random_with_girth,
     star,
     verify_cd_theorem,
     verify_cde_theorem,
@@ -186,3 +188,20 @@ def test_no_failure_without_reverified_witness(corpus_girth5):
                     assert not cd_check(g, r.vertex, 2.0, r.cd_bound, r.witness)
             else:
                 assert r.witness is None
+
+
+def test_cde_verify_memory_is_not_quadratic_in_the_vertex_count():
+    # an estimate carries a full-length vertex function, so holding every
+    # vertex's estimate at once would add n^2 x 8 bytes: 17 MiB at n = 1500,
+    # against ~5 MiB for the whole n = 300 run
+    peaks = {}
+    for n in (300, 1500):
+        g = random_with_girth(n, 3 * n // 2, 5, 1)
+        tracemalloc.start()
+        try:
+            report = verify_theorems(g, "cde", samples=200)
+            _, peaks[n] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.records) == n
+    assert peaks[1500] < 2.5 * peaks[300], {n: f"{p / 2**20:.1f} MiB" for n, p in peaks.items()}
