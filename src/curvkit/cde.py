@@ -54,7 +54,10 @@ _TOP_K = 10
 _REFINE_CAP = 512
 _DESCENT_SWEEPS = 40
 _DESCENT_MIN_STEP = 1e-3
-_RATIO_CHUNK = 2048   # rows per ratio call, bounding its temporaries
+# rows per ratio call, fewer above _RATIO_PAIRS pairs, so a call's temporaries
+# hold at most _RATIO_CHUNK x _RATIO_PAIRS row-pair entries
+_RATIO_CHUNK = 2048
+_RATIO_PAIRS = 64
 _DESCENT_BATCH = 1 << 13   # coordinates (rows x (width - 1)) per lockstep descent
 
 
@@ -289,12 +292,14 @@ def _batch_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
 
 
 def _chunked_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
-    """_batch_ratios over blocks of _RATIO_CHUNK rows; rows are independent,
+    """_batch_ratios over blocks of _RATIO_CHUNK rows, fewer (at least one)
+    where the ball has more than _RATIO_PAIRS pairs; rows are independent,
     so only the size of the temporaries changes."""
-    if len(rows) <= _RATIO_CHUNK:
+    chunk = max(1, _RATIO_CHUNK * _RATIO_PAIRS // max(len(ev.pair_y), _RATIO_PAIRS))
+    if len(rows) <= chunk:
         return _batch_ratios(ev, rows, n)
-    starts = range(0, len(rows), _RATIO_CHUNK)
-    return np.concatenate([_batch_ratios(ev, rows[i : i + _RATIO_CHUNK], n) for i in starts])
+    starts = range(0, len(rows), chunk)
+    return np.concatenate([_batch_ratios(ev, rows[i : i + chunk], n) for i in starts])
 
 
 def _structured_rows(ev: LocalEvaluator, stream: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from math import isfinite, isinf
 from pathlib import Path
 
 from . import generators
-from .cd import cd_curvature
+from .cd import cd_curvatures
 from .cde import NoFeasibleSampleError, cde_estimates
 from .generators import BadParameterError
 from .girth import all_vertex_girths
@@ -164,10 +164,10 @@ def cmd_girth(args) -> int:
 def cmd_curvature_cd(args) -> int:
     _check_dim(args.dim)
     g = _load_graph(args.file)
-    records = []
-    for x in _vertices(g, args.vertex):
-        result = cd_curvature(g, x, args.dim)
-        records.append({"vertex": x, "dim": args.dim, "curvature": result.curvature_K})
+    records = [
+        {"vertex": result.vertex, "dim": args.dim, "curvature": result.curvature_K}
+        for result in cd_curvatures(g, _vertices(g, args.vertex), args.dim)
+    ]
     if args.format == "json":
         sys.stdout.write(dumps({"dim": args.dim, "records": records}))
     else:

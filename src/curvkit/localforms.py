@@ -3,11 +3,13 @@
 The 2-ball structure is precomputed once, as (y, z, weight) arrays over
 the pairs y ~ x, z ~ y, and whole batches of candidate functions are
 evaluated with numpy. This is the only statement of the closed local G_2
-formula: the CD quadratic form is assembled from the same arrays, the
-scalar ``operators.gamma2_local`` is a one-row call into this module, and
-``MoveTable`` updates the CDE ratio after one coordinate moves from the
-same per-pair summand. The definitional implementations in the operators
-module are the independent route; tests cross-check the two.
+formula: the entries of the CD quadratic form are stated once, in
+``cd_entries`` (``LocalEvaluator.cd_form`` scatters them for one ball, the
+cd module for many balls at once), the scalar ``operators.gamma2_local`` is
+a one-row call into this module, and ``MoveTable`` updates the CDE ratio
+after one coordinate moves from the same per-pair summand. The
+definitional implementations in the operators module are the independent
+route; tests cross-check the two.
 
 Batch layout: rows are candidate functions, columns are ball vertices in
 the fixed order [center, sphere1..., sphere2...].
@@ -97,21 +99,14 @@ class LocalEvaluator:
         """Matrix of f -> G_2(f) - (1/n)(Df)^2 at the center, with f(x) = 0.
 
         Over the ball coordinates (columns 1.. of the batch layout, sphere 1
-        first). Each pair contributes w (f(z) - f(y))^2 - (w/2) f(z)^2; the
-        entries that touch the center column drop out with f(x) = 0. The
-        sphere-2 block is diagonal: no pair couples two distance-2 vertices.
+        first), from the entries of ``cd_entries``; the entries that touch
+        the center column drop out with f(x) = 0.
         """
-        y, z, w = self.pair_y, self.pair_z, self.pair_w
         p = len(self.s1_cols)
+        df, rows, cols, values = cd_entries(self.pair_y, self.pair_z, self.pair_w, self.degree, n)
         a = np.zeros((self.width, self.width))
-        # (1/2 - 1/n) (Df)^2 with Df(x) = (sum over sphere 1) / d_x;
-        # sphere 1 is columns 1..p
-        a[1 : p + 1, 1 : p + 1] = (0.5 - 1.0 / n) / (self.degree * self.degree)
-        np.add.at(
-            a,
-            (np.concatenate([y, z, y, z]), np.concatenate([y, z, z, y])),
-            np.concatenate([w, 0.5 * w, -w, -w]),
-        )
+        a[1 : p + 1, 1 : p + 1] = df
+        np.add.at(a, (rows, cols), values)
         return a[1:, 1:]
 
     def gamma_at_s1(self, rows: np.ndarray) -> np.ndarray:
@@ -139,6 +134,25 @@ def _pair_form(yz, xz, yz2, xz2, w):
     differences of f (yz, xz) and of g (yz2, xz2); f = g gives the G_2 term.
     """
     return (yz * yz2 - 0.5 * xz * xz2) * w
+
+
+def cd_entries(y, z, w, degree, n: float):
+    """The CD form f -> G_2(f) - (1/n)(Df)^2 at a center of this degree,
+    with f(center) = 0, as matrix entries over ball columns.
+
+    Returns (df, rows, cols, values). Every pair of sphere-1 coordinates
+    carries df = (1/2 - 1/n) / d_x^2, from (1/2 - 1/n)(Df)^2. Each pair
+    (y, z) of weight w adds w (f(z) - f(y))^2 - (w/2) f(z)^2: w at (y, y),
+    w/2 at (z, z) and -w at (y, z) and at (z, y). The entries come pair by
+    pair, so each matrix entry sums its terms in pair order whoever
+    scatters them, and the form is exactly symmetric. No pair couples two
+    distance-2 vertices, so the sphere-2 block is diagonal.
+    """
+    df = (0.5 - 1.0 / n) / (degree * degree)
+    rows = np.stack([y, z, y, z], axis=1).ravel()
+    cols = np.stack([y, z, z, y], axis=1).ravel()
+    values = np.stack([w, 0.5 * w, -w, -w], axis=1).ravel()
+    return df, rows, cols, values
 
 
 class MoveTable:

@@ -71,6 +71,13 @@ def _partition(m: np.ndarray, keep: Sequence[int]) -> tuple[np.ndarray, np.ndarr
     return np.flatnonzero(kept), np.flatnonzero(~kept)
 
 
+def _check_pivots(diag: np.ndarray) -> None:
+    if diag.size and diag.min() <= PIVOT_FLOOR:
+        raise NotEliminableError(
+            f"smallest pivot {diag.min():.3e} is not above the floor {PIVOT_FLOOR}"
+        )
+
+
 def _eliminate(
     m: np.ndarray | Sequence[Sequence[float]], keep: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -86,23 +93,9 @@ def _eliminate(
     # diagonal exactly when every nonzero of the block is on its diagonal
     if np.count_nonzero(m_ee) != np.count_nonzero(diag):
         raise NotEliminableError("eliminated block is not diagonal")
-    if diag.size and diag.min() <= PIVOT_FLOOR:
-        raise NotEliminableError(
-            f"smallest pivot {diag.min():.3e} is not above the floor {PIVOT_FLOOR}"
-        )
+    _check_pivots(diag)
     m_kk = a.take(keep_idx, axis=0).take(keep_idx, axis=1)
     return m_kk, rows.take(keep_idx, axis=1), diag, keep_idx
-
-
-def _complement(m_kk: np.ndarray, m_ek: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """S = M_kk - M_ek^T (M_ek / d), from one split by _eliminate."""
-    s = m_kk - m_ek.T @ (m_ek / diag[:, None])
-    return 0.5 * (s + s.T)
-
-
-def _minimizer(m_ek: np.ndarray, diag: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """w* = -(M_ek u) / d, from one split by _eliminate."""
-    return -(m_ek @ u) / diag
 
 
 def schur_minimize(m: np.ndarray | Sequence[Sequence[float]], keep: Sequence[int]) -> np.ndarray:
@@ -112,21 +105,30 @@ def schur_minimize(m: np.ndarray | Sequence[Sequence[float]], keep: Sequence[int
     u^T S u = min over w of [u; w]^T m [u; w], the minimum running over the
     eliminated coordinates. The eliminated block must be diagonal with
     entries d above PIVOT_FLOOR (NotEliminableError otherwise); then
-    S = M_kk - M_ek^T (M_ek / d).
+    S = M_kk - M_ek^T (M_ek / d). The eliminated rows are subtracted one
+    after another, each as the products of its nonzero entries over its
+    pivot, so S is exactly symmetric and every entry is summed in the order
+    ``cd.cd_curvatures`` scatters it: the two routes agree bit for bit.
     """
     m_kk, m_ek, diag, _ = _eliminate(m, keep)
     if diag.size and not m_kk.size:
         raise ValueError("cannot eliminate every coordinate")
-    return _complement(m_kk, m_ek, diag)
+    for row, d in zip(m_ek, diag):
+        nz = np.flatnonzero(row)
+        m_kk[np.ix_(nz, nz)] -= np.outer(row[nz], row[nz]) / d
+    return m_kk
 
 
 def schur_minimizer(
     m: np.ndarray | Sequence[Sequence[float]], keep: Sequence[int], u: np.ndarray
 ) -> np.ndarray:
     """Argmin over eliminated coordinates: w* = -(M_ek u) / d, same contract
-    as schur_minimize."""
+    as schur_minimize; each row's products are summed in column order."""
     _, m_ek, diag, keep_idx = _eliminate(m, keep)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (keep_idx.size,):
         raise ValueError(f"u has shape {u.shape}, expected ({keep_idx.size},)")
-    return _minimizer(m_ek, diag, u)
+    e, k = np.nonzero(m_ek)
+    acc = np.zeros(diag.size)
+    np.add.at(acc, e, m_ek[e, k] * u[k])
+    return -acc / diag

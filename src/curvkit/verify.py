@@ -21,9 +21,9 @@ import logging
 from dataclasses import dataclass
 from math import inf
 
-from .cd import cd_check, cd_curvature
-# cde_estimate is no longer called here, but stays importable under this
-# module's name, which perfbench/tracer.py wraps
+# cd_curvature and cde_estimate are no longer called here, but stay
+# importable under this module's name, which perfbench/tracer.py wraps
+from .cd import cd_check, cd_curvature, cd_curvatures  # noqa: F401
 from .cde import cde_check, cde_estimate, cde_estimates  # noqa: F401
 from .girth import GirthValue, on_cycle, vertex_girth
 from .graph import Graph, VertexFunction, _check_vertex
@@ -110,9 +110,9 @@ def cd_witness_value(g: Graph, x: int, i: int) -> float:
 
 
 def _run_cd(g: Graph, dim: float, samples: int, seed: int):
-    for x in range(g.vertex_count):
-        result = cd_curvature(g, x, dim)
-        yield cd_bound_girth5(g, x), result.curvature_K, result.minimizing_function
+    for result in cd_curvatures(g, range(g.vertex_count), dim):
+        bound = cd_bound_girth5(g, result.vertex)
+        yield bound, result.curvature_K, result.minimizing_function
 
 
 def _run_cde(g: Graph, dim: float, samples: int, seed: int):

@@ -348,6 +348,14 @@ def test_estimates_check_arguments_before_the_first_estimate(petersen_graph):
     assert list(cde_estimates(petersen_graph, [], 2.0, samples=10, seed=0)) == []
 
 
+def test_chunked_ratios_equal_one_call_on_a_wide_vertex():
+    # the hub-100 centre has 400 pairs, so a chunk holds 327 of the rows
+    ev = LocalEvaluator(tree_hub(100), 0)
+    raw = _sampled_rows(ev, derive_stream(3, 0), 1000)
+    assert len(raw) > cde_mod._RATIO_CHUNK * cde_mod._RATIO_PAIRS // len(ev.pair_y)
+    assert np.array_equal(_chunked_ratios(ev, raw, 2.0), _batch_ratios(ev, raw, 2.0))
+
+
 def _trigger_cases():
     rng = np.random.default_rng(13)
     cases = {

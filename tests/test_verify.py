@@ -190,18 +190,31 @@ def test_no_failure_without_reverified_witness(corpus_girth5):
                 assert r.witness is None
 
 
-def test_cde_verify_memory_is_not_quadratic_in_the_vertex_count():
-    # an estimate carries a full-length vertex function, so holding every
-    # vertex's estimate at once would add n^2 x 8 bytes: 17 MiB at n = 1500,
-    # against ~5 MiB for the whole n = 300 run
+def _verify_peaks(theorem: str, **options) -> dict[int, int]:
+    """tracemalloc peak of verify_theorems on girth-5 graphs of 300 and
+    1500 vertices."""
     peaks = {}
     for n in (300, 1500):
         g = random_with_girth(n, 3 * n // 2, 5, 1)
         tracemalloc.start()
         try:
-            report = verify_theorems(g, "cde", samples=200)
+            report = verify_theorems(g, theorem, **options)
             _, peaks[n] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(report.records) == n
+    return peaks
+
+
+def test_cde_verify_memory_is_not_quadratic_in_the_vertex_count():
+    # an estimate carries a full-length vertex function, so holding every
+    # vertex's estimate at once would add n^2 x 8 bytes: 17 MiB at n = 1500,
+    # against ~5 MiB for the whole n = 300 run
+    peaks = _verify_peaks("cde", samples=200)
+    assert peaks[1500] < 2.5 * peaks[300], {n: f"{p / 2**20:.1f} MiB" for n, p in peaks.items()}
+
+
+def test_cd_verify_memory_is_not_quadratic_in_the_vertex_count():
+    # the same for the CD witnesses, against ~2 MiB for the n = 300 run
+    peaks = _verify_peaks("cd")
     assert peaks[1500] < 2.5 * peaks[300], {n: f"{p / 2**20:.1f} MiB" for n, p in peaks.items()}
