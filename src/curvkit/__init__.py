@@ -69,8 +69,6 @@ from .verify import (
     VertexReport,
     cd_bound_girth5,
     cd_witness_value,
-    verify_cd_theorem,
-    verify_cde_theorem,
     verify_theorems,
 )
 
@@ -135,8 +133,6 @@ __all__ = [
     "serialize_edge_list",
     "smallest_eigenvalue",
     "star",
-    "verify_cd_theorem",
-    "verify_cde_theorem",
     "verify_theorems",
     "vertex_girth",
 ]

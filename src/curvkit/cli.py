@@ -5,7 +5,8 @@ Subcommands: girth, curvature-cd, curvature-cde, verify, gen.
 Exit codes: 0 success (verify: no failing vertex), 1 a curvature bound was
 violated (witness embedded in the JSON report), 2 input parse/validation
 error, 3 every vertex failed the girth precondition, 4 the CDE search
-found no candidate with a finite ratio at some vertex, 64 usage error.
+found no candidate with a finite ratio at some vertex, 64 usage error
+(including a verify --dim below 2, where the bounds are not claimed).
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import logging
 import sys
-from math import isfinite, isinf
+from math import isfinite
 from pathlib import Path
 
 from . import generators
@@ -25,7 +25,7 @@ from .cde import NoFeasibleSampleError, cde_estimates
 from .generators import BadParameterError
 from .girth import all_vertex_girths
 from .graph import Graph, GraphError, parse_edge_list, serialize_edge_list
-from .report import dumps, format_float, girth_json, report_csv_rows, report_document
+from .report import csv_rows, dumps, girth_json, report_document
 from .verify import verify_theorems
 
 EXIT_OK = 0
@@ -123,41 +123,26 @@ def _vertices(g: Graph, vertex: int | None) -> list[int]:
     return [vertex]
 
 
-def _print_csv(rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
-def _girth_text(value) -> str:
-    return "inf" if isinf(value) else str(int(value))
+def _print_csv(records: list[dict]) -> None:
+    csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows(records))
 
 
 def cmd_girth(args) -> int:
     g = _load_graph(args.file)
     values = all_vertex_girths(g)
-    whole = min(values)
-    if args.format == "text":
-        if args.per_vertex:
-            for x, value in enumerate(values):
-                print(f"{x} {_girth_text(value)}")
-        else:
-            print(_girth_text(whole))
-    elif args.format == "json":
-        doc = {"girth": girth_json(whole)}
-        if args.per_vertex:
-            doc["per_vertex"] = [
-                {"vertex": x, "girth": girth_json(v)} for x, v in enumerate(values)
-            ]
+    doc = {"girth": girth_json(min(values))}
+    if args.per_vertex:
+        doc["per_vertex"] = [
+            {"vertex": x, "girth": girth_json(v)} for x, v in enumerate(values)
+        ]
+    records = doc.get("per_vertex", [doc])
+    if args.format == "json":
         sys.stdout.write(dumps(doc))
+    elif args.format == "csv":
+        _print_csv(records)
     else:
-        if args.per_vertex:
-            rows = [["vertex", "girth"]]
-            rows += [[str(x), _girth_text(v)] for x, v in enumerate(values)]
-        else:
-            rows = [["girth"], [_girth_text(whole)]]
-        _print_csv(rows)
+        for r in records:
+            print(*r.values())
     return EXIT_OK
 
 
@@ -171,11 +156,7 @@ def cmd_curvature_cd(args) -> int:
     if args.format == "json":
         sys.stdout.write(dumps({"dim": args.dim, "records": records}))
     else:
-        rows = [["vertex", "dim", "curvature"]] + [
-            [str(r["vertex"]), format_float(r["dim"]), format_float(r["curvature"])]
-            for r in records
-        ]
-        _print_csv(rows)
+        _print_csv(records)
     return EXIT_OK
 
 
@@ -205,17 +186,7 @@ def cmd_curvature_cde(args) -> int:
         }
         sys.stdout.write(dumps(doc))
     else:
-        rows = [["vertex", "dim", "samples", "seed", "sampled_min"]] + [
-            [
-                str(r["vertex"]),
-                format_float(r["dim"]),
-                str(r["samples"]),
-                str(r["seed"]),
-                format_float(r["sampled_min"]),
-            ]
-            for r in records
-        ]
-        _print_csv(rows)
+        _print_csv(records)
     return EXIT_OK
 
 
@@ -240,6 +211,8 @@ def _log_to_stderr(enabled: bool):
 
 def cmd_verify(args) -> int:
     _check_dim(args.dim)
+    if args.dim < 2:
+        raise UsageError(f"--dim must be >= 2 for verify, got {args.dim}")
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     if args.min_girth < 3:
@@ -264,10 +237,11 @@ def cmd_verify(args) -> int:
         "min_girth": args.min_girth,
         "strict_global_girth": args.strict_global_girth,
     }
+    doc = report_document(g, report, params)
     if args.format == "json":
-        sys.stdout.write(dumps(report_document(g, report, params)))
+        sys.stdout.write(dumps(doc))
     else:
-        _print_csv(report_csv_rows(report))
+        _print_csv([{k: v for k, v in r.items() if k != "witness"} for r in doc["records"]])
     if report.has_failures:
         return EXIT_VIOLATION
     if report.all_precondition_not_met:
@@ -312,10 +286,7 @@ def main(argv=None) -> int:
         if getattr(args, "handler", None) is None:
             raise UsageError("a subcommand is required (see --help)")
         return args.handler(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BadParameterError as exc:
+    except (UsageError, BadParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (GraphError, OSError, ValueError) as exc:

@@ -129,9 +129,6 @@ class Graph:
     def degree(self, x: int) -> int:
         return len(self.adjacency[x])
 
-    def neighbors(self, x: int) -> tuple[int, ...]:
-        return self.adjacency[x]
-
     @property
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges as (u, v) with u < v, ascending."""

@@ -106,15 +106,14 @@ def report_document(
         "params": params,
         "records": [record_to_dict(r) for r in report.records],
         "summary": {
-            "pass": report.count("pass"),
-            "fail": report.count("fail"),
-            "precondition_not_met": report.count("precondition_not_met"),
+            verdict: report.count(verdict)
+            for verdict in ("pass", "fail", "precondition_not_met")
         },
     }
 
 
-def report_csv_rows(report: CurvatureReport) -> list[list[str]]:
-    """Header plus one flat row per vertex record."""
+def csv_rows(records: list[dict[str, Any]]) -> list[list[str]]:
+    """Header (the first record's keys) plus one row of cells per record."""
 
     def cell(value: Any) -> str:
         if value is None:
@@ -123,18 +122,7 @@ def report_csv_rows(report: CurvatureReport) -> list[list[str]]:
             return format_float(value)
         return str(value)
 
-    rows = [[
-        "vertex", "girth", "cd_bound", "cd_computed", "cd_margin",
-        "cde_bound", "cde_sampled_min", "cde_margin", "verdict", "seed", "dim",
-    ]]
-    for r in report.records:
-        rows.append([
-            cell(r.vertex), cell(girth_json(r.girth)), cell(r.cd_bound),
-            cell(r.cd_computed), cell(r.cd_margin), cell(r.cde_bound),
-            cell(r.cde_sampled_min), cell(r.cde_margin), cell(r.verdict),
-            cell(r.seed), cell(r.dim),
-        ])
-    return rows
+    return [list(records[0])] + [[cell(v) for v in r.values()] for r in records]
 
 
 def load_schema() -> dict[str, Any]:

@@ -13,6 +13,9 @@ numbers are still computed (informational). A margin below -1e-8 is only
 reported as a failure after the candidate function re-verifies against a
 from-scratch definitional evaluation; margins in (-1e-8, 0) are logged as
 tight.
+
+The paper states both bounds at dimension n = 2. Larger n is accepted (both
+curvatures only grow with n); n below 2 is rejected.
 """
 
 from __future__ import annotations
@@ -138,6 +141,8 @@ def verify_theorems(
     """Verify the selected bound(s) at every vertex of g."""
     if theorem not in ("cd", "cde", "both"):
         raise ValueError(f"theorem must be cd, cde or both, got {theorem!r}")
+    if not dim >= 2:
+        raise ValueError(f"the bounds are stated for dim >= 2, got {dim}")
     selected = ("cd", "cde") if theorem == "both" else (theorem,)
     # searched through this module's name so tracing can wrap each search
     cyclic = on_cycle(g)
@@ -204,38 +209,3 @@ def verify_theorems(
         )
     return CurvatureReport(records=tuple(records))
 
-
-def verify_cd_theorem(
-    g: Graph,
-    dim: float = 2.0,
-    min_girth: int = 5,
-    strict_global_girth: bool = False,
-) -> CurvatureReport:
-    """Check the neighbor-degree curvature bound at every gated vertex."""
-    return verify_theorems(
-        g,
-        theorem="cd",
-        dim=dim,
-        min_girth=min_girth,
-        strict_global_girth=strict_global_girth,
-    )
-
-
-def verify_cde_theorem(
-    g: Graph,
-    samples: int = 10000,
-    seed: int = 0,
-    dim: float = 2.0,
-    min_girth: int = 5,
-    strict_global_girth: bool = False,
-) -> CurvatureReport:
-    """Falsification run of the -d/2 - 1 bound at every gated vertex."""
-    return verify_theorems(
-        g,
-        theorem="cde",
-        samples=samples,
-        seed=seed,
-        dim=dim,
-        min_girth=min_girth,
-        strict_global_girth=strict_global_girth,
-    )

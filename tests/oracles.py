@@ -4,7 +4,8 @@ Deliberately different routes from the production code: girth by
 exhaustive simple-path enumeration and by a full BFS plus a scan of every
 edge (production runs a bridge pass and an early-stop BFS), curvature by random-restart
 minimization of the defining ratio over function space (never touching
-the quadratic-form assembly, Schur elimination, or eigensolver), and
+the quadratic-form assembly, Schur elimination, or eigensolver) and, at
+girth >= 5, by a closed form in the neighbor degrees, and
 Schur elimination of a general positive-definite block by Cholesky
 factorization (production divides by a diagonal block), and the CDE
 descent moves scored by building every proposal row and evaluating it in
@@ -132,6 +133,19 @@ def cholesky_schur(m: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
     half = np.linalg.solve(chol, m_ek)  # L^{-1} M_ek
     schur = m[np.ix_(keep, keep)] - half.T @ half
     return 0.5 * (schur + schur.T), -np.linalg.solve(chol.T, half)
+
+
+def closed_form_cd_curvature(g: Graph, x: int, n: float) -> float:
+    """K(x, n) at a vertex of girth >= 5, from its neighbor degrees alone.
+
+    With no edge among the neighbors y and no shared vertex at distance 2,
+    sphere 2 eliminates exactly and K(x, n) is 2 d_x times the smallest
+    eigenvalue of diag((2 - d_y)/(2 d_x d_y)) + ((1/2 - 1/n)/d_x^2) 11^T.
+    """
+    d = g.degree(x)
+    dy = np.array([g.degree(y) for y in g.adjacency[x]], dtype=np.float64)
+    m = np.diag((2.0 - dy) / (2.0 * d * dy)) + (0.5 - 1.0 / n) / d**2
+    return 2.0 * d * float(np.linalg.eigvalsh(m)[0])
 
 
 def min_ratio_descent(

@@ -1,4 +1,5 @@
-"""The whole-graph CD route against the dense validating route."""
+"""The whole-graph CD route against the dense validating route and, at girth
+>= 5, against the closed form in the neighbor degrees."""
 
 import math
 
@@ -8,9 +9,12 @@ import pytest
 import curvkit.cd as cd_mod
 import curvkit.spectra as spectra_mod
 from conftest import tree_hub
+from oracles import closed_form_cd_curvature
 from curvkit import (
     NotEliminableError,
+    all_vertex_girths,
     assemble_cd_forms,
+    cd_bound_girth5,
     cd_curvature,
     cd_curvatures,
     gamma2,
@@ -66,6 +70,18 @@ def test_curvatures_match_the_dense_route(corpus_small, corpus_girth5):
                 outside = np.ones(g.vertex_count, dtype=bool)
                 outside[[x, *b.sphere1, *b.sphere2]] = False
                 assert not values[outside].any() and values[x] == 0.0
+
+
+@pytest.mark.parametrize("n", [1.0, 1.5, 2.0, 3.5, math.inf])
+def test_curvatures_match_the_girth5_closed_form(corpus_girth5, n):
+    # at n = 2 the closed form is the paper's bound min_y (2 - d_y)/d_y
+    for g in corpus_girth5:
+        girths = all_vertex_girths(g)
+        xs = [x for x in range(g.vertex_count) if girths[x] >= 5]
+        for r in cd_curvatures(g, xs, n):
+            assert abs(r.curvature_K - closed_form_cd_curvature(g, r.vertex, n)) <= 1e-14
+            if n == 2.0:
+                assert abs(r.curvature_K - cd_bound_girth5(g, r.vertex)) <= 1e-14
 
 
 def test_results_do_not_depend_on_the_batching(monkeypatch, corpus_small):

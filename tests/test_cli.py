@@ -4,18 +4,26 @@ import json
 import time
 
 import jsonschema
+import numpy as np
 import pytest
 
 from conftest import girth5_corpus, tree_hub
-from curvkit import parse_edge_list, petersen, serialize_edge_list, star
+from curvkit import parse_edge_list, petersen, random_tree, serialize_edge_list, star
 from curvkit.cli import main
-from curvkit.report import load_schema
+from curvkit.report import format_float, load_schema
 
 
 @pytest.fixture()
 def petersen_file(tmp_path):
     f = tmp_path / "petersen.edges"
     f.write_text(serialize_edge_list(petersen()))
+    return str(f)
+
+
+@pytest.fixture()
+def tree_file(tmp_path):
+    f = tmp_path / "tree.edges"
+    f.write_text(serialize_edge_list(random_tree(12, 3)))
     return str(f)
 
 
@@ -285,6 +293,31 @@ def test_verify_non_finite_dim_is_usage_error(capsys, petersen_file, monkeypatch
     assert out == ""
 
 
+@pytest.mark.parametrize("theorem, dim", [("cd", "1.9"), ("cde", "0.5")])
+def test_verify_dim_below_two_is_usage_error(capsys, tmp_path, theorem, dim):
+    # the paper states its bounds at n = 2 only; the file does not exist, so
+    # exit 64 (not 2) shows the dimension is rejected before the graph is read
+    missing = str(tmp_path / "missing.edges")
+    code, out, err = run(capsys, "verify", missing, "--theorem", theorem, "--dim", dim)
+    assert code == 64
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error:") and "dim" in err
+
+
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_verify_petersen_dim_two_and_above_exit0(capsys, petersen_file, dim):
+    code, out, _ = run(capsys, "verify", petersen_file, "--samples", "200", "--dim", dim)
+    assert code == 0
+    assert json.loads(out)["summary"]["pass"] == 10
+
+
+def test_curvature_commands_accept_dim_below_two(capsys, petersen_file):
+    code, _, _ = run(capsys, "curvature-cd", petersen_file, "--dim", "1.9")
+    assert code == 0
+    code, _, _ = run(capsys, "curvature-cde", petersen_file, "--dim", "0.5", "--samples", "50")
+    assert code == 0
+
+
 def test_verify_fail_exit_code_via_stub(capsys, petersen_file, monkeypatch):
     # a genuine violation needs a counterexample graph; exercise the exit
     # path by stubbing the verification result
@@ -324,6 +357,77 @@ def test_verify_no_feasible_sample_exit_code(capsys, petersen_file, monkeypatch)
     assert code == 4
     assert out == ""
     assert err.splitlines() == ["error: only 4004/10000 feasible samples"]
+
+
+# ---- CSV against JSON -----------------------------------------------------
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
+
+
+def _assert_csv_matches(out: str, records: list[dict]) -> None:
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == list(records[0])
+    assert rows[1:] == [[_cell(v) for v in r.values()] for r in records]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("girth",), None),
+        (("girth", "--per-vertex"), "per_vertex"),
+        (("curvature-cd",), "records"),
+        (("curvature-cde", "--samples", "200"), "records"),
+        (("verify", "--samples", "200"), "records"),
+    ],
+    ids=["girth", "girth-per-vertex", "curvature-cd", "curvature-cde", "verify"],
+)
+@pytest.mark.parametrize("graph_file", ["petersen_file", "tree_file"])
+def test_csv_is_the_json_records(capsys, request, argv, key, graph_file):
+    path = request.getfixturevalue(graph_file)
+    sub, *options = argv
+    code, out, _ = run(capsys, sub, path, *options, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    records = [doc] if key is None else doc[key]
+    code, out, _ = run(capsys, sub, path, *options, "--format", "csv")
+    assert code == 0
+    _assert_csv_matches(out, records)
+    if sub == "girth":
+        code, out, _ = run(capsys, sub, path, *options)
+        assert code == 0
+        lines = [line.split(" ") for line in out.splitlines()]
+        assert lines == [[_cell(v) for v in r.values()] for r in records]
+
+
+def test_verify_csv_leaves_out_the_witness(capsys, petersen_file, monkeypatch):
+    import curvkit.cli as cli_mod
+    from curvkit import VertexFunction
+    from curvkit.verify import CurvatureReport, VertexReport
+
+    fake = CurvatureReport(
+        records=(
+            VertexReport(
+                vertex=0, girth=5, neighbor_degrees=(3,), cd_bound=0.0,
+                cd_computed=-1.0, cd_margin=-1.0, cde_bound=None,
+                cde_sampled_min=None, cde_margin=None, verdict="fail",
+                dim=2.0, seed=None, witness=VertexFunction(np.arange(10.0) / 7),
+            ),
+        )
+    )
+    monkeypatch.setattr(cli_mod, "verify_theorems", lambda *a, **k: fake)
+    code, out, _ = run(capsys, "verify", petersen_file, "--format", "json")
+    assert code == 1
+    records = json.loads(out)["records"]
+    assert records[0]["witness"] == list(np.arange(10.0) / 7)
+    code, out, _ = run(capsys, "verify", petersen_file, "--format", "csv")
+    assert code == 1
+    assert "witness" not in out.splitlines()[0].split(",")
+    _assert_csv_matches(out, [{k: v for k, v in r.items() if k != "witness"} for r in records])
 
 
 # ---- gen -------------------------------------------------------------------

@@ -16,8 +16,6 @@ from curvkit import (
     random_tree,
     random_with_girth,
     star,
-    verify_cd_theorem,
-    verify_cde_theorem,
     verify_theorems,
     vertex_girth,
 )
@@ -56,14 +54,14 @@ def test_witness_value_formula_on_corpus(corpus_girth5):
 
 
 def test_verify_cd_tree_all_pass():
-    report = verify_cd_theorem(random_tree(12, 3))
+    report = verify_theorems(random_tree(12, 3), "cd")
     assert all(r.verdict == "pass" for r in report.records)
     assert all(r.girth == inf for r in report.records)
     assert all(r.cde_bound is None for r in report.records)
 
 
 def test_verify_cd_petersen_all_pass(petersen_graph):
-    report = verify_cd_theorem(petersen_graph)
+    report = verify_theorems(petersen_graph, "cd")
     assert len(report.records) == 10
     for r in report.records:
         assert r.verdict == "pass"
@@ -74,7 +72,7 @@ def test_verify_cd_petersen_all_pass(petersen_graph):
 
 
 def test_verify_cd_triangle_precondition_not_met():
-    report = verify_cd_theorem(cycle(3))
+    report = verify_theorems(cycle(3), "cd")
     for r in report.records:
         assert r.verdict == "precondition_not_met"
         assert r.girth == 3
@@ -85,22 +83,22 @@ def test_verify_cd_triangle_precondition_not_met():
 
 
 def test_verify_cd_tightness_on_stars_and_cycles():
-    report = verify_cd_theorem(star(4))
+    report = verify_theorems(star(4), "cd")
     center = report.records[0]
     assert abs(center.cd_margin) <= 1e-8
     for m in (5, 6, 8):
-        report = verify_cd_theorem(cycle(m))
+        report = verify_theorems(cycle(m), "cd")
         for r in report.records:
             assert abs(r.cd_margin) <= 1e-8
 
 
 def test_verify_cde_star_and_path():
-    report = verify_cde_theorem(star(3), samples=3000, seed=0)
+    report = verify_theorems(star(3), "cde", samples=3000, seed=0)
     center = report.records[0]
     assert center.verdict == "pass"
     assert center.cde_bound == -3.0 / 2.0 - 1.0
     assert center.cde_sampled_min >= center.cde_bound - 1e-8
-    report = verify_cde_theorem(path(5), samples=2000, seed=0)
+    report = verify_theorems(path(5), "cde", samples=2000, seed=0)
     for r in report.records:
         assert r.verdict == "pass"
         if r.vertex in (1, 2, 3):
@@ -110,7 +108,7 @@ def test_verify_cde_star_and_path():
 
 
 def test_verify_cde_petersen(petersen_graph):
-    report = verify_cde_theorem(petersen_graph, samples=10000, seed=42)
+    report = verify_theorems(petersen_graph, "cde", samples=10000, seed=42)
     assert all(r.verdict == "pass" for r in report.records)
     assert all(r.seed == 42 for r in report.records)
 
@@ -127,14 +125,14 @@ def test_mixed_girth_gating():
     # triangle with a pendant path: tail vertices have infinite girth and
     # are verified; triangle vertices are gated out per-vertex
     g = Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])
-    report = verify_cd_theorem(g)
+    report = verify_theorems(g, "cd")
     by_vertex = {r.vertex: r for r in report.records}
     for v in (0, 1):
         assert by_vertex[v].verdict == "precondition_not_met"
     for v in (3, 4, 5):
         assert by_vertex[v].verdict == "pass"
     # strict global gating marks every vertex as unverifiable (girth 3)
-    strict = verify_cd_theorem(g, strict_global_girth=True)
+    strict = verify_theorems(g, "cd", strict_global_girth=True)
     assert strict.all_precondition_not_met
 
 
@@ -155,7 +153,7 @@ def test_strict_global_girth_computes_each_vertex_girth_once(monkeypatch):
     original = curvkit.girth.vertex_girth
     monkeypatch.setattr(curvkit.verify, "vertex_girth", counted)
     monkeypatch.setattr(curvkit.girth, "vertex_girth", counted)
-    report = verify_cd_theorem(g, strict_global_girth=True)
+    report = verify_theorems(g, "cd", strict_global_girth=True)
     assert report.all_precondition_not_met
     assert len(calls) == len(set(calls))
     assert set(calls) == {0, 1, 2}
@@ -163,15 +161,22 @@ def test_strict_global_girth_computes_each_vertex_girth_once(monkeypatch):
 
 def test_min_girth_threshold_parameter():
     g = cycle(4)
-    default = verify_cd_theorem(g)
+    default = verify_theorems(g, "cd")
     assert default.all_precondition_not_met
-    relaxed = verify_cd_theorem(g, min_girth=4)
+    relaxed = verify_theorems(g, "cd", min_girth=4)
     assert all(r.verdict == "pass" for r in relaxed.records)
 
 
 def test_invalid_theorem_name(petersen_graph):
     with pytest.raises(ValueError):
         verify_theorems(petersen_graph, theorem="cdx")
+
+
+@pytest.mark.parametrize("dim", [1.9, 0.5])
+def test_dim_below_two_is_rejected(petersen_graph, dim):
+    # the paper states both bounds at n = 2; below it a "violation" says nothing
+    with pytest.raises(ValueError, match="dim"):
+        verify_theorems(petersen_graph, "cd", dim=dim)
 
 
 def test_no_failure_without_reverified_witness(corpus_girth5):
