@@ -29,15 +29,24 @@ scattered straight into the sphere-1 blocks, the sphere-2 pivots and the
 sphere-2/sphere-1 couplings; each sphere-2 vertex then subtracts the
 products of its couplings over its pivot from its ball's Schur complement
 (several parents where the ball has 4-cycles). One stacked eigensolve per
-sphere-1 size finishes the batch. The dense route, ``assemble_cd_forms``
-with ``schur_minimize``, ``schur_minimizer`` and ``smallest_eigenvalue``,
-sums every entry in the same order and validates the form as it goes; it
-gives the same bits and is what the tests compare against.
+sphere-1 size finishes the batch. Each eigenvector's sign is fixed so its
+largest-magnitude component is positive. Results are deterministic for a
+given numpy/LAPACK build.
+
+The dense route, ``assemble_cd_forms`` with ``schur_minimize``,
+``schur_minimizer`` and ``smallest_eigenvalue``, lives here only as the
+tests' reference: it builds the whole form of one ball, checks that it is
+finite and symmetric and that the sphere-2 block is exactly diagonal with
+every pivot above ``PIVOT_FLOOR``, then divides by that block. It sums
+every entry in the same order as ``cd_curvatures`` and shares its
+eigensolve, so the two give the same bits. It stays in this module, not in
+``tests/oracles.py``, because the benchmark's tracer
+(``perfbench/tracer.py``) looks its names up here.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -46,15 +55,24 @@ import numpy as np
 from .graph import Graph, LocalBall, VertexFunction, _check_vertex, check_function
 from .localforms import LocalEvaluator, _firsts, cd_entries
 from .operators import gamma, gamma2, laplacian
-from .spectra import _check_pivots
-
-# the validating dense route; importable from this module, where the
-# benchmark's tracer looks these names up
-from .spectra import schur_minimize, schur_minimizer, smallest_eigenvalue  # noqa: F401
 
 CD_CHECK_TOL = 1e-12
+PIVOT_FLOOR = 1e-12
 # 2-paths plus sphere-1 entries (d_x^2) per batch, bounding its temporaries
 _CD_BATCH = 1 << 13
+
+
+class NonFiniteError(ValueError):
+    """Matrix contains NaN or infinity."""
+
+
+class NotEliminableError(ValueError):
+    """Eliminated block is not diagonal with entries above the pivot floor.
+
+    A non-positive entry means unconstrained minimization over the
+    eliminated coordinates is unbounded below (or degenerate); a
+    non-diagonal block is outside what the division route handles.
+    """
 
 
 @dataclass(frozen=True)
@@ -78,22 +96,6 @@ def _check_dimension(n: float) -> float:
     if not n > 0:
         raise ValueError(f"dimension must be positive, got {n}")
     return n
-
-
-def assemble_cd_forms(g: Graph, x: int, n: float) -> tuple[np.ndarray, np.ndarray, LocalBall]:
-    """Quadratic forms of the curvature problem at x with f(x) = 0.
-
-    Returns (A, B, ball) over the ball coordinates (sphere 1 first):
-    A represents f -> G_2(f)(x) - (1/n)(Df)^2(x) and B represents
-    f -> G(f)(x). A is the closed local formula of the localforms module;
-    B is diagonal: 1/(2 d_x) on sphere-1 coordinates, 0 on sphere-2.
-    """
-    n = _check_dimension(n)
-    ev = LocalEvaluator(g, x)
-    p = len(ev.ball.sphere1)
-    b_mat = np.zeros((ev.width - 1, ev.width - 1))
-    b_mat[:p, :p] = np.eye(p) / (2.0 * ev.degree)
-    return ev.cd_form(n), b_mat, ev.ball
 
 
 def cd_curvature(g: Graph, x: int, n: float = 2.0) -> CdResult:
@@ -204,13 +206,7 @@ def _batch(g: Graph, xs: list[int], n: float) -> Iterator[CdResult]:
     for d in sorted(set(dx.tolist())):
         group = np.flatnonzero(dx == d)
         mats = s[s_first[group][:, None] + np.arange(d * d)].reshape(-1, d, d)
-        eig, vec = np.linalg.eigh(mats)
-        vec = vec[:, :, 0]
-        # sign rule of smallest_eigenvalue: largest-magnitude component positive
-        flip = vec[np.arange(len(group)), np.argmax(np.abs(vec), axis=1)] < 0.0
-        vec[flip] = -vec[flip]
-        lam[group] = eig[:, 0]
-        u[s1_first[group][:, None] + np.arange(d)] = vec
+        lam[group], u[s1_first[group][:, None] + np.arange(d)] = _smallest_eigenpairs(mats)
     acc = np.zeros(len(pivot))
     np.add.at(acc, e, m * u[s1_first[slot[at]] + i])
     w_star = -acc / pivot
@@ -230,6 +226,24 @@ def _batch(g: Graph, xs: list[int], n: float) -> Iterator[CdResult]:
         )
 
 
+def _smallest_eigenpairs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue and unit eigenvector of each of a stack of
+    symmetric matrices, by one ``np.linalg.eigh``, each eigenvector signed
+    so its largest-magnitude component is positive."""
+    values, vectors = np.linalg.eigh(mats)
+    vec = vectors[:, :, 0]
+    flip = vec[np.arange(len(vec)), np.argmax(np.abs(vec), axis=1)] < 0.0
+    vec[flip] = -vec[flip]
+    return values[:, 0], vec
+
+
+def _check_pivots(diag: np.ndarray) -> None:
+    if diag.size and diag.min() <= PIVOT_FLOOR:
+        raise NotEliminableError(
+            f"smallest pivot {diag.min():.3e} is not above the floor {PIVOT_FLOOR}"
+        )
+
+
 def cd_check(g: Graph, x: int, n: float, K: float, f) -> bool:
     """Does G_2(f)(x) >= (1/n)(Df)^2(x) + K*G(f)(x) hold for this f?
 
@@ -242,3 +256,112 @@ def cd_check(g: Graph, x: int, n: float, K: float, f) -> bool:
     lap = laplacian(g, vals, x)
     rhs = lap * lap / n + K * gamma(g, vals, vals, x)
     return lhs >= rhs - CD_CHECK_TOL
+
+
+# ---- the dense reference route ---------------------------------------------
+
+def assemble_cd_forms(g: Graph, x: int, n: float) -> tuple[np.ndarray, np.ndarray, LocalBall]:
+    """Quadratic forms of the curvature problem at x with f(x) = 0.
+
+    Returns (A, B, ball) over the ball coordinates (sphere 1 first):
+    A represents f -> G_2(f)(x) - (1/n)(Df)^2(x) and B represents
+    f -> G(f)(x). A is scattered from the entries of ``cd_entries``;
+    B is diagonal: 1/(2 d_x) on sphere-1 coordinates, 0 on sphere-2.
+    """
+    n = _check_dimension(n)
+    ev = LocalEvaluator(g, x)
+    p = len(ev.ball.sphere1)
+    # over the batch columns of ev, center first; the entries that touch the
+    # center column drop out with f(x) = 0
+    df, rows, cols, values = cd_entries(ev.pair_y, ev.pair_z, ev.pair_w, ev.degree, n)
+    a = np.zeros((ev.width, ev.width))
+    a[1 : p + 1, 1 : p + 1] = df
+    np.add.at(a, (rows, cols), values)
+    b_mat = np.zeros((ev.width - 1, ev.width - 1))
+    b_mat[:p, :p] = np.eye(p) / (2.0 * ev.degree)
+    return a[1:, 1:], b_mat, ev.ball
+
+
+def check_symmetric(m: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
+    """Validate and return a float64 symmetric matrix (exactly symmetrized)."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("matrix dimension must be >= 1")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError("matrix entries must be finite")
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    if float(np.max(np.abs(a - a.T))) > 1e-12 * max(scale, 1.0):
+        raise ValueError("matrix is not symmetric")
+    return 0.5 * (a + a.T)
+
+
+def smallest_eigenvalue(m: np.ndarray | Sequence[Sequence[float]]) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue and a unit eigenvector, signed as in
+    ``cd_curvatures``: largest-magnitude component positive."""
+    values, vectors = _smallest_eigenpairs(check_symmetric(m)[None])
+    return float(values[0]), vectors[0]
+
+
+def _eliminate(
+    m: np.ndarray | Sequence[Sequence[float]], keep: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split m into (kept block, eliminated-kept block, eliminated diagonal,
+    kept indices), after checking the eliminated block is diagonal with
+    every entry above the pivot floor (its Cholesky pivots are the entries).
+    """
+    a = check_symmetric(m)
+    n = a.shape[0]
+    keep_idx = np.asarray(keep, dtype=np.intp)
+    outside = keep_idx[(keep_idx < 0) | (keep_idx >= n)]
+    if outside.size:
+        raise ValueError(f"keep index {outside.min()} out of range 0..{n - 1}")
+    kept = np.zeros(n, dtype=bool)
+    kept[keep_idx] = True
+    keep_idx, elim = np.flatnonzero(kept), np.flatnonzero(~kept)
+    rows = a.take(elim, axis=0)
+    m_ee = rows.take(elim, axis=1)
+    diag = np.diag(m_ee)
+    # diagonal exactly when every nonzero of the block is on its diagonal
+    if np.count_nonzero(m_ee) != np.count_nonzero(diag):
+        raise NotEliminableError("eliminated block is not diagonal")
+    _check_pivots(diag)
+    m_kk = a.take(keep_idx, axis=0).take(keep_idx, axis=1)
+    return m_kk, rows.take(keep_idx, axis=1), diag, keep_idx
+
+
+def schur_minimize(m: np.ndarray | Sequence[Sequence[float]], keep: Sequence[int]) -> np.ndarray:
+    """Schur complement of m onto the kept coordinates.
+
+    For every vector u on the kept coordinates,
+    u^T S u = min over w of [u; w]^T m [u; w], the minimum running over the
+    eliminated coordinates. The eliminated block must be diagonal with
+    entries d above PIVOT_FLOOR (NotEliminableError otherwise); then
+    S = M_kk - M_ek^T (M_ek / d). The eliminated rows are subtracted one
+    after another, each as the products of its nonzero entries over its
+    pivot, so S is exactly symmetric and every entry is summed in the order
+    ``cd_curvatures`` scatters it: the two routes agree bit for bit.
+    """
+    m_kk, m_ek, diag, _ = _eliminate(m, keep)
+    if diag.size and not m_kk.size:
+        raise ValueError("cannot eliminate every coordinate")
+    for row, d in zip(m_ek, diag):
+        nz = np.flatnonzero(row)
+        m_kk[np.ix_(nz, nz)] -= np.outer(row[nz], row[nz]) / d
+    return m_kk
+
+
+def schur_minimizer(
+    m: np.ndarray | Sequence[Sequence[float]], keep: Sequence[int], u: np.ndarray
+) -> np.ndarray:
+    """Argmin over eliminated coordinates: w* = -(M_ek u) / d, same contract
+    as schur_minimize; each row's products are summed in column order."""
+    _, m_ek, diag, keep_idx = _eliminate(m, keep)
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != (keep_idx.size,):
+        raise ValueError(f"u has shape {u.shape}, expected ({keep_idx.size},)")
+    e, k = np.nonzero(m_ek)
+    acc = np.zeros(diag.size)
+    np.add.at(acc, e, m_ek[e, k] * u[k])
+    return -acc / diag

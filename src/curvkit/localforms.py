@@ -4,12 +4,11 @@ The 2-ball structure is precomputed once, as (y, z, weight) arrays over
 the pairs y ~ x, z ~ y, and whole batches of candidate functions are
 evaluated with numpy. This is the only statement of the closed local G_2
 formula: the entries of the CD quadratic form are stated once, in
-``cd_entries`` (``LocalEvaluator.cd_form`` scatters them for one ball, the
-cd module for many balls at once), the scalar ``operators.gamma2_local`` is
-a one-row call into this module, and ``MoveTable`` updates the CDE ratio
-after one coordinate moves from the same per-pair summand. The
-definitional implementations in the operators module are the independent
-route; tests cross-check the two.
+``cd_entries`` (the cd module scatters them, for one ball or many at
+once), the scalar ``operators.gamma2_local`` is a one-row call into this
+module, and ``MoveTable`` updates the CDE ratio after one coordinate moves
+from the same per-pair summand. The definitional implementations in the
+operators module are the independent route; tests cross-check the two.
 
 Batch layout: rows are candidate functions, columns are ball vertices in
 the fixed order [center, sphere1..., sphere2...].
@@ -94,20 +93,6 @@ class LocalEvaluator:
         dxz = rows[:, self.pair_z] - rows[:, [0]]
         acc = _pair_form(dyz, dxz, dyz, dxz, self.pair_w).sum(axis=1)
         return 0.5 * lap * lap + acc
-
-    def cd_form(self, n: float) -> np.ndarray:
-        """Matrix of f -> G_2(f) - (1/n)(Df)^2 at the center, with f(x) = 0.
-
-        Over the ball coordinates (columns 1.. of the batch layout, sphere 1
-        first), from the entries of ``cd_entries``; the entries that touch
-        the center column drop out with f(x) = 0.
-        """
-        p = len(self.s1_cols)
-        df, rows, cols, values = cd_entries(self.pair_y, self.pair_z, self.pair_w, self.degree, n)
-        a = np.zeros((self.width, self.width))
-        a[1 : p + 1, 1 : p + 1] = df
-        np.add.at(a, (rows, cols), values)
-        return a[1:, 1:]
 
     def gamma_at_s1(self, rows: np.ndarray) -> np.ndarray:
         """G(f)(y) for every sphere-1 vertex y, shape (B, |S1|)."""

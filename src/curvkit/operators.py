@@ -188,24 +188,3 @@ def gamma_f_ratio(g: Graph, f: FunctionLike, x: int) -> float:
     for v in (x,) + g.adjacency[x]:
         quotient[v] = gamma(g, vals, vals, v) / vals[v]
     return gamma(g, vals, quotient, x)
-
-
-def gamma_f_ratio_split(g: Graph, f: FunctionLike, x: int) -> float:
-    """G(f, G(f)/f)(x) via the three-term split
-
-        I1 - I2 - I3 = D(G(f))(x)/2
-                       - f(x) * D(G(f)/f)(x) / 2
-                       - (G(f)(x)/f(x)) * Df(x) / 2
-
-    (an independent evaluation path; must agree with gamma_f_ratio).
-    """
-    vals = check_function(g, f)
-    _check_vertex(g, x)
-    _require_positive_two_ball(g, vals, x)
-    nbrs = g.adjacency[x]
-    d = len(nbrs)
-    gam = {v: gamma_local(g, vals, v) for v in (x,) + nbrs}
-    i1 = 0.5 * sum(gam[y] - gam[x] for y in nbrs) / d
-    i2 = 0.5 * vals[x] * sum(gam[y] / vals[y] - gam[x] / vals[x] for y in nbrs) / d
-    i3 = 0.5 * (gam[x] / vals[x]) * laplacian(g, vals, x)
-    return i1 - i2 - i3

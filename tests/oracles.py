@@ -16,6 +16,8 @@ block by block), the sampled CDE rows as whole-array expressions
 sampled ratio (production prefilters blocks against the current 10th
 smallest), and the structured CDE rows by listing every configuration in
 Python before the cap (production builds only the kept ones with numpy).
+G(f, G(f)/f) is also given by the three-term split of its Laplacians
+(production applies the bilinear form to the quotient function G(f)/f).
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from curvkit.cde import (
     FEASIBILITY_MARGIN,
     _batch_ratios,
 )
-from curvkit.graph import Graph
+from curvkit.graph import Graph, _check_vertex, check_function
 from curvkit.localforms import LocalEvaluator
+from curvkit.operators import _require_positive_two_ball, gamma_local, laplacian
 from curvkit.rng import _MIX1, _MIX2, GOLDEN, MASK64, counter_uniforms, derive_stream
 
 
@@ -115,6 +118,27 @@ def full_scan_vertex_girth(g: Graph, x: int) -> float:
             if branch[u] != branch[w]:
                 best = min(best, dist[u] + dist[w] + 1)
     return best
+
+
+def gamma_f_ratio_split(g: Graph, f, x: int) -> float:
+    """G(f, G(f)/f)(x) via the three-term split
+
+        I1 - I2 - I3 = D(G(f))(x)/2
+                       - f(x) * D(G(f)/f)(x) / 2
+                       - (G(f)(x)/f(x)) * Df(x) / 2
+
+    (an independent evaluation path; must agree with gamma_f_ratio).
+    """
+    vals = check_function(g, f)
+    _check_vertex(g, x)
+    _require_positive_two_ball(g, vals, x)
+    nbrs = g.adjacency[x]
+    d = len(nbrs)
+    gam = {v: gamma_local(g, vals, v) for v in (x,) + nbrs}
+    i1 = 0.5 * sum(gam[y] - gam[x] for y in nbrs) / d
+    i2 = 0.5 * vals[x] * sum(gam[y] / vals[y] - gam[x] / vals[x] for y in nbrs) / d
+    i3 = 0.5 * (gam[x] / vals[x]) * laplacian(g, vals, x)
+    return i1 - i2 - i3
 
 
 def cholesky_schur(m: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:

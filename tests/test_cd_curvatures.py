@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import curvkit.cd as cd_mod
-import curvkit.spectra as spectra_mod
 from conftest import tree_hub
 from oracles import closed_form_cd_curvature
 from curvkit import (
@@ -113,7 +112,7 @@ def test_curvatures_check_arguments_before_the_first_result():
 
 def test_curvatures_check_the_pivot_floor(monkeypatch):
     # a path end's only sphere-2 pivot is 1/8 at dimension 2
-    monkeypatch.setattr(spectra_mod, "PIVOT_FLOOR", 0.125)
+    monkeypatch.setattr(cd_mod, "PIVOT_FLOOR", 0.125)
     with pytest.raises(NotEliminableError):
         cd_curvature(path(4), 0, 2.0)
     a, _, _ = assemble_cd_forms(path(4), 0, 2.0)

@@ -14,7 +14,6 @@ from curvkit import (
     cycle,
     gamma,
     gamma2,
-    gamma_f_ratio_split,
     gamma_local,
     laplacian,
     path,
@@ -40,6 +39,7 @@ from curvkit.localforms import LocalEvaluator, MoveTable
 from curvkit.rng import derive_stream
 from oracles import (
     expression_sampled_rows,
+    gamma_f_ratio_split,
     heap_trigger_rows,
     listed_structured_rows,
     proposal_tensor_moves,

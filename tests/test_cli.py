@@ -190,6 +190,22 @@ def test_verify_cd_only_schema(capsys, petersen_file):
     assert doc["params"]["samples"] is None
 
 
+def test_schema_rejects_dim_below_two(capsys, petersen_file):
+    # verify rejects --dim below 2, so no valid report carries one
+    code, out, _ = run(capsys, "verify", petersen_file, "--samples", "200")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_schema())
+    low = json.loads(out)
+    low["params"]["dim"] = 1.9
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(low, load_schema())
+    low = json.loads(out)
+    low["records"][3]["dim"] = 1.9
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(low, load_schema())
+
+
 def test_verify_random_girth5_corpus_exit0(capsys, tmp_path):
     from curvkit import random_with_girth
 

@@ -213,3 +213,16 @@ def test_vertex_function_values_immutable():
     f = VertexFunction([1.0, 2.0])
     with pytest.raises(ValueError):
         f.values[0] = 3.0
+
+
+# ---- the package's export list ---------------------------------------------
+
+def test_export_list_resolves():
+    import curvkit
+
+    assert len(set(curvkit.__all__)) == len(curvkit.__all__)
+    for name in curvkit.__all__:
+        assert hasattr(curvkit, name), name
+    namespace: dict = {}
+    exec("from curvkit import *", namespace)
+    assert set(curvkit.__all__) <= set(namespace)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import positive_functions, random_functions
+from oracles import gamma_f_ratio_split
 from curvkit import (
     IterationTooDeepError,
     NonpositiveValueError,
@@ -12,7 +13,6 @@ from curvkit import (
     gamma2,
     gamma2_local,
     gamma_f_ratio,
-    gamma_f_ratio_split,
     gamma_iterate,
     gamma_local,
     laplacian,
