@@ -22,10 +22,10 @@ Dimension n may be math.inf, which drops the (1/n)(Df)^2 term.
 dense form (Cushing, Liu, Peyerimhoff, arXiv:1606.01496, write the
 curvature this way). Consecutive vertices form a batch of up to
 ``_CD_BATCH`` 2-paths plus sphere-1 entries; a wider vertex is a batch of
-its own. Every 2-path x ~ y ~ z of the batch is read from the adjacency
-lists, z is classified as the center, a sphere-1 vertex (a triangle) or a
-sphere-2 vertex, and the entries of ``localforms.cd_entries`` are
-scattered straight into the sphere-1 blocks, the sphere-2 pivots and the
+its own. The batch's 2-balls, their columns and their 2-paths
+x ~ y ~ z, come from ``graph.Balls``, which states the layout once; the
+entries of ``localforms.cd_entries`` over those 2-paths are scattered
+straight into the sphere-1 blocks, the sphere-2 pivots and the
 sphere-2/sphere-1 couplings; each sphere-2 vertex then subtracts the
 products of its couplings over its pivot from its ball's Schur complement
 (several parents where the ball has 4-cycles). One stacked eigensolve per
@@ -38,10 +38,10 @@ The dense route, ``assemble_cd_forms`` with ``schur_minimize``,
 tests' reference: it builds the whole form of one ball, checks that it is
 finite and symmetric and that the sphere-2 block is exactly diagonal with
 every pivot above ``PIVOT_FLOOR``, then divides by that block. It sums
-every entry in the same order as ``cd_curvatures`` and shares its
-eigensolve, so the two give the same bits. It stays in this module, not in
-``tests/oracles.py``, because the benchmark's tracer
-(``perfbench/tracer.py``) looks its names up here.
+every entry in the same order as ``cd_curvatures``, reads the same
+``graph.Balls`` layout and shares its eigensolve, so the two give the
+same bits. It stays in this module, not in ``tests/oracles.py``, because
+the benchmark's tracer (``perfbench/tracer.py``) looks its names up here.
 """
 
 from __future__ import annotations
@@ -52,8 +52,10 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import Graph, LocalBall, VertexFunction, _check_vertex, check_function
-from .localforms import LocalEvaluator, _firsts, cd_entries
+from .graph import (
+    Balls, Graph, LocalBall, VertexFunction, _check_vertex, _firsts, batches, check_function
+)
+from .localforms import cd_entries
 from .operators import gamma, gamma2, laplacian
 
 CD_CHECK_TOL = 1e-12
@@ -122,70 +124,24 @@ def cd_curvatures(g: Graph, vertices: Iterable[int], n: float = 2.0) -> Iterator
     vertices = list(vertices)
     for x in vertices:
         _check_vertex(g, x)
-    return _curvatures(g, vertices, n)
-
-
-def _curvatures(g: Graph, vertices: list[int], n: float) -> Iterator[CdResult]:
     adj = g.adjacency
-    batch: list[int] = []
-    size = 0
-    for x in vertices:
-        width = len(adj[x]) ** 2 + sum(len(adj[y]) for y in adj[x])
-        if batch and size + width > _CD_BATCH:
-            yield from _batch(g, batch, n)
-            batch, size = [], 0
-        batch.append(x)
-        size += width
-    if batch:
-        yield from _batch(g, batch, n)
+    sized = ((x, len(adj[x]) ** 2 + sum(len(adj[y]) for y in adj[x])) for x in vertices)
+    return chain.from_iterable(_batch(g, xs, n) for xs in batches(sized, _CD_BATCH))
 
 
 def _batch(g: Graph, xs: list[int], n: float) -> Iterator[CdResult]:
-    """The results at xs, in order, from the batch's 2-paths."""
-    adj, nv = g.adjacency, g.vertex_count
-    dx = np.array([len(adj[x]) for x in xs], dtype=np.intp)
-    y = np.fromiter(chain.from_iterable(adj[x] for x in xs), np.intp, dx.sum())
-    dy = np.array([len(adj[v]) for v in y], dtype=np.intp)
-    z = np.fromiter(chain.from_iterable(adj[v] for v in y), np.intp, dy.sum())
-    # per 1-path x ~ y and per 2-path x ~ y ~ z: the batch slot of x
-    s1_first = _firsts(dx)
-    slot1 = np.repeat(np.arange(len(xs)), dx)
-    edge = np.repeat(np.arange(len(y)), dy)
-    slot = slot1[edge]
-    ycol = 1 + np.arange(len(y)) - s1_first[slot1]
-    w = 1.0 / (2.0 * dx[slot] * dy[edge])
-
-    # ball columns as in LocalEvaluator: 0 the center, 1..d_x sphere 1,
-    # then sphere 2 in vertex order
-    key1 = slot1 * nv + y   # ascending
-    key = slot * nv + z
-    pos = np.minimum(np.searchsorted(key1, key), len(key1) - 1)
-    in_s1 = key1[pos] == key
-    in_s2 = ~in_s1 & (z != np.asarray(xs)[slot])
-    # sphere 2 in (slot, vertex) order, by sorting: np.unique would import
-    # numpy.ma, a megabyte of resident memory
-    k2 = key[in_s2]
-    order = np.argsort(k2, kind="stable")
-    new = np.ones(len(k2), dtype=bool)
-    new[1:] = k2[order[1:]] != k2[order[:-1]]
-    s2_key = k2[order[new]]
-    rank = np.empty_like(order)
-    rank[order] = np.cumsum(new) - 1
-    s2_count = np.bincount(s2_key // nv, minlength=len(xs))
-    s2_first = _firsts(s2_count)
-    zcol = np.zeros_like(z)
-    zcol[in_s1] = 1 + pos[in_s1] - s1_first[slot[in_s1]]
-    zcol[in_s2] = 1 + dx[slot[in_s2]] + rank - s2_first[slot[in_s2]]
-
-    df, rows, cols, values = cd_entries(ycol[edge], zcol, w, dx, n)
-    slot = np.repeat(slot, 4)
+    """The results at xs, in order, from the 2-paths of their balls."""
+    balls = Balls(g, xs)
+    dx, s1_first, s2_first = balls.degree, balls.s1_first, balls.s2_first
+    df, rows, cols, values = cd_entries(balls.pair_y, balls.pair_z, balls.pair_w, dx, n)
+    slot = np.repeat(balls.pair_ball, 4)
     p = dx[slot]
     s_first = _firsts(dx * dx)
     s = np.repeat(df, dx * dx)
     s1 = (rows >= 1) & (rows <= p) & (cols >= 1) & (cols <= p)
     np.add.at(s, s_first[slot[s1]] + (rows[s1] - 1) * p[s1] + cols[s1] - 1, values[s1])
     # sphere-2 pivots, and each sphere-2 vertex's couplings to sphere 1
-    pivot = np.zeros(len(s2_key))
+    pivot = np.zeros(len(balls.sphere2))
     at = (rows == cols) & (rows > p)
     np.add.at(pivot, s2_first[slot[at]] + rows[at] - p[at] - 1, values[at])
     _check_pivots(pivot)
@@ -202,7 +158,7 @@ def _batch(g: Graph, xs: list[int], n: float) -> Iterator[CdResult]:
     np.add.at(s, s_first[slot[at[a]]] + i[a] * p[at[a]] + i[b], -(m[a] * m[b]) / pivot[e[a]])
 
     lam = np.empty(len(xs))
-    u = np.empty(len(y))
+    u = np.empty(len(balls.sphere1))
     for d in sorted(set(dx.tolist())):
         group = np.flatnonzero(dx == d)
         mats = s[s_first[group][:, None] + np.arange(d * d)].reshape(-1, d, d)
@@ -211,13 +167,12 @@ def _batch(g: Graph, xs: list[int], n: float) -> Iterator[CdResult]:
     np.add.at(acc, e, m * u[s1_first[slot[at]] + i])
     w_star = -acc / pivot
 
-    s2_vertex = s2_key % nv
     for k, x in enumerate(xs):
-        f = np.zeros(nv)
+        f = np.zeros(g.vertex_count)
         span = slice(s1_first[k], s1_first[k] + dx[k])
-        f[y[span]] = u[span]
-        span = slice(s2_first[k], s2_first[k] + s2_count[k])
-        f[s2_vertex[span]] = w_star[span]
+        f[balls.sphere1[span]] = u[span]
+        span = slice(s2_first[k], s2_first[k] + balls.width[k] - 1 - dx[k])
+        f[balls.sphere2[span]] = w_star[span]
         yield CdResult(
             vertex=x,
             dimension_n=n,
@@ -269,17 +224,17 @@ def assemble_cd_forms(g: Graph, x: int, n: float) -> tuple[np.ndarray, np.ndarra
     B is diagonal: 1/(2 d_x) on sphere-1 coordinates, 0 on sphere-2.
     """
     n = _check_dimension(n)
-    ev = LocalEvaluator(g, x)
-    p = len(ev.ball.sphere1)
-    # over the batch columns of ev, center first; the entries that touch the
+    balls = Balls(g, [x])
+    p, width = int(balls.degree[0]), int(balls.width[0])
+    # over the ball columns, center first; the entries that touch the
     # center column drop out with f(x) = 0
-    df, rows, cols, values = cd_entries(ev.pair_y, ev.pair_z, ev.pair_w, ev.degree, n)
-    a = np.zeros((ev.width, ev.width))
+    df, rows, cols, values = cd_entries(balls.pair_y, balls.pair_z, balls.pair_w, p, n)
+    a = np.zeros((width, width))
     a[1 : p + 1, 1 : p + 1] = df
     np.add.at(a, (rows, cols), values)
-    b_mat = np.zeros((ev.width - 1, ev.width - 1))
-    b_mat[:p, :p] = np.eye(p) / (2.0 * ev.degree)
-    return a[1:, 1:], b_mat, ev.ball
+    b_mat = np.zeros((width - 1, width - 1))
+    b_mat[:p, :p] = np.eye(p) / (2.0 * p)
+    return a[1:, 1:], b_mat, balls.local(0)
 
 
 def check_symmetric(m: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:

@@ -34,11 +34,12 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .cd import _check_dimension
-from .graph import Graph, VertexFunction, ball, check_function, _check_vertex
+from .graph import Graph, VertexFunction, ball, batches, check_function, _check_vertex
 from .localforms import LocalEvaluator, MoveTable
 from .operators import gamma2, gamma_f_ratio, gamma_local, laplacian
 from .rng import counter_uniforms, derive_stream
@@ -54,7 +55,7 @@ _TOP_K = 10
 _REFINE_CAP = 512
 _DESCENT_SWEEPS = 40
 _DESCENT_MIN_STEP = 1e-3
-# rows per ratio call, fewer above _RATIO_PAIRS pairs, so a call's temporaries
+# rows per ratio block, fewer above _RATIO_PAIRS pairs, so a block's temporaries
 # hold at most _RATIO_CHUNK x _RATIO_PAIRS row-pair entries
 _RATIO_CHUNK = 2048
 _RATIO_PAIRS = 64
@@ -161,24 +162,10 @@ def cde_estimates(
     vertices = list(vertices)
     for x in vertices:
         _check_vertex(g, x)
-    return _estimates(g, vertices, n, samples, seed)
-
-
-def _estimates(
-    g: Graph, vertices: list[int], n: float, samples: int, seed: int
-) -> Iterator[CdeEstimate]:
-    batch: list[tuple] = []
-    coords = 0
-    for x in vertices:
-        ev, starts, best = _search(g, x, n, samples, seed)
-        size = len(starts) * (ev.width - 1)
-        if batch and coords + size > _DESCENT_BATCH:
-            yield from _refine(batch, n, samples, seed)
-            batch, coords = [], 0
-        batch.append((ev, starts, best))
-        coords += size
-    if batch:
-        yield from _refine(batch, n, samples, seed)
+    searched = (_search(g, x, n, samples, seed) for x in vertices)
+    # a vertex's size is its descent coordinates: starts x (width - 1)
+    sized = ((s, len(s[1]) * (s[0].width - 1)) for s in searched)
+    return chain.from_iterable(_refine(b, n, samples, seed) for b in batches(sized, _DESCENT_BATCH))
 
 
 def _search(g: Graph, x: int, n: float, samples: int, seed: int):
@@ -187,13 +174,13 @@ def _search(g: Graph, x: int, n: float, samples: int, seed: int):
     ev = LocalEvaluator(g, x)
     stream = derive_stream(seed, x)
     raw = _sampled_rows(ev, stream, samples)
-    raw_ratios = _chunked_ratios(ev, raw, n)
+    raw_ratios = _batch_ratios(ev, raw, n)
     # refine every sample that enters the running top-10
     starts = raw[_trigger_rows(raw_ratios)]
     best = _better((np.inf, None), raw_ratios, raw)
     del raw, raw_ratios
     structured = _structured_rows(ev, stream)
-    best = _better(best, _chunked_ratios(ev, structured, n), structured)
+    best = _better(best, _batch_ratios(ev, structured, n), structured)
     return ev, starts, best
 
 
@@ -282,24 +269,16 @@ def _trigger_rows(ratios: np.ndarray) -> list[int]:
 
 
 def _batch_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
-    """Ratio for each row; +inf where the denominator degenerates."""
-    if len(rows) == 0:
-        return np.zeros(0)
-    den = ev.gamma(rows)
-    good = den > 0.0
-    safe = np.where(good, den, 1.0)
-    return np.where(good, ev.cde_numerator(rows, n) / safe, np.inf)
-
-
-def _chunked_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
-    """_batch_ratios over blocks of _RATIO_CHUNK rows, fewer (at least one)
-    where the ball has more than _RATIO_PAIRS pairs; rows are independent,
-    so only the size of the temporaries changes."""
+    """Ratio for each row, +inf where the denominator degenerates, over
+    blocks of _RATIO_CHUNK rows, fewer (at least one) above _RATIO_PAIRS
+    pairs; rows are independent, so the blocks change no bit."""
     chunk = max(1, _RATIO_CHUNK * _RATIO_PAIRS // max(len(ev.pair_y), _RATIO_PAIRS))
-    if len(rows) <= chunk:
-        return _batch_ratios(ev, rows, n)
-    starts = range(0, len(rows), chunk)
-    return np.concatenate([_batch_ratios(ev, rows[i : i + chunk], n) for i in starts])
+    out = np.full(len(rows), np.inf)
+    for i in range(0, len(rows), chunk):
+        block = rows[i : i + chunk]
+        den = ev.gamma(block)
+        np.divide(ev.cde_numerator(block, n), den, out=out[i : i + chunk], where=den > 0.0)
+    return out
 
 
 def _structured_rows(ev: LocalEvaluator, stream: int) -> np.ndarray:
@@ -340,12 +319,10 @@ def _structured_rows(ev: LocalEvaluator, stream: int) -> np.ndarray:
     rows[:, 0] = 1.0
     rows[:, ev.s1_cols] = feasible
     if len(ev.s2_cols):
-        sphere1 = set(ev.ball.sphere1)
-        parents = [
-            ev.ball.index[min(v for v in ev.graph.adjacency[z] if v in sphere1)] + 1
-            for z in ev.ball.sphere2
-        ]
-        rows[:, ev.s2_cols] = rows[:, parents] ** 2
+        # each sphere-2 column's parent: the smallest column of its pairs' y ends
+        parent = np.full(ev.width, ev.width)
+        np.minimum.at(parent, ev.pair_z, ev.pair_y)
+        rows[:, ev.s2_cols] = rows[:, parent[ev.s2_cols]] ** 2
     return rows
 
 

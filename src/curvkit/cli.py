@@ -5,8 +5,9 @@ Subcommands: girth, curvature-cd, curvature-cde, verify, gen.
 Exit codes: 0 success (verify: no failing vertex), 1 a curvature bound was
 violated (witness embedded in the JSON report), 2 input parse/validation
 error, 3 every vertex failed the girth precondition, 4 the CDE search
-found no candidate with a finite ratio at some vertex, 64 usage error
-(including a verify --dim below 2, where the bounds are not claimed).
+found no candidate with a finite ratio at some vertex, 5 out of memory,
+64 usage error (including a verify --dim below 2, where the bounds are
+not claimed).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_NO_ELIGIBLE_VERTEX = 3
 EXIT_NO_FEASIBLE_SAMPLE = 4
+EXIT_OUT_OF_MEMORY = 5
 EXIT_USAGE = 64
 
 
@@ -295,6 +297,9 @@ def main(argv=None) -> int:
     except NoFeasibleSampleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_FEASIBLE_SAMPLE
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
 
 
 def entry() -> None:

@@ -1,9 +1,12 @@
-"""Finite simple undirected graphs, vertex functions, and edge-list I/O.
+"""Finite simple undirected graphs, vertex functions, edge-list I/O, and
+the layout of their 2-balls.
 
 Graphs are connected, loop-free, multi-edge-free, and have no isolated
 vertices (the normalization 1/degree must be defined everywhere). Vertex
 ids are dense integers 0..n-1; instances are immutable after construction
-and safe to share across threads.
+and safe to share across threads. ``Balls`` states the column, sphere and
+2-path layout of the 2-balls of many centres once; the local evaluator,
+the CDE search and both CD routes all read it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -217,13 +221,10 @@ def parse_edge_list(text: str | bytes) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListParseError(line_no, f"expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListParseError(line_no, f"non-integer vertex id in {line!r}") from None
-        if u < 0 or v < 0:
-            raise EdgeListParseError(line_no, f"negative vertex id in {line!r}")
-        edges.append((u, v))
+        # int() would also take "+1", "1_0" and non-ASCII digits
+        if not (line.isascii() and parts[0].isdigit() and parts[1].isdigit()):
+            raise EdgeListParseError(line_no, f"expected two ASCII decimal ids, got {line!r}")
+        edges.append((int(parts[0]), int(parts[1])))
     if not edges:
         raise EdgeListParseError(0, "no edges found")
     return Graph.from_edges(edges)
@@ -242,22 +243,95 @@ def degree(g: Graph, x: int) -> int:
 
 def ball(g: Graph, x: int, radius: int) -> LocalBall:
     """Spheres at distance 1 and (for radius 2) exactly 2 around x."""
-    _check_vertex(g, x)
     if radius not in (1, 2):
         raise ValueError("radius must be 1 or 2")
-    s1 = g.adjacency[x]
-    if radius == 1:
-        s2: tuple[int, ...] = ()
-    else:
-        near = set(s1) | {x}
-        second = set()
-        for y in s1:
-            for z in g.adjacency[y]:
-                if z not in near:
-                    second.add(z)
-        s2 = tuple(sorted(second))
-    index = {v: i for i, v in enumerate(s1 + s2)}
-    return LocalBall(center=x, sphere1=s1, sphere2=s2, index=index)
+    b = Balls(g, [x]).local(0)
+    return b if radius == 2 else LocalBall(x, b.sphere1, (), {v: b.index[v] for v in b.sphere1})
+
+
+class Balls:
+    """The 2-balls of many centres: the one statement of their layout.
+
+    Ball i has ``width[i]`` columns: 0 its centre x, 1..d_x sphere 1 (in
+    adjacency order, so vertex order), then sphere 2 in vertex order. Its
+    pairs are the 2-paths x ~ y ~ z in adjacency order, as the columns
+    ``pair_y`` and ``pair_z`` (z may be x or, in a triangle, in sphere 1)
+    with weight ``pair_w`` = 1/(2 d_x d_y). The arrays hold ball after
+    ball: each ball's spheres begin at ``s1_first`` and ``s2_first``, and
+    ``pair_ball`` is the ball of each pair.
+    """
+
+    def __init__(self, g: Graph, centres: Sequence[int]):
+        adj, nv = g.adjacency, g.vertex_count
+        for x in centres:
+            _check_vertex(g, x)
+        self.centres = np.array(centres, dtype=np.intp)
+        dx = np.array([len(adj[x]) for x in centres], dtype=np.intp)
+        y = np.fromiter(chain.from_iterable(adj[x] for x in centres), np.intp, dx.sum())
+        dy = np.array([len(adj[v]) for v in y], dtype=np.intp)
+        z = np.fromiter(chain.from_iterable(adj[v] for v in y), np.intp, dy.sum())
+        # per 1-path x ~ y and per 2-path x ~ y ~ z: the ball of x
+        s1_first = _firsts(dx)
+        ball1 = np.repeat(np.arange(len(centres)), dx)
+        edge = np.repeat(np.arange(len(y)), dy)
+        ball2 = ball1[edge]
+
+        key1 = ball1 * nv + y   # ascending
+        key = ball2 * nv + z
+        pos = np.minimum(np.searchsorted(key1, key), len(key1) - 1)
+        in_s1 = key1[pos] == key
+        in_s2 = ~in_s1 & (z != self.centres[ball2])
+        # sphere 2 in (ball, vertex) order, by sorting: np.unique would
+        # import numpy.ma, a megabyte of resident memory
+        k2 = key[in_s2]
+        order = np.argsort(k2, kind="stable")
+        new = np.ones(len(k2), dtype=bool)
+        new[1:] = k2[order[1:]] != k2[order[:-1]]
+        s2_key = k2[order[new]]
+        rank = np.empty_like(order)
+        rank[order] = np.cumsum(new) - 1
+        s2_count = np.bincount(s2_key // nv, minlength=len(centres))
+        s2_first = _firsts(s2_count)
+        zcol = np.zeros_like(z)
+        zcol[in_s1] = 1 + pos[in_s1] - s1_first[ball2[in_s1]]
+        zcol[in_s2] = 1 + dx[ball2[in_s2]] + rank - s2_first[ball2[in_s2]]
+
+        self.degree = dx
+        self.width = 1 + dx + s2_count
+        self.sphere1, self.s1_first, self.s1_degree = y, s1_first, dy
+        self.sphere2, self.s2_first = s2_key % nv, s2_first
+        self.pair_y = (1 + np.arange(len(y)) - s1_first[ball1])[edge]
+        self.pair_z = zcol
+        self.pair_w = 1.0 / (2.0 * dx[ball2] * dy[edge])
+        self.pair_ball = ball2
+
+    def local(self, i: int) -> LocalBall:
+        """Ball i as a LocalBall."""
+        a, b = self.s1_first[i], self.s2_first[i]
+        s1 = tuple(self.sphere1[a : a + self.degree[i]].tolist())
+        s2 = tuple(self.sphere2[b : b + self.width[i] - 1 - self.degree[i]].tolist())
+        index = {v: k for k, v in enumerate(s1 + s2)}
+        return LocalBall(center=int(self.centres[i]), sphere1=s1, sphere2=s2, index=index)
+
+
+def _firsts(lengths: np.ndarray) -> np.ndarray:
+    """Where each of consecutive segments of these lengths begins."""
+    return np.cumsum(lengths) - lengths
+
+
+def batches(sized: Iterable[tuple], budget: int) -> Iterator[list]:
+    """The items of (item, size) pairs, grouped in order while their sizes
+    sum to at most budget; a larger item is a group of its own. A group is
+    yielded as soon as the next item does not fit."""
+    batch, total = [], 0
+    for item, size in sized:
+        if batch and total + size > budget:
+            yield batch
+            batch, total = [], 0
+        batch.append(item)
+        total += size
+    if batch:
+        yield batch
 
 
 def _check_vertex(g: Graph, x: int) -> None:

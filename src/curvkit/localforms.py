@@ -1,7 +1,7 @@
 """The closed local formulas of the curvature quantities at one vertex.
 
-The 2-ball structure is precomputed once, as (y, z, weight) arrays over
-the pairs y ~ x, z ~ y, and whole batches of candidate functions are
+The 2-ball structure, (y, z, weight) arrays over the pairs y ~ x, z ~ y,
+comes from ``graph.Balls``; whole batches of candidate functions are
 evaluated with numpy. This is the only statement of the closed local G_2
 formula: the entries of the CD quadratic form are stated once, in
 ``cd_entries`` (the cd module scatters them, for one ball or many at
@@ -10,15 +10,15 @@ module, and ``MoveTable`` updates the CDE ratio after one coordinate moves
 from the same per-pair summand. The definitional implementations in the
 operators module are the independent route; tests cross-check the two.
 
-Batch layout: rows are candidate functions, columns are ball vertices in
-the fixed order [center, sphere1..., sphere2...].
+Batch layout: rows are candidate functions, columns are the ball columns
+of ``graph.Balls``: [center, sphere1..., sphere2...].
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, LocalBall, ball
+from .graph import Balls, Graph, _firsts
 
 # MoveTable evaluates a move in full where the row's terms outweigh the
 # moved ratio's numerator and denominator by more than this factor: a delta
@@ -28,42 +28,25 @@ _DELTA_CANCEL = 256.0
 
 
 class LocalEvaluator:
-    """Vectorized Laplacian / gradient-form evaluation on a 2-ball."""
+    """Vectorized Laplacian / gradient-form evaluation on a 2-ball, over
+    its ``graph.Balls`` columns: the center, sphere 1, then sphere 2."""
 
     def __init__(self, g: Graph, x: int):
-        b = ball(g, x, 2)
+        b = Balls(g, [x])
         self.graph = g
         self.center = x
-        self.ball: LocalBall = b
-        self.degree = g.degree(x)
-        # column 0 is the center; coordinates shift by one
-        col = {v: i + 1 for v, i in b.index.items()}
-        col[x] = 0
-        self.width = 1 + b.size
-        self.s1_cols = np.array([col[y] for y in b.sphere1], dtype=np.intp)
-        self.s2_cols = np.array([col[z] for z in b.sphere2], dtype=np.intp)
+        self.degree, self.width = int(b.degree[0]), int(b.width[0])
+        self.s1_cols = np.arange(1, 1 + self.degree)
+        self.s2_cols = np.arange(1 + self.degree, self.width)
         # the vertex behind each column
-        self.vertices = np.array((x,) + b.coordinates, dtype=np.intp)
-
-        pair_y: list[int] = []
-        pair_z: list[int] = []
-        pair_w: list[float] = []
-        for y in b.sphere1:
-            dy = g.degree(y)
-            for z in g.adjacency[y]:
-                pair_y.append(col[y])
-                pair_z.append(col[z])
-                pair_w.append(1.0 / (2.0 * self.degree * dy))
-        self.pair_y = np.array(pair_y, dtype=np.intp)
-        self.pair_z = np.array(pair_z, dtype=np.intp)
-        self.pair_w = np.array(pair_w)
+        self.vertices = np.concatenate([b.centres, b.sphere1, b.sphere2])
+        self.pair_y, self.pair_z, self.pair_w = b.pair_y, b.pair_z, b.pair_w
+        self.s1_degree = b.s1_degree
         # the pairs of the i-th sphere-1 vertex (their owner) are d_y
         # consecutive rows; (f(z)-f(y))^2 summed over them and scaled by
         # 1/(2 d_y) yields G(f)(y), here as a per-neighbor aggregation matrix
-        self.s1_degree = np.array([g.degree(y) for y in b.sphere1], dtype=np.intp)
-        owner = np.repeat(np.arange(len(self.s1_degree)), self.s1_degree)
-        self.pair_owner = owner
-        group = np.zeros((len(owner), len(self.s1_degree)))
+        owner = self.pair_owner = self.pair_y - 1
+        group = np.zeros((len(owner), self.degree))
         group[np.arange(len(owner)), owner] = 1.0 / (2.0 * self.s1_degree[owner])
         self.gamma_s1_weights = group
 
@@ -320,11 +303,6 @@ class MoveTable:
             den = ev.gamma(full)[0]
             ratio[k, m] = ev.cde_numerator(full, n)[0] / den if den > 0.0 else np.inf
         return ratio, lap, unmoved
-
-
-def _firsts(lengths: np.ndarray) -> np.ndarray:
-    """Where each of consecutive segments of these lengths begins."""
-    return np.cumsum(lengths) - lengths
 
 
 def _ragged(first: np.ndarray, length: np.ndarray, of: np.ndarray):

@@ -17,7 +17,9 @@ sampled ratio (production prefilters blocks against the current 10th
 smallest), and the structured CDE rows by listing every configuration in
 Python before the cap (production builds only the kept ones with numpy).
 G(f, G(f)/f) is also given by the three-term split of its Laplacians
-(production applies the bilinear form to the quotient function G(f)/f).
+(production applies the bilinear form to the quotient function G(f)/f),
+and the 2-ball layout by a set walk over the adjacency lists of one
+center (production sorts the keys of many centres at once).
 """
 
 from __future__ import annotations
@@ -42,6 +44,22 @@ from curvkit.graph import Graph, _check_vertex, check_function
 from curvkit.localforms import LocalEvaluator
 from curvkit.operators import _require_positive_two_ball, gamma_local, laplacian
 from curvkit.rng import _MIX1, _MIX2, GOLDEN, MASK64, counter_uniforms, derive_stream
+
+
+def walked_two_ball(g: Graph, x: int):
+    """The 2-ball of x by a set walk, as vertex ids: (sphere 1, sphere 2
+    ascending, pairs), the pairs (y, z, 1/(2 d_x d_y)) for every y ~ x and
+    z ~ y in adjacency order."""
+    s1 = g.adjacency[x]
+    near = set(s1) | {x}
+    second = set()
+    pairs = []
+    for y in s1:
+        for z in g.adjacency[y]:
+            if z not in near:
+                second.add(z)
+            pairs.append((y, z, 1.0 / (2.0 * len(s1) * len(g.adjacency[y]))))
+    return s1, tuple(sorted(second)), pairs
 
 
 def brute_force_vertex_girth(g: Graph, x: int) -> float:
@@ -393,11 +411,10 @@ def listed_structured_rows(ev: LocalEvaluator, stream: int) -> np.ndarray:
     rows[:, 0] = 1.0
     rows[:, ev.s1_cols] = feasible
     if len(ev.s2_cols):
-        sphere1 = set(ev.ball.sphere1)
-        for z, col in zip(ev.ball.sphere2, ev.s2_cols):
+        sphere1, sphere2, _ = walked_two_ball(ev.graph, ev.center)
+        for z, col in zip(sphere2, ev.s2_cols):
             parent = min(v for v in ev.graph.adjacency[z] if v in sphere1)
-            parent_col = ev.ball.index[parent] + 1
-            rows[:, col] = rows[:, parent_col] ** 2
+            rows[:, col] = rows[:, 1 + sphere1.index(parent)] ** 2
     return rows
 
 

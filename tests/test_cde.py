@@ -27,7 +27,6 @@ from curvkit.cde import (
     FEASIBILITY_MARGIN,
     _REFINE_CAP,
     _batch_ratios,
-    _chunked_ratios,
     _descend,
     _sampled_rows,
     _score_moves,
@@ -348,12 +347,15 @@ def test_estimates_check_arguments_before_the_first_estimate(petersen_graph):
     assert list(cde_estimates(petersen_graph, [], 2.0, samples=10, seed=0)) == []
 
 
-def test_chunked_ratios_equal_one_call_on_a_wide_vertex():
-    # the hub-100 centre has 400 pairs, so a chunk holds 327 of the rows
+def test_chunked_ratios_equal_one_call_on_a_wide_vertex(monkeypatch):
+    # the hub-100 centre has 400 pairs, so a block holds 327 of the rows
     ev = LocalEvaluator(tree_hub(100), 0)
     raw = _sampled_rows(ev, derive_stream(3, 0), 1000)
     assert len(raw) > cde_mod._RATIO_CHUNK * cde_mod._RATIO_PAIRS // len(ev.pair_y)
-    assert np.array_equal(_chunked_ratios(ev, raw, 2.0), _batch_ratios(ev, raw, 2.0))
+    blocks = _batch_ratios(ev, raw, 2.0)
+    # one block of every row
+    monkeypatch.setattr(cde_mod, "_RATIO_CHUNK", len(raw) * len(ev.pair_y))
+    assert np.array_equal(blocks, _batch_ratios(ev, raw, 2.0))
 
 
 def _trigger_cases():
@@ -370,7 +372,7 @@ def _trigger_cases():
                                + [(girth5_corpus()[k], k % 5) for k in (0, 7, 20)]):
         ev = LocalEvaluator(g, x)
         raw = _sampled_rows(ev, derive_stream(i, x), 10000)
-        cases[f"sampled_{i}"] = _chunked_ratios(ev, raw, 2.0)
+        cases[f"sampled_{i}"] = _batch_ratios(ev, raw, 2.0)
     return cases
 
 
@@ -444,7 +446,7 @@ def test_gamma_at_s1_matches_definitional_gamma(corpus_small):
             ev = LocalEvaluator(g, x)
             row = vals[ev.vertices][None, :]
             local = ev.gamma_at_s1(row)[0]
-            for i, y in enumerate(ev.ball.sphere1):
+            for i, y in enumerate(g.adjacency[x]):
                 assert approx_equal(local[i], gamma(g, vals, vals, y), rel=1e-12)
 
 

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -373,6 +377,43 @@ def test_verify_no_feasible_sample_exit_code(capsys, petersen_file, monkeypatch)
     assert code == 4
     assert out == ""
     assert err.splitlines() == ["error: only 4004/10000 feasible samples"]
+
+
+def test_out_of_memory_exit_code(capsys, petersen_file, monkeypatch):
+    # exit 1 is kept for a re-verified violation; stubbed so nothing
+    # allocates for real
+    import curvkit.cli as cli_mod
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.49 GiB for an array")
+
+    monkeypatch.setattr(cli_mod, "verify_theorems", exhausted)
+    code, out, err = run(capsys, "verify", petersen_file)
+    assert code == 5
+    assert out == ""
+    assert err.splitlines() == ["error: out of memory: Unable to allocate 1.49 GiB for an array"]
+
+
+def test_commands_do_not_import_numpy_ma(petersen_file):
+    # numpy.ma (imported by np.unique, among others) costs about a megabyte
+    # of resident memory; the four commands run in one fresh interpreter
+    script = f"""
+import contextlib, io, sys
+from curvkit.cli import main
+path = {petersen_file!r}
+for argv in (["girth", path, "--per-vertex"], ["curvature-cd", path],
+             ["curvature-cde", path, "--samples", "200"], ["verify", path, "--samples", "200"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
 
 
 # ---- CSV against JSON -----------------------------------------------------

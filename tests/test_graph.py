@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import girth5_corpus, small_mixed_corpus, tree_hub
 from curvkit import (
     DisconnectedError,
     EdgeListParseError,
@@ -21,6 +22,9 @@ from curvkit import (
     star,
     vertex_girth,
 )
+from curvkit.graph import Balls
+from curvkit.localforms import LocalEvaluator
+from oracles import walked_two_ball
 
 
 def test_parse_path():
@@ -63,8 +67,12 @@ def test_parse_malformed_line_number():
     assert err.value.line_no == 2
     with pytest.raises(EdgeListParseError):
         parse_edge_list("0 x")
-    with pytest.raises(EdgeListParseError):
-        parse_edge_list("0 -2")
+    # a line is ASCII and its ids are decimal digit strings: no sign, no
+    # digit separator, no other script's digits or spaces
+    for line in ("0 -2", "1_0 2", "+1 2", "\u0661 2", "1\u00a02"):
+        with pytest.raises(EdgeListParseError) as err:
+            parse_edge_list(f"0 1\n{line}")
+        assert err.value.line_no == 2
     with pytest.raises(EdgeListParseError):
         parse_edge_list("# nothing\n\n")
 
@@ -177,6 +185,46 @@ def test_ball_invariants(corpus_small):
                 assert any(y in b.sphere1 for y in g.adjacency[z])
             # coordinates are contiguous, sphere 1 first
             assert [b.index[v] for v in b.sphere1 + b.sphere2] == list(range(b.size))
+
+
+def test_balls_match_the_walked_two_ball():
+    graphs = small_mixed_corpus() + girth5_corpus()[::3] + [tree_hub(14), path(5), star(8)]
+    for g in graphs:
+        whole = Balls(g, range(g.vertex_count))
+        for x in range(g.vertex_count):
+            b = Balls(g, [x])
+            s1, s2, pairs = walked_two_ball(g, x)
+            local = b.local(0)
+            assert (local.sphere1, local.sphere2) == (s1, s2) == _bfs_spheres(g, x)
+            assert np.all(np.diff(b.sphere2) > 0)
+            col = {v: i for i, v in enumerate((x,) + s1 + s2)}
+            assert b.width.tolist() == [len(col)]
+            assert b.pair_y.dtype == b.pair_z.dtype == np.intp
+            got = list(zip(b.pair_y.tolist(), b.pair_z.tolist(), b.pair_w.tolist()))
+            assert got == [(col[y], col[z], w) for y, z, w in pairs]
+            # the all-vertex layout, sliced at x, is the one-centre layout
+            s1_span = slice(whole.s1_first[x], whole.s1_first[x] + whole.degree[x])
+            s2_count = whole.width[x] - 1 - whole.degree[x]
+            s2_span = slice(whole.s2_first[x], whole.s2_first[x] + s2_count)
+            at = whole.pair_ball == x
+            for got, want in [
+                (whole.centres[x : x + 1], b.centres),
+                (whole.degree[x : x + 1], b.degree),
+                (whole.width[x : x + 1], b.width),
+                (whole.sphere1[s1_span], b.sphere1),
+                (whole.s1_degree[s1_span], b.s1_degree),
+                (whole.sphere2[s2_span], b.sphere2),
+                (whole.pair_y[at], b.pair_y),
+                (whole.pair_z[at], b.pair_z),
+                (whole.pair_w[at], b.pair_w),
+            ]:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_local_evaluator_checks_the_vertex():
+    for x in (-1, 10):
+        with pytest.raises(ValueError, match="out of range"):
+            LocalEvaluator(petersen(), x)
 
 
 def test_two_ball_tree_property_iff_girth5(corpus_small):
