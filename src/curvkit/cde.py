@@ -7,21 +7,25 @@ f with Df(x) < 0,
 
 Unlike the plain curvature-dimension inequality this is not quadratic in f
 (the G(f, G(f)/f) term), so no finite eigenproblem captures the optimal K.
-The estimator therefore searches for violating functions: seeded random
-sampling over the 2-ball (every draw is mapped to a feasible function, so
-none is rejected), pattern-search refinement of the best candidates,
-plus a structured scan of the family f(z) = f(y)^2 (the distance-2
-assignment that minimizes the per-neighbor block). A refinement move
-changes one coordinate, so it is scored by delta over the pairs that
-coordinate touches (localforms.MoveTable) rather than by re-evaluating a
-whole row; time and memory per sweep grow with the number of pairs, not
-with their square. Sampling and the scans run per vertex; the refinement
-runs over the candidates of many consecutive vertices at once, in one
-lockstep descent per batch of rows of mixed widths, so its numpy call
-count does not grow with the number of vertices. The result is an upper
-bound on the true pointwise infimum; "no violation found" is the
+The estimator therefore searches for violating functions. With f(x) = 1
+by scale invariance and the sphere-1 values t fixed, the numerator is
+smallest at a closed-form sphere-2 assignment f(z)* (see localforms), so
+the search runs over sphere 1 only and scores each candidate t by the
+reduced ratio R(t), the ratio of its filled function (+inf below
+localforms.GRADIENT_FLOOR, where G(f)(x) is too small to re-verify the
+ratio definitionally): seeded random sampling of t (every draw is mapped
+to a feasible function, so none is rejected), pattern-search refinement
+of the best candidates, plus a structured scan of the family
+f(z) = f(y)^2 over the whole 2-ball. A refinement move changes one
+sphere-1 value, so it is scored by delta in O(1) on a girth-5 ball
+(localforms.MoveScorer) rather than by re-evaluating a whole row. Sampling and the scans run per vertex; the
+refinement runs over the candidates of many consecutive vertices at once,
+in one lockstep descent per batch of rows of mixed widths, so its numpy
+call count does not grow with the number of vertices. The result is an
+upper bound on the true pointwise infimum; "no violation found" is the
 acceptance outcome, a found violation is re-verified definitionally
-before being reported.
+before being reported; the witness is the best candidate with sphere 2
+filled by f(z)*.
 
 Sampling is driven by counter-mode SplitMix64 (see rng.py): sample i is a
 pure function of (seed, vertex, i), so estimates are deterministic,
@@ -40,7 +44,7 @@ import numpy as np
 
 from .cd import _check_dimension
 from .graph import Graph, VertexFunction, ball, batches, check_function, _check_vertex
-from .localforms import LocalEvaluator, MoveTable
+from .localforms import LocalEvaluator, MoveScorer
 from .operators import gamma2, gamma_f_ratio, gamma_local, laplacian
 from .rng import counter_uniforms, derive_stream
 
@@ -55,11 +59,14 @@ _TOP_K = 10
 _REFINE_CAP = 512
 _DESCENT_SWEEPS = 40
 _DESCENT_MIN_STEP = 1e-3
-# rows per ratio block, fewer above _RATIO_PAIRS pairs, so a block's temporaries
-# hold at most _RATIO_CHUNK x _RATIO_PAIRS row-pair entries
+# a descent move must beat its candidate's ratio by more than this, relative
+# to max(1, |ratio|): the scorer's rounding error is a few 1e-13 of that
+_ACCEPT_TOL = 1e-12
+# rows per ratio block, fewer above _RATIO_PAIRS pairs (or sphere-1 values), so
+# a block's temporaries hold at most _RATIO_CHUNK x _RATIO_PAIRS entries
 _RATIO_CHUNK = 2048
 _RATIO_PAIRS = 64
-_DESCENT_BATCH = 1 << 13   # coordinates (rows x (width - 1)) per lockstep descent
+_DESCENT_BATCH = 1 << 13   # coordinates (rows x d_x) per lockstep descent
 
 
 class InfeasibleFunctionError(ValueError):
@@ -141,14 +148,16 @@ def cde_estimates(
     """The estimate at each of these vertices, yielded in their order.
 
     At each vertex, draws `samples` feasible functions: center fixed to 1
-    by scale invariance, other 2-ball values log-uniform in [e^-3, e^3],
-    and the sphere-1 values scaled down, where needed, to a mean at or
-    below a drawn ceiling in (0, 1), so every draw has Df(x) < 0. Every
-    sample that enters the running top-10 is refined by projected pattern
-    search, and the structured family f(z) = f(parent y)^2 is always
-    scanned over a grid of sphere-1 values. The returned minimum never
-    increases when `samples` grows (counter-mode draws make the candidate
-    set a superset).
+    by scale invariance, sphere-1 values log-uniform in [e^-3, e^3] and
+    scaled down, where needed, to a mean at or below a drawn ceiling in
+    (0, 1), so every draw has Df(x) < 0, and sphere 2 at its closed-form
+    best f(z)*. Every sample that enters the running top-10 is refined by
+    projected pattern search over sphere 1, and the structured family
+    f(z) = f(parent y)^2 is always scanned over a grid of sphere-1 values.
+    The returned minimum is the smallest of the sampled and the refined
+    reduced ratios and the structured ratios, each a fixed function of its
+    row, so it never increases when `samples` grows (counter-mode draws
+    make the candidate set a superset).
 
     Sampling and the scans run per vertex; the refinement runs in batches
     of consecutive vertices of up to ``_DESCENT_BATCH`` coordinates, one
@@ -163,56 +172,55 @@ def cde_estimates(
     for x in vertices:
         _check_vertex(g, x)
     searched = (_search(g, x, n, samples, seed) for x in vertices)
-    # a vertex's size is its descent coordinates: starts x (width - 1)
-    sized = ((s, len(s[1]) * (s[0].width - 1)) for s in searched)
+    # a vertex's size is its descent coordinates: starts x d_x
+    sized = ((s, s[1].size) for s in searched)
     return chain.from_iterable(_refine(b, n, samples, seed) for b in batches(sized, _DESCENT_BATCH))
 
 
 def _search(g: Graph, x: int, n: float, samples: int, seed: int):
-    """Sample and scan at x. Returns (evaluator, descent starts, (best
-    value, its row) so far); the row is None while no candidate is finite."""
+    """Sample and scan at x. Returns (evaluator, descent starts as sphere-1
+    rows, (best value, its full row) so far); the row is None while no
+    candidate is finite."""
     ev = LocalEvaluator(g, x)
     stream = derive_stream(seed, x)
-    raw = _sampled_rows(ev, stream, samples)
-    raw_ratios = _batch_ratios(ev, raw, n)
+    sampled = _sampled_rows(ev, stream, samples)
+    ratios = _reduced_ratios(ev, sampled, n)
     # refine every sample that enters the running top-10
-    starts = raw[_trigger_rows(raw_ratios)]
-    best = _better((np.inf, None), raw_ratios, raw)
-    del raw, raw_ratios
+    starts = sampled[_trigger_rows(ratios)]
+    best = _better((np.inf, None), ratios, sampled, ev.fill)
+    del sampled, ratios
     structured = _structured_rows(ev, stream)
     best = _better(best, _batch_ratios(ev, structured, n), structured)
     return ev, starts, best
 
 
-def _better(best: tuple, ratios: np.ndarray, rows: np.ndarray) -> tuple:
-    """(value, row) of the smallest ratio where it is below best's value,
-    else best."""
+def _better(best: tuple, ratios: np.ndarray, rows: np.ndarray, fill=np.copy) -> tuple:
+    """(value, full row) of the smallest ratio where it is below best's
+    value, else best; fill makes full rows of rows."""
     if len(ratios):
         j = int(np.argmin(ratios))
         if ratios[j] < best[0]:
-            return float(ratios[j]), rows[j].copy()
+            return float(ratios[j]), fill(rows[j : j + 1])[0]
     return best
 
 
 def _sampled_rows(ev: LocalEvaluator, stream: int, samples: int) -> np.ndarray:
-    """The sampled rows, feasible by construction (Df(x) < 0), built in
-    the array of their draws.
+    """The sampled sphere-1 rows, feasible by construction (Df(x) < 0),
+    built in the array of their draws.
 
-    Row i reads counters i*width .. (i+1)*width - 1; column 0 draws a
-    ceiling c in (0, 1) for the sphere-1 mean, the others draw the values
-    exp(3 (2u - 1)), computed in place operation by operation.
+    Row i reads counters i*(d_x + 1) .. (i+1)*(d_x + 1) - 1; the first
+    draws a ceiling c in (0, 1) for the sphere-1 mean, the others draw the
+    values exp(3 (2u - 1)), computed in place operation by operation.
     """
-    raw = counter_uniforms(stream, 0, samples * ev.width).reshape(samples, ev.width)
+    raw = counter_uniforms(stream, 0, samples * (ev.degree + 1)).reshape(samples, -1)
     ceiling = (1.0 - raw[:, 0]) ** (1.0 / ev.degree) * (1.0 - FEASIBILITY_MARGIN)
     raw *= 2.0
     raw -= 1.0
     raw *= _LOG_HALF_RANGE
     np.exp(raw, out=raw)
-    s1 = raw[:, ev.s1_cols]
+    s1 = raw[:, 1:]
     s1 *= np.minimum(1.0, ceiling / s1.mean(axis=1))[:, None]
-    raw[:, ev.s1_cols] = s1
-    raw[:, 0] = 1.0
-    return raw
+    return s1
 
 
 def _refine(batch: list[tuple], n: float, samples: int, seed: int) -> Iterator[CdeEstimate]:
@@ -220,7 +228,7 @@ def _refine(batch: list[tuple], n: float, samples: int, seed: int) -> Iterator[C
     vertex's estimate; one full-length function exists at a time."""
     evs, starts, bests = zip(*batch)
     for ev, best, (values, rows) in zip(evs, bests, _descend(list(evs), list(starts), n)):
-        best_value, best_row = _better(best, values, rows)
+        best_value, best_row = _better(best, values, rows, ev.fill)
         x = ev.center
         if best_row is None or not np.isfinite(best_value):
             raise NoFeasibleSampleError(f"no feasible candidate at vertex {x}")
@@ -281,6 +289,21 @@ def _batch_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
     return out
 
 
+def _reduced_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
+    """R of each sphere-1 row, over blocks of _RATIO_CHUNK rows, fewer (at
+    least one) above _RATIO_PAIRS values; rows are independent, so the
+    blocks change no bit."""
+    chunk = max(1, _RATIO_CHUNK * _RATIO_PAIRS // max(ev.degree, _RATIO_PAIRS))
+    out = np.empty(len(rows))
+    scorer = None
+    for i in range(0, len(rows), chunk):
+        block = rows[i : i + chunk]
+        if scorer is None or len(scorer.first) != len(block):   # the last block may be short
+            scorer = MoveScorer([ev], [len(block)])
+        out[i : i + chunk] = scorer.ratios(np.ravel(block), n)
+    return out
+
+
 def _structured_rows(ev: LocalEvaluator, stream: int) -> np.ndarray:
     """Feasible rows of the family f(center)=1, f(y)=t_y, f(z)=t_parent^2.
 
@@ -329,72 +352,73 @@ def _structured_rows(ev: LocalEvaluator, stream: int) -> np.ndarray:
 def _descend(
     evs: list[LocalEvaluator], starts: list[np.ndarray], n: float
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Projected pattern search over the candidates of many vertices in
-    lockstep: starts[i] holds the start rows at evs[i].
+    """Projected pattern search over sphere 1, for the candidates of many
+    vertices in lockstep: starts[i] holds the start rows at evs[i], each
+    the sphere-1 values of a function with f(x) = 1 and sphere 2 at f(z)*.
 
-    Each sweep proposes a multiplicative up/down move of every non-center
-    coordinate of every candidate, accepts a candidate's best improving
-    move (the first in column order, up before down, among equal scores),
-    and otherwise halves that candidate's step. Positivity and Df(x) < 0
-    are maintained by clamping with margin 1e-9. Proposals are scored by
-    delta over the ragged rows of all vertices at once (see
-    ``localforms.MoveTable``), so a sweep costs O(candidates x pairs) time
-    and memory and a handful of numpy calls whatever the number of
-    vertices; a move is accepted when its score is below the ratio of the
-    candidate as it stands, evaluated in full from the row in the same
-    sweep. A candidate whose step fell below the floor is still scored
-    with the rest (few stop within the sweep cap) but no longer moves.
-    Returns (values, rows) per vertex, the values being
-    ``_batch_ratios`` of the rows, so they never exceed those of the
-    starts beyond rounding. Deterministic; a candidate's path depends only
-    on its own start.
+    Each sweep proposes a multiplicative up/down move of every sphere-1
+    coordinate of every candidate, takes a candidate's best move (the
+    first in column order, up before down, among equal scores) where it
+    beats the candidate's ratio as it stands, evaluated in full from the
+    row in the same sweep, by more than ``_ACCEPT_TOL`` relative, and
+    otherwise halves that candidate's step. Positivity and Df(x) < 0 are
+    maintained by clamping with margin 1e-9. Proposals are scored by delta
+    over the ragged rows of all vertices at once, O(1) each on a girth-5
+    ball (see ``localforms.MoveScorer``), so a sweep costs a handful of
+    numpy calls whatever the number of vertices. A candidate whose step
+    fell below the floor is still scored with the rest (few stop within
+    the sweep cap) but no longer moves. Returns (values, rows) per vertex,
+    the values being R of the rows, so they never exceed those of the
+    starts. Deterministic; a candidate's path depends only on its own
+    start.
     """
-    table = MoveTable(evs, [len(s) for s in starts])
+    scorer = MoveScorer(evs, [len(s) for s in starts])
     current = np.concatenate([np.ravel(s) for s in starts]).astype(np.float64)
-    step = np.full(len(table.first), 0.5)
+    step = np.full(len(scorer.first), 0.5)
     for _ in range(_DESCENT_SWEEPS):
         live = step >= _DESCENT_MIN_STEP
         if not live.any():
             break
-        moved, values, _, _, unmoved = _score_moves(table, current, step, n)
+        moved, values, _, _, unmoved = _score_moves(scorer, current, step, n)
         # slot 2 m + k is the k-th move of coordinate m: per row, column
         # order, up before down
         slots = values.T.ravel()
-        seg = 2 * table.c_first
+        seg = 2 * scorer.first
         best = np.minimum.reduceat(slots, seg)
-        hit = slots == np.repeat(best[table.c_row], 2)
+        hit = slots == np.repeat(best[scorer.row_of], 2)
         pick = np.minimum.reduceat(np.where(hit, np.arange(len(slots)), len(slots)), seg)
-        improved = live & (best < unmoved)
+        gain = _ACCEPT_TOL * np.maximum(1.0, np.abs(unmoved))
+        gain[np.isinf(gain)] = 0.0   # any finite move improves an infinite ratio
+        improved = live & (best + gain < unmoved)
         m, k = np.divmod(pick[improved], 2)
-        current[table.coord_idx[m]] = moved[k, m]
+        current[m] = moved[k, m]
         step[live & ~improved] *= 0.5
-    return [(_batch_ratios(ev, rows, n), rows) for ev, rows in zip(evs, table.split(current))]
+    values = np.split(scorer.ratios(current, n), np.cumsum(scorer.counts)[:-1])
+    return list(zip(values, scorer.split(current)))
 
 
 def _score_moves(
-    table: MoveTable, current: np.ndarray, step: np.ndarray, n: float
+    scorer: MoveScorer, current: np.ndarray, step: np.ndarray, n: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every clamped up/down move of every non-center coordinate of every
-    row of the table, scored; step holds each row's step.
+    """Every clamped up/down move of every sphere-1 coordinate of every
+    row of the scorer, scored; step holds each row's step.
 
     Returns (moved, values, dead, lap, unmoved): the first four of shape
-    (2, M), M the coordinates in the table's order, up at k = 0 and down at
-    k = 1; the new value of the coordinate; its ratio, +inf where the move
-    is dead or leaves Df(x) >= 0; the dead flags; Df(x) after the move; and
-    the ratio of each row before any move.
+    (2, M), M the coordinates in the scorer's order, up at k = 0 and down
+    at k = 1; the new value of the coordinate; its ratio, +inf where the
+    move is dead or leaves Df(x) >= 0; the dead flags; Df(x) after the
+    move; and the ratio of each row before any move.
     """
-    old = current[table.coord_idx]
-    up = 1.0 + step[table.c_row]
-    moved = np.maximum(np.stack([old * up, old / up]), FEASIBILITY_MARGIN)
-    # clamp sphere-1 moves so Df(x) <= -margin: shrink the moved
-    # coordinate by the budget excess
-    budget = table.degree * (1.0 - FEASIBILITY_MARGIN)
-    s1 = current[table.s1_idx]
-    others = np.add.reduceat(s1, table.s_first)[table.s_row] - s1
-    excess = others + moved[:, table.s1_coord] - budget[table.s_row]
-    moved[:, table.s1_coord] -= np.maximum(excess, 0.0)
+    row = scorer.row_of
+    up = 1.0 + step[row]
+    moved = np.maximum(np.stack([current * up, current / up]), FEASIBILITY_MARGIN)
+    # clamp so Df(x) <= -margin: shrink the moved coordinate by the budget
+    # excess
+    budget = scorer.row_degree * (1.0 - FEASIBILITY_MARGIN)
+    others = np.add.reduceat(current, scorer.first)[row] - current
+    moved -= np.maximum(others + moved - budget[row], 0.0)
     dead = moved <= FEASIBILITY_MARGIN
     moved = np.maximum(moved, FEASIBILITY_MARGIN)
-    ratio, lap, unmoved = table.ratios(current, moved, n)
+    ratio, lap, unmoved = scorer.moves(current, moved, n)
     values = np.where(dead | ~(lap < 0.0), np.inf, ratio)
     return moved, values, dead, lap, unmoved

@@ -210,11 +210,16 @@ class LocalBall:
 
 
 def parse_edge_list(text: str | bytes) -> Graph:
-    """Parse '#'-commented "u v" edge lines into a validated Graph."""
+    """Parse '#'-commented "u v" edge lines into a validated Graph.
+
+    Lines end at "\n" (or "\r\n"); no other character ends a line, so
+    vertical tab, form feed, the information separators, NEL and the
+    Unicode line separators inside a line leave it malformed.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     edges: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -222,7 +227,7 @@ def parse_edge_list(text: str | bytes) -> Graph:
         if len(parts) != 2:
             raise EdgeListParseError(line_no, f"expected 'u v', got {line!r}")
         # int() would also take "+1", "1_0" and non-ASCII digits
-        if not (line.isascii() and parts[0].isdigit() and parts[1].isdigit()):
+        if not (raw.isascii() and parts[0].isdigit() and parts[1].isdigit()):
             raise EdgeListParseError(line_no, f"expected two ASCII decimal ids, got {line!r}")
         edges.append((int(parts[0]), int(parts[1])))
     if not edges:

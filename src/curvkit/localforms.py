@@ -6,12 +6,34 @@ evaluated with numpy. This is the only statement of the closed local G_2
 formula: the entries of the CD quadratic form are stated once, in
 ``cd_entries`` (the cd module scatters them, for one ball or many at
 once), the scalar ``operators.gamma2_local`` is a one-row call into this
-module, and ``MoveTable`` updates the CDE ratio after one coordinate moves
-from the same per-pair summand. The definitional implementations in the
-operators module are the independent route; tests cross-check the two.
+module, and the reduced CDE ratio below is built from the same per-pair
+summand. The definitional implementations in the operators module are the
+independent route; tests cross-check the two.
 
 Batch layout: rows are candidate functions, columns are the ball columns
 of ``graph.Balls``: [center, sphere1..., sphere2...].
+
+The reduced CDE ratio. Fix f(x) = 1 and the sphere-1 values t. With
+w = 1/(2 d_x d_y) and h(y) = (f(y) - f(x)) G(f)(y) / f(y), the CDE
+numerator G_2(f) - G(f, G(f)/f) - (1/n)(Df)^2 at x is
+
+    sum over the pairs (y, z) of psi_w(t_y, f(z))
+        + (1/2 - 1/n) Df(x)^2 + G(f)(x) Df(x) / 2,
+
+    psi_w(t, s) = (w/2) [(s - t)^2 (1 + 1/t) - (s - 1)^2],
+
+the pair's G_2 summand plus its share of -h(y) / (2 d_x) (``_reduced_pair``).
+Df(x) = sum t / d_x - 1 and G(f)(x) = sum (t - 1)^2 / (2 d_x) do not hold
+sphere 2, and psi_w(t, s) = (w/2)(s^2 / t - 2 t s) + (terms free of s), so
+no term couples two distance-2 values: the numerator is smallest at
+f(z)* = B_z / A_z, B_z = sum w t_y and A_z = sum w / t_y over the parents
+y of z (``LocalEvaluator.fill``), the CDE counterpart of the Schur step of
+CD (variable projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).
+The reduced ratio R(t) is the ratio of the filled row, where G(f)(x) is
+at least ``GRADIENT_FLOOR``, and +inf elsewhere. At a z with one
+parent, f(z)* = t_y^2, and on a girth-5 ball every term of R belongs to
+one sphere-1 value, so ``MoveScorer`` scores a one-coordinate move in
+O(1).
 """
 
 from __future__ import annotations
@@ -20,11 +42,17 @@ import numpy as np
 
 from .graph import Balls, Graph, _firsts
 
-# MoveTable evaluates a move in full where the row's terms outweigh the
+# MoveScorer evaluates a move in full where the row's terms outweigh the
 # moved ratio's numerator and denominator by more than this factor: a delta
 # carries a rounding error of a few ulps of the terms it updates, so up to
 # this factor the ratio keeps a relative error of a few 1e-13
 _DELTA_CANCEL = 256.0
+# R is +inf where G(f)(x) (at f(x) = 1) is below this. Nearer a constant,
+# the CDE ratio tends to a CD ratio, at least -1 at girth 5 and so above the
+# CDE bound -d_x/2 - 1, while its definitional evaluation (the operators
+# module) loses the digits that re-verify a candidate: its rounding error
+# is a few ulps of f^2 over G(f)(x)
+GRADIENT_FLOOR = 1e-3
 
 
 class LocalEvaluator:
@@ -35,9 +63,10 @@ class LocalEvaluator:
         b = Balls(g, [x])
         self.graph = g
         self.center = x
-        self.degree, self.width = int(b.degree[0]), int(b.width[0])
-        self.s1_cols = np.arange(1, 1 + self.degree)
-        self.s2_cols = np.arange(1 + self.degree, self.width)
+        d, width = int(b.degree[0]), int(b.width[0])
+        self.degree, self.width = d, width
+        self.s1_cols = np.arange(1, 1 + d)
+        self.s2_cols = np.arange(1 + d, width)
         # the vertex behind each column
         self.vertices = np.concatenate([b.centres, b.sphere1, b.sphere2])
         self.pair_y, self.pair_z, self.pair_w = b.pair_y, b.pair_z, b.pair_w
@@ -45,10 +74,27 @@ class LocalEvaluator:
         # the pairs of the i-th sphere-1 vertex (their owner) are d_y
         # consecutive rows; (f(z)-f(y))^2 summed over them and scaled by
         # 1/(2 d_y) yields G(f)(y), here as a per-neighbor aggregation matrix
-        owner = self.pair_owner = self.pair_y - 1
-        group = np.zeros((len(owner), self.degree))
+        owner = self.pair_y - 1
+        group = np.zeros((len(owner), d))
         group[np.arange(len(owner)), owner] = 1.0 / (2.0 * self.s1_degree[owner])
         self.gamma_s1_weights = group
+
+        # the reduced ratio's terms (see the module docstring), by sphere-1
+        # index: each owner's weight and count of distance-2 vertices it is
+        # the only parent of; the triangle pairs; and the pairs to the
+        # distance-2 vertices with several parents, which are numbered
+        z, w = self.pair_z, self.pair_w
+        in_s2 = z > d
+        parents = np.bincount(z[in_s2], minlength=width)
+        shared = in_s2 & (parents[z] > 1)
+        tri = (z > 0) & ~in_s2
+        self.s1_w = w[_firsts(self.s1_degree)]
+        self.s1_single = np.bincount(owner[in_s2 & ~shared], minlength=d).astype(np.float64)
+        self.tri_y, self.tri_z, self.tri_w = owner[tri], z[tri] - 1, w[tri]
+        number = np.cumsum(parents > 1) - 1
+        self.shared_y, self.shared_z, self.shared_w = owner[shared], number[z[shared]], w[shared]
+        self.shared_count = int(np.count_nonzero(parents > 1))
+        self.s2_y, self.s2_z, self.s2_w = owner[in_s2], z[in_s2] - 1 - d, w[in_s2]
 
     def to_vertex_function_values(self, row: np.ndarray, fill: float = 0.0) -> np.ndarray:
         """Expand one ball row to a full vertex-value array."""
@@ -95,6 +141,20 @@ class LocalEvaluator:
         lap = self.laplacian(rows)
         return self.gamma2(rows) - self.gamma_f_ratio(rows) - lap * lap / n
 
+    def fill(self, t: np.ndarray) -> np.ndarray:
+        """Rows with f(x) = 1, sphere 1 from the rows of t and each
+        distance-2 value at its minimizer f(z)* = B_z / A_z."""
+        count, nz = len(t), len(self.s2_cols)
+        rows = np.empty((count, self.width))
+        rows[:, 0] = 1.0
+        rows[:, self.s1_cols] = t
+        key = (np.arange(count)[:, None] * nz + self.s2_z).ravel()
+        ty = t[:, self.s2_y]
+        b = np.bincount(key, (self.s2_w * ty).ravel(), count * nz)
+        a = np.bincount(key, (self.s2_w / ty).ravel(), count * nz)
+        rows[:, self.s2_cols] = (b / a).reshape(count, nz)
+        return rows
+
 
 def _pair_form(yz, xz, yz2, xz2, w):
     """Per-pair summand of the closed G_2, polarized:
@@ -123,186 +183,205 @@ def cd_entries(y, z, w, degree, n: float):
     return df, rows, cols, values
 
 
-class MoveTable:
-    """The CDE ratio after one coordinate of a row moves, updated by delta,
-    for the candidate rows of many vertices at once.
+class MoveScorer:
+    """The reduced CDE ratio R of sphere-1 rows, in full and after one
+    coordinate moves, for the candidate rows of many vertices at once.
 
-    Moving column c from a to v changes only the pairs with c at either
-    end, G(f)(y) for the owners y of those pairs and, when c is in sphere
-    1, Df(x) and G(f)(x). Written as
-
-        G(f, G(f)/f) = ( sum_{y ~ x} (f(y) - f(x)) G(f)(y)/f(y)
-                         - (G(f)(x)/f(x)) d_x Df(x) ) / (2 d_x),
-
-    every term of the ratio updates in O(pairs touching c), and a squared
-    difference with c at one end changes by (v - a)(v + a - 2 f(other end)).
-    Where c is a pair's y end, c owns the pair: those pairs are the
-    consecutive block of c, and both f(c) and G(f)(c) change. Where c is a
-    z end, only G(f)(owner) changes and (f(y) - f(x))/f(y) stays put, so
-    the update is linear in the per-pair changes, summed per column with
-    ``np.bincount`` (a column may be no pair's z end, and sits several
-    pairs' z end only where the ball has 4-cycles or triangles).
+    A row holds the sphere-1 values t of a function with f(x) = 1 whose
+    sphere 2 is at f(z)* (see the module docstring). R's numerator is a sum
+    of terms plus the Df(x) terms. The own term of the i-th sphere-1 value
+    holds its pair with the centre and its pairs to the distance-2 vertices
+    of which it is the only parent, at f(z)* = t^2; the coupling terms are
+    the triangle pairs (y, z both in sphere 1) and, for each distance-2
+    vertex z with several parents, the pairs to z at f(z) = 0 together with
+    -B_z^2 / (2 A_z). Moving one coordinate changes its own term, the
+    coupling terms that hold it, and the sums of t and of (t - 1)^2 behind
+    Df(x) and G(f)(x); on a girth-5 ball there are no coupling terms, so a
+    move costs O(1).
 
     Ragged layout: the rows of the i-th evaluator are counts[i] rows of its
-    own width, and all rows lie one after another in one flat array, the
-    evaluators in order (``first`` holds where each row begins). The pairs,
-    sphere-1 entries and non-center coordinates of every row are offset
-    into flat gather arrays, so every per-row and per-owner sum is a
-    segment sum over that row's own entries and no row is padded: a row's
-    values do not depend on the rows beside it. A move array holds the K
-    new values of each coordinate as (K, M), the M coordinates row after
-    row, column 1 first.
+    degree, and all rows lie one after another in one flat array of
+    entries, the evaluators in order (``first`` holds where each row
+    begins). Every per-row sum is a segment or bin sum over that row's own
+    entries and no row is padded, so a row's values do not depend on the
+    rows beside it. A move array holds the K new values of each entry as
+    (K, M), M the entries.
     """
 
     def __init__(self, evs: list[LocalEvaluator], counts):
         self.evs = evs
         self.counts = np.asarray(counts, dtype=np.intp)
-        # per evaluator, and its entries concatenated in evaluator order
-        degree = np.array([ev.degree for ev in evs], dtype=np.intp)
-        npairs = np.array([len(ev.pair_y) for ev in evs], dtype=np.intp)
-        self.ncoords = np.array([ev.width - 1 for ev in evs], dtype=np.intp)
-        pair_y = np.concatenate([ev.pair_y for ev in evs])
-        pair_z = np.concatenate([ev.pair_z for ev in evs])
-        pair_w = np.concatenate([ev.pair_w for ev in evs])
-        pair_owner = np.concatenate([ev.pair_owner for ev in evs])
-        s1_degree = np.concatenate([ev.s1_degree for ev in evs])
-        owner_start = _firsts(s1_degree)   # each owner's first pair
-        pair_first, s1_first, coord_first = (_firsts(a) for a in (npairs, degree, self.ncoords))
-        s1_of = np.repeat(np.arange(len(evs)), degree)
-
-        # a pair term changes by (v - a) times the pair form of the moved
-        # differences, (1, 0) at the y end and (1, 1) at the z end, against
-        # (v + a - 2 f(other end), v + a - 2 f(x)); per column, the parts
-        # proportional to v + a and to f(x)
-        z_end = pair_z > 0
-        z_col = (coord_first[np.repeat(np.arange(len(evs)), npairs)] + pair_z - 1)[z_end]
-        w_z = pair_w[z_end]
-        total = int(self.ncoords.sum())
-        sum_coef = np.bincount(z_col, _pair_form(1.0, 1.0, 1.0, 1.0, w_z), total)
-        sum_coef = sum_coef.astype(np.float64)   # integer zeros where no pair has a z end
-        # sphere 1 is columns 1..d_x, so also each vertex's first d_x coordinates
-        s1_col = coord_first[s1_of] + np.arange(len(s1_of)) - s1_first[s1_of]
-        sum_coef[s1_col] += np.add.reduceat(_pair_form(1.0, 0.0, 1.0, 1.0, pair_w), owner_start)
-        center_coef = np.bincount(z_col, _pair_form(1.0, 1.0, 0.0, -2.0, w_z), total)
-
-        # per row: its pairs, sphere-1 entries and coordinates
-        of = np.repeat(np.arange(len(evs)), self.counts)
-        self.vertex_of = of
-        self.first = _firsts(self.ncoords[of] + 1)   # where each row starts: f(x)
-        self.degree = degree[of].astype(np.float64)
-        s_tpl, self.s_row, self.s_first, s_local = _ragged(s1_first, degree, of)
-        p_tpl, self.p_row, self.p_first, _ = _ragged(pair_first, npairs, of)
-        c_tpl, self.c_row, self.c_first, self.c_local = _ragged(coord_first, self.ncoords, of)
-        self.s1_idx = self.first[self.s_row] + 1 + s_local
-        self.s1_coord = self.c_first[self.s_row] + s_local
-        self.s1_degree = s1_degree[s_tpl].astype(np.float64)
-        self.owner_w = pair_w[owner_start][s_tpl]   # 1/(2 d_x d_y)
-        self.owner_first = self.p_first[self.s_row] + (owner_start - pair_first[s1_of])[s_tpl]
-        self.py_idx = self.first[self.p_row] + pair_y[p_tpl]
-        self.pz_idx = self.first[self.p_row] + pair_z[p_tpl]
-        self.pair_w = pair_w[p_tpl]
-        # pairs with a z end other than the center, by column and owner
-        z_end = np.flatnonzero(pair_z[p_tpl] > 0)
-        self.z_coord = self.c_first[self.p_row[z_end]] + pair_z[p_tpl[z_end]] - 1
-        self.z_owner = self.s_first[self.p_row[z_end]] + pair_owner[p_tpl[z_end]]
-        self.coord_idx = self.first[self.c_row] + 1 + self.c_local
-        self.sum_coef = sum_coef[c_tpl]
-        self.center_coef = center_coef[c_tpl]
+        self.degrees = np.array([ev.degree for ev in evs], dtype=np.intp)
+        of = self.vertex_of = np.repeat(np.arange(len(evs)), self.counts)
+        entry, self.row_of, self.first, self.local = _ragged(
+            _firsts(self.degrees), self.degrees, of
+        )
+        self.row_degree = self.degrees[of].astype(np.float64)
+        self.w = np.concatenate([ev.s1_w for ev in evs])[entry]
+        self.single = np.concatenate([ev.s1_single for ev in evs])[entry]
+        # the coupling lists of every row, their sphere-1 ends as entries;
+        # the shared distance-2 vertices are numbered row after row
+        row, tpl = _ragged_list(evs, of, "tri_y")
+        self.tri_row, self.tri_w = row, _gather(evs, "tri_w", tpl)
+        self.tri_y = self.first[row] + _gather(evs, "tri_y", tpl)
+        self.tri_z = self.first[row] + _gather(evs, "tri_z", tpl)
+        row, tpl = _ragged_list(evs, of, "shared_y")
+        self.shared_row, self.shared_w = row, _gather(evs, "shared_w", tpl)
+        self.shared_y = self.first[row] + _gather(evs, "shared_y", tpl)
+        groups = np.array([ev.shared_count for ev in evs], dtype=np.intp)[of]
+        self.shared_z = _firsts(groups)[row] + _gather(evs, "shared_z", tpl)
+        self.group_row = np.repeat(np.arange(len(of)), groups)
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        """The rows of each evaluator, (count, width) views into flat."""
-        sizes = self.counts * (self.ncoords + 1)
+        """The rows of each evaluator, (count, degree) views into flat."""
+        sizes = self.counts * self.degrees
         return [
-            flat[a : a + size].reshape(count, ev.width)
-            for ev, a, size, count in zip(self.evs, _firsts(sizes), sizes, self.counts)
+            flat[a : a + size].reshape(count, degree)
+            for a, size, count, degree in zip(_firsts(sizes), sizes, self.counts, self.degrees)
         ]
 
-    def ratios(
+    def ratios(self, flat: np.ndarray, n: float) -> np.ndarray:
+        """R of each row of flat (strictly positive)."""
+        _, terms, _ = self._terms(flat)
+        lap, gx = self._gradients(flat)
+        return _ratio(_numerator(terms, lap, gx, n), gx)
+
+    def moves(
         self, flat: np.ndarray, values: np.ndarray, n: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CDE ratio and Df(x) of each row with one column replaced.
+        """R and Df(x) of each row with one entry replaced.
 
-        flat holds every row, strictly positive; values[k, m] is the k-th new
-        value of the m-th coordinate, shape (K, M). Returns (ratio, Df(x),
-        unmoved): the first two shaped like values, the ratio +inf where
-        G(f)(x) vanishes, and the ratio of each row as it is. A
-        move whose delta would lose accuracy (the row's terms outweigh the
-        moved numerator and G(f)(x) by more than ``_DELTA_CANCEL``) is
-        evaluated in full instead, on its own row.
-
-        The numerator is base + (1/2 - 1/n) Df(x)^2 + G(f)(x) Df(x) / (2 f(x)),
-        where base is the sum of the pair terms minus sum_y h(y) / (2 d_x),
-        h(y) = (f(y) - f(x)) G(f)(y) / f(y).
+        flat holds every row, strictly positive; values[k, m] is the k-th
+        new value of the m-th entry, shape (K, M). Returns (ratio, Df(x),
+        unmoved): the first two shaped like values, and the ratio of each
+        row as it is. A move whose delta would lose accuracy (the row's
+        terms outweigh the moved numerator and G(f)(x) by more than
+        ``_DELTA_CANCEL``) is evaluated in full instead, on its own row,
+        unless G(f)(x) is below the floor.
         """
-        s_row, c_row = self.s_row, self.c_row
-        scale = 1.0 / (2.0 * self.degree)
-        kappa = 0.5 - 1.0 / n
-        fx = flat[self.first]
-        fy = flat[self.s1_idx]
-        fz = flat[self.pz_idx]
-        dyz = fz - flat[self.py_idx]
-        dxz = fz - fx[self.p_row]
-        terms = _pair_form(dyz, dxz, dyz, dxz, self.pair_w)
-        gy2 = np.add.reduceat(dyz * dyz, self.owner_first)   # 2 d_y G(f)(y)
-        nbr = np.add.reduceat(fz, self.owner_first)   # sum of f next to y
-        fx_s, scale_s, two_dy = fx[s_row], scale[s_row], 2.0 * self.s1_degree
-        dev = fy - fx_s
-        dev2 = dev * dev
-        dev_dy = dev / two_dy
-        h = dev_dy * gy2 / fy
-        fy_sum = np.add.reduceat(fy, self.s_first)
-        dev2_sum = np.add.reduceat(dev2, self.s_first)
-        lap0 = fy_sum / self.degree - fx
-        gx0 = dev2_sum * scale
-        base = np.add.reduceat(terms, self.p_first) - np.add.reduceat(h, self.s_first) * scale
-        size = (
-            np.add.reduceat(np.abs(terms), self.p_first)
-            + np.add.reduceat(np.abs(h), self.s_first) * scale
-            + gx0
-        )
-        num0 = base + (kappa * lap0 + gx0 / (2.0 * fx)) * lap0
-        unmoved = np.divide(num0, gx0, out=np.full_like(num0, np.inf), where=gx0 > 0.0)
+        row, degree = self.row_of, self.row_degree[self.row_of]
+        own, terms0, size = self._terms(flat)
+        lap0, gx0 = self._gradients(flat)
+        size += gx0
 
-        # the pair terms and h change by (v - a)((v + a) quad + lin), apart
-        # from the moved sphere-1 vertex's own h; at a pair's z end, the
-        # owner's h changes by (f(y) - f(x)) / (2 d_y f(y)) times the change
-        # of (f(z) - f(y))^2
-        ncoords = len(self.coord_idx)
-        at_z = 2.0 * scale_s * dev_dy - 2.0 * self.owner_w * fy
-        lin = fx[c_row] * self.center_coef + np.bincount(
-            self.z_coord, at_z[self.z_owner], ncoords
-        )
-        lin[self.s1_coord] -= 2.0 * self.owner_w * nbr
-        at_z = -scale_s * dev_dy / fy
-        quad = self.sum_coef + np.bincount(self.z_coord, at_z[self.z_owner], ncoords)
+        terms = terms0[row] + (_own_terms(values, self.w, self.single) - own)
+        if len(self.tri_y) or len(self.shared_y):
+            terms += self._coupling_moves(flat, values)
+        lap = lap0[row] + (values - flat) / degree
+        c_new, c_old = values - 1.0, flat - 1.0
+        gx = gx0[row] + (c_new * c_new - c_old * c_old) / (2.0 * degree)
+        num = _numerator(terms, lap, gx, n)
+        ratio = _ratio(num, gx)
 
-        old = flat[self.coord_idx]
-        delta = values - old
-        num = delta * ((values + old) * quad + lin) + base[c_row]
-        # a sphere-1 move also changes its own f and G(f), Df(x) and G(f)(x)
-        dp, vp = delta[:, self.s1_coord], values[:, self.s1_coord]
-        g_own = gy2 / two_dy + dp * (0.5 * (vp + fy) - nbr / self.s1_degree)
-        num[:, self.s1_coord] -= ((vp - fx_s) * g_own / vp - h) * scale_s
-        lap = np.empty_like(values)
-        lap[:] = lap0[c_row]
-        lap[:, self.s1_coord] = ((fy_sum[s_row] - fy) + vp) / self.degree[s_row] - fx_s
-        gx = np.empty_like(values)
-        gx[:] = gx0[c_row]
-        gx[:, self.s1_coord] = ((dev2_sum[s_row] - dev2) + (vp - fx_s) ** 2) * scale_s
-        num += (kappa * lap + gx / (2.0 * fx[c_row])) * lap
-        ratio = np.divide(num, gx, out=np.full_like(num, np.inf), where=gx > 0.0)
+        # a delta adds to the row's own terms and G(f)(x), so its rounding
+        # error is relative to the size of those, not to the result's; below
+        # the floor the ratio is +inf either way
+        redo = (gx >= GRADIENT_FLOOR) & ~(size[row] <= _DELTA_CANCEL * np.maximum(gx, np.abs(num)))
+        if redo.any():   # rare: each such move in full, on a row of its own
+            k, m = np.nonzero(redo)
+            rows = row[m]
+            sub = MoveScorer([self.evs[v] for v in self.vertex_of[rows]], np.ones_like(rows))
+            entry, _, _, _ = _ragged(self.first, self.degrees[self.vertex_of], rows)
+            moved = flat[entry]
+            moved[sub.first + self.local[m]] = values[k, m]
+            ratio[k, m] = sub.ratios(moved, n)
+        return ratio, lap, _ratio(_numerator(terms0, lap0, gx0, n), gx0)
 
-        # the deltas add to the row's own pair terms, h and G(f)(x), so their
-        # rounding error is relative to the size of those, not to the result's
-        redo = ~(size[c_row] <= _DELTA_CANCEL * np.maximum(gx, np.abs(num)))
-        for k, m in zip(*np.nonzero(redo)):   # rare: one row at a time
-            ev = self.evs[self.vertex_of[c_row[m]]]
-            start = self.first[c_row[m]]
-            full = flat[None, start : start + ev.width].copy()
-            full[0, self.c_local[m] + 1] = values[k, m]
-            den = ev.gamma(full)[0]
-            ratio[k, m] = ev.cde_numerator(full, n)[0] / den if den > 0.0 else np.inf
-        return ratio, lap, unmoved
+    def _terms(self, t: np.ndarray):
+        """(own terms, the numerator of each row but for its Df(x) terms,
+        and the sum of their absolute values, the scale of a delta's
+        rounding error)."""
+        own = _own_terms(t, self.w, self.single)
+        terms = np.add.reduceat(own, self.first)
+        size = np.add.reduceat(np.abs(own), self.first)
+        for at, coupling in self._coupling(t):
+            terms += np.bincount(at, coupling, len(terms))
+            size += np.bincount(at, np.abs(coupling), len(terms))
+        return own, terms, size
+
+    def _gradients(self, t: np.ndarray):
+        """Df(x) and G(f)(x) of each row, at f(x) = 1."""
+        c = t - 1.0
+        lap = np.add.reduceat(t, self.first) / self.row_degree - 1.0
+        return lap, np.add.reduceat(c * c, self.first) / (2.0 * self.row_degree)
+
+    def _coupling(self, t: np.ndarray):
+        """(row, value) of each coupling term of the rows of t."""
+        if len(self.tri_y):
+            ty, tz = t[self.tri_y], t[self.tri_z]
+            yield self.tri_row, _reduced_pair(ty, tz - ty, tz - 1.0, self.tri_w)
+        if len(self.shared_y):
+            ty = t[self.shared_y]
+            yield self.shared_row, _reduced_pair(ty, -ty, -1.0, self.shared_w)
+            b, a = self._shared_sums(ty)
+            yield self.group_row, -0.5 * b * b / a
+
+    def _shared_sums(self, ty: np.ndarray):
+        """B_z and A_z of each shared distance-2 vertex z, from the values
+        ty of its parents."""
+        count, w = len(self.group_row), self.shared_w
+        return (np.bincount(self.shared_z, w * ty, count),
+                np.bincount(self.shared_z, w / ty, count))
+
+    def _coupling_moves(self, t: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The change of the coupling terms as each entry moves, like values."""
+        k, m = values.shape
+        out = np.zeros(k * m)
+        keys = np.arange(k)[:, None] * m
+        if len(self.tri_y):
+            ty, tz, w = t[self.tri_y], t[self.tri_z], self.tri_w
+            before = _reduced_pair(ty, tz - ty, tz - 1.0, w)
+            vy, vz = values[:, self.tri_y], values[:, self.tri_z]
+            for at, after in ((self.tri_y, _reduced_pair(vy, tz - vy, tz - 1.0, w)),
+                              (self.tri_z, _reduced_pair(ty, vz - ty, vz - 1.0, w))):
+                out += np.bincount((keys + at).ravel(), (after - before).ravel(), k * m)
+        if len(self.shared_y):
+            ty, w = t[self.shared_y], self.shared_w
+            b, a = (s[self.shared_z] for s in self._shared_sums(ty))
+            v = values[:, self.shared_y]
+            b_new, a_new = b + w * (v - ty), a + w * (1.0 / v - 1.0 / ty)
+            change = (_reduced_pair(v, -v, -1.0, w) - _reduced_pair(ty, -ty, -1.0, w)
+                      - 0.5 * b_new * b_new / a_new + 0.5 * b * b / a)
+            out += np.bincount((keys + self.shared_y).ravel(), change.ravel(), k * m)
+        return out.reshape(k, m)
+
+
+def _reduced_pair(t, dt, d1, w):
+    """psi_w of one pair: its G_2 summand plus its share of -h(y) / (2 d_x),
+    at f(x) = 1 and f(y) = t, given dt = f(z) - t and d1 = f(z) - 1."""
+    return _pair_form(dt, d1, dt, d1, w) - 0.5 * w * ((t - 1.0) / t) * dt * dt
+
+
+def _own_terms(t, w, single):
+    """The own term of each sphere-1 value t, psi_w(t, 1) plus `single`
+    times psi_w(t, t^2) (``_reduced_pair`` at f(z) = 1 and at f(z) = t^2),
+    collapsed: (w/2)(t - 1)^2 [(1 + 1/t) - single (t + 1)]. The factor
+    (t - 1)^2 stands apart, so nothing cancels near t = 1."""
+    c = t - 1.0
+    return (0.5 * w) * (c * c) * ((1.0 + 1.0 / t) - single * (t + 1.0))
+
+
+def _numerator(terms, lap, gx, n: float):
+    """R's numerator from its terms, Df(x) and G(f)(x), at f(x) = 1."""
+    return terms + ((0.5 - 1.0 / n) * lap + 0.5 * gx) * lap
+
+
+def _ratio(num: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    return np.divide(num, gx, out=np.full_like(num, np.inf), where=gx >= GRADIENT_FLOOR)
+
+
+def _ragged_list(evs, of, name: str):
+    """The entries of each evaluator's list `name`, for the rows of `of`:
+    (row, index into the evaluators' lists concatenated) per entry."""
+    lengths = np.array([len(getattr(ev, name)) for ev in evs], dtype=np.intp)
+    if not lengths.any():   # the usual case: spares a pass over every row
+        return np.zeros((2, 0), dtype=np.intp)
+    tpl, row, _, _ = _ragged(_firsts(lengths), lengths, of)
+    return row, tpl
+
+
+def _gather(evs, name: str, tpl: np.ndarray) -> np.ndarray:
+    return np.concatenate([getattr(ev, name) for ev in evs])[tpl]
 
 
 def _ragged(first: np.ndarray, length: np.ndarray, of: np.ndarray):
@@ -313,5 +392,5 @@ def _ragged(first: np.ndarray, length: np.ndarray, of: np.ndarray):
     lengths = length[of]
     seg = np.repeat(np.arange(len(of)), lengths)
     starts = _firsts(lengths)
-    local = np.arange(len(seg)) - starts[seg]
-    return first[of][seg] + local, seg, starts, local
+    local = np.arange(len(seg)) - np.repeat(starts, lengths)
+    return np.repeat(first[of], lengths) + local, seg, starts, local

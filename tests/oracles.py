@@ -8,8 +8,11 @@ the quadratic-form assembly, Schur elimination, or eigensolver) and, at
 girth >= 5, by a closed form in the neighbor degrees, and
 Schur elimination of a general positive-definite block by Cholesky
 factorization (production divides by a diagonal block), and the CDE
-descent moves scored by building every proposal row and evaluating it in
-full (production updates the ratio by delta). The counter-mode uniforms
+descent moves scored by building every proposal row, filling its sphere 2
+and evaluating it in full (production updates the reduced ratio by
+delta). The best sphere-2 values of a CDE row are also filled by a set
+walk over the parents of each distance-2 vertex (production sums over the
+2-paths with ``np.bincount``). The counter-mode uniforms
 are also given as one whole-array expression (production mixes in place,
 block by block), the sampled CDE rows as whole-array expressions
 (production computes them in place), the CDE refinement triggers by a heap walk over every
@@ -41,7 +44,7 @@ from curvkit.cde import (
     _batch_ratios,
 )
 from curvkit.graph import Graph, _check_vertex, check_function
-from curvkit.localforms import LocalEvaluator
+from curvkit.localforms import GRADIENT_FLOOR, LocalEvaluator
 from curvkit.operators import _require_positive_two_ball, gamma_local, laplacian
 from curvkit.rng import _MIX1, _MIX2, GOLDEN, MASK64, counter_uniforms, derive_stream
 
@@ -310,27 +313,46 @@ def rayleigh_matrix_minimum(
     return min_ratio_descent(eval_nd, rows[order], np.arange(dim))
 
 
+def walked_fill(ev: LocalEvaluator, t: np.ndarray) -> np.ndarray:
+    """Full rows from sphere-1 rows t: f(x) = 1, and each distance-2 vertex
+    z at sum w t_y / sum w / t_y over its parents y, w = 1/(2 d_x d_y),
+    the parents found by a set walk."""
+    g = ev.graph
+    sphere1, sphere2, _ = walked_two_ball(g, ev.center)
+    rows = np.empty((len(t), ev.width))
+    rows[:, 0] = 1.0
+    rows[:, 1 : 1 + len(sphere1)] = t
+    for z, col in zip(sphere2, ev.s2_cols):
+        b = a = 0.0
+        for y in sorted(set(g.adjacency[z]) & set(sphere1)):
+            w = 1.0 / (2.0 * len(sphere1) * g.degree(y))
+            ty = t[:, sphere1.index(y)]
+            b, a = b + w * ty, a + w / ty
+        rows[:, col] = b / a
+    return rows
+
+
 def proposal_tensor_moves(
     ev: LocalEvaluator, current: np.ndarray, step: np.ndarray, n: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One descent sweep's proposals, each built as a full row and scored.
 
-    Proposal slot j of a candidate moves column j // 2 + 1 by the factor
-    1 + step (even j) or 1 / (1 + step) (odd j), floored at the margin;
-    a sphere-1 move is then shrunk by the excess of the sphere-1 sum over
-    d_x (1 - margin), so Df(x) <= -margin. Returns (moved, values, dead,
-    lap), each (count, 2 (width - 1)): the moved column's new value, the
-    ratio by ``_batch_ratios`` (+inf where dead or Df(x) >= 0), the dead
-    flags, and Df(x) of the proposal.
+    current holds sphere-1 rows. Proposal slot j of a candidate moves
+    sphere-1 value j // 2 by the factor 1 + step (even j) or 1 / (1 + step)
+    (odd j), floored at the margin, then shrunk by the excess of the
+    sphere-1 sum over d_x (1 - margin), so Df(x) <= -margin. Each proposal
+    is filled by ``walked_fill``. Returns (moved, values, dead, lap), each
+    (count, 2 d_x): the moved value, the ratio by ``_batch_ratios`` (+inf
+    where dead, Df(x) >= 0 or G(f)(x) is below the floor), the dead flags,
+    and Df(x) of the proposal.
     """
     current = np.asarray(current, dtype=np.float64)
-    count = len(current)
-    nprops = 2 * (ev.width - 1)
-    slot_col = np.repeat(np.arange(1, ev.width), 2)
-    slot_is_s1 = np.isin(slot_col, ev.s1_cols)
+    count, d = current.shape
+    nprops = 2 * d
+    slot_col = np.repeat(np.arange(d), 2)
     cand_idx = np.arange(count)[:, None]
     slot_idx = np.arange(nprops)[None, :]
-    budget = ev.degree * (1.0 - FEASIBILITY_MARGIN)
+    budget = d * (1.0 - FEASIBILITY_MARGIN)
 
     factors = np.empty((count, nprops))
     factors[:, 0::2] = (1.0 + step)[:, None]
@@ -339,17 +361,16 @@ def proposal_tensor_moves(
     moved = proposals[cand_idx, slot_idx, slot_col[None, :]] * factors
     moved = np.maximum(moved, FEASIBILITY_MARGIN)
     proposals[cand_idx, slot_idx, slot_col[None, :]] = moved
-    s1_sum = proposals[:, :, ev.s1_cols].sum(axis=2)
-    excess = np.where(slot_is_s1[None, :], s1_sum - budget, 0.0)
-    moved = moved - np.maximum(excess, 0.0)
+    moved = moved - np.maximum(proposals.sum(axis=2) - budget, 0.0)
     final = np.maximum(moved, FEASIBILITY_MARGIN)
     proposals[cand_idx, slot_idx, slot_col[None, :]] = final
     dead = moved <= FEASIBILITY_MARGIN
 
-    flat = proposals.reshape(count * nprops, ev.width)
+    flat = walked_fill(ev, proposals.reshape(count * nprops, d))
     values = _batch_ratios(ev, flat, n).reshape(count, nprops)
     lap = ev.laplacian(flat).reshape(count, nprops)
-    values = np.where(dead | ~(lap < 0.0), np.inf, values)
+    low_gradient = ev.gamma(flat).reshape(count, nprops) < GRADIENT_FLOOR
+    values = np.where(dead | ~(lap < 0.0) | low_gradient, np.inf, values)
     return final, values, dead, lap
 
 
@@ -419,12 +440,8 @@ def listed_structured_rows(ev: LocalEvaluator, stream: int) -> np.ndarray:
 
 
 def expression_sampled_rows(ev: LocalEvaluator, stream: int, samples: int) -> np.ndarray:
-    """The sampled CDE rows as whole-array expressions over the draws."""
-    width = ev.width
-    u = counter_uniforms(stream, 0, samples * width).reshape(samples, width)
-    raw = np.exp(_LOG_HALF_RANGE * (2.0 * u - 1.0))
-    s1 = raw[:, ev.s1_cols]
+    """The sampled sphere-1 rows as whole-array expressions over the draws."""
+    u = counter_uniforms(stream, 0, samples * (ev.degree + 1)).reshape(samples, -1)
+    s1 = np.exp(_LOG_HALF_RANGE * (2.0 * u[:, 1:] - 1.0))
     ceiling = (1.0 - u[:, 0]) ** (1.0 / ev.degree) * (1.0 - FEASIBILITY_MARGIN)
-    raw[:, ev.s1_cols] = s1 * np.minimum(1.0, ceiling / s1.mean(axis=1))[:, None]
-    raw[:, 0] = 1.0
-    return raw
+    return s1 * np.minimum(1.0, ceiling / s1.mean(axis=1))[:, None]

@@ -28,13 +28,20 @@ from curvkit.cde import (
     _REFINE_CAP,
     _batch_ratios,
     _descend,
+    _reduced_ratios,
     _sampled_rows,
     _score_moves,
     _structured_rows,
     _trigger_rows,
     cde_estimates,
 )
-from curvkit.localforms import LocalEvaluator, MoveTable
+from curvkit.localforms import (
+    GRADIENT_FLOOR,
+    LocalEvaluator,
+    MoveScorer,
+    _own_terms,
+    _reduced_pair,
+)
 from curvkit.rng import derive_stream
 from oracles import (
     expression_sampled_rows,
@@ -42,6 +49,7 @@ from oracles import (
     heap_trigger_rows,
     listed_structured_rows,
     proposal_tensor_moves,
+    walked_fill,
 )
 
 
@@ -199,20 +207,111 @@ def test_batch_ratios_match_scalar_path(corpus_small):
             assert approx_equal(values[i], cde_ratio(g, x, 2.0, full), rel=1e-12)
 
 
+def _close(a, b, rel=1e-12):
+    """Equal to rel relative, with an absolute floor of rel near 0, where
+    both routes cancel terms of size O(1)."""
+    return np.all(np.abs(a - b) <= rel * np.maximum(np.abs(a), np.abs(b)) + rel)
+
+
+def _reduced_cases():
+    """Every vertex of the small corpus (triangles and 4-cycles), of every
+    3rd girth-5 corpus graph, and the tree-hub centre."""
+    for g in small_mixed_corpus() + girth5_corpus()[::3]:
+        for x in range(g.vertex_count):
+            yield g, x
+    yield tree_hub(14), 0
+
+
+def test_reduced_ratio_matches_the_filled_row():
+    # R against the full ratio of the row with sphere 2 filled by a set
+    # walk, and +inf exactly below the gradient floor
+    rng = np.random.default_rng(17)
+    for g, x in _reduced_cases():
+        ev = LocalEvaluator(g, x)
+        t = np.exp(rng.uniform(-3.0, 3.0, size=(20, ev.degree)))
+        t[0] = 1.0 + 0.01 * rng.uniform(-1.0, 1.0, size=ev.degree)   # below the floor
+        filled = walked_fill(ev, t)
+        low = ev.gamma(filled) < GRADIENT_FLOOR
+        assert low[0]
+        for n in (2.0, 3.5, np.inf):
+            reduced = _reduced_ratios(ev, t, n)
+            assert np.array_equal(np.isinf(reduced), low)
+            assert _close(reduced[~low], _batch_ratios(ev, filled, n)[~low])
+
+
+def test_fill_matches_walked_fill():
+    rng = np.random.default_rng(19)
+    for g, x in _reduced_cases():
+        ev = LocalEvaluator(g, x)
+        t = np.exp(rng.uniform(-3.0, 3.0, size=(5, ev.degree)))
+        assert np.allclose(ev.fill(t), walked_fill(ev, t), rtol=1e-15, atol=0.0)
+
+
+def test_filled_sphere2_is_optimal():
+    # with the centre and sphere 1 fixed, no log-normal perturbation of the
+    # filled sphere 2 lowers the ratio
+    rng = np.random.default_rng(23)
+    checked = 0
+    for g in small_mixed_corpus() + girth5_corpus()[::3]:
+        for x in range(g.vertex_count):
+            ev = LocalEvaluator(g, x)
+            if not len(ev.s2_cols):
+                continue
+            filled = ev.fill(np.exp(rng.normal(0.0, 0.7, size=(50, ev.degree))))
+            best = _batch_ratios(ev, filled, 2.0)
+            for sigma in (1e-3, 1e-1):
+                moved = filled.copy()
+                moved[:, ev.s2_cols] *= np.exp(rng.normal(0.0, sigma, size=(50, len(ev.s2_cols))))
+                ratio = _batch_ratios(ev, moved, 2.0)
+                assert np.all(ratio >= best - 1e-12 * np.maximum(np.abs(best), 1.0))
+            checked += 1
+    assert checked >= 500
+
+
+def test_reduced_ratio_is_separable_at_girth_5():
+    # at a girth-5 vertex R depends on d_x, the d_y and t alone:
+    # sum_y (w_y/2)(t_y - 1)^2 (t_y + 1)(1/t_y + 1 - d_y) plus the Df(x)
+    # terms, over G(f)(x); checked against the filled row in full
+    rng = np.random.default_rng(29)
+    cases = [(g, x) for g in girth5_corpus()[::2] for x in range(g.vertex_count)]
+    for g, x in cases + [(tree_hub(20), 0)]:
+        if vertex_girth(g, x) < 5:
+            continue
+        ev = LocalEvaluator(g, x)
+        d = ev.degree
+        dy = np.array([g.degree(y) for y in g.adjacency[x]], dtype=np.float64)
+        w = 1.0 / (2.0 * d * dy)
+        t = np.exp(rng.uniform(-2.0, 0.5, size=(10, d)))
+        lap, gx = t.mean(axis=1) - 1.0, ((t - 1.0) ** 2).sum(axis=1) / (2.0 * d)
+        for n in (2.0, np.inf):
+            own = (0.5 * w * (t - 1.0) ** 2 * (t + 1.0) * (1.0 / t + 1.0 - dy)).sum(axis=1)
+            closed = (own + ((0.5 - 1.0 / n) * lap + 0.5 * gx) * lap) / gx
+            assert _close(closed, _batch_ratios(ev, walked_fill(ev, t), n))
+            assert _close(closed, _reduced_ratios(ev, t, n))
+
+
+def test_own_term_is_the_pair_form_at_the_best_sphere_2():
+    # the collapsed own term against psi_w at f(z) = 1 and at f(z)* = t^2
+    t = np.exp(np.linspace(-3.0, 3.0, 101))
+    for w, single in ((0.1, 0.0), (1 / 12, 2.0), (1 / 400, 3.0)):
+        centre = _reduced_pair(t, 1.0 - t, 0.0, w)
+        child = _reduced_pair(t, t * t - t, t * t - 1.0, w)
+        scale = np.abs(centre) + single * np.abs(child)
+        assert np.all(np.abs(_own_terms(t, w, single) - (centre + single * child)) <= 1e-13 * scale)
+
+
 def _move_rows(ev, rng):
-    """Sampler-like rows plus edge cases: the sphere-1 sum at the budget (up
-    moves clamp), values next to the floor (down moves die), and
+    """Sampler-like sphere-1 rows plus edge cases: the sum at the budget
+    (up moves clamp), a value next to the floor (down moves die), and
     Df(x) > 0 (moves that keep it are excluded)."""
     d = ev.degree
-    rows = np.exp(rng.uniform(-3.0, 3.0, size=(8, ev.width)))
-    rows[:, 0] = 1.0
-    s1 = rows[:, ev.s1_cols]
+    rows = np.exp(rng.uniform(-3.0, 3.0, size=(8, d)))
     ceiling = rng.uniform(0.05, 1.0, size=8)
-    rows[:, ev.s1_cols] = s1 * np.minimum(1.0, ceiling / s1.mean(axis=1))[:, None]
+    rows *= np.minimum(1.0, ceiling / rows.mean(axis=1))[:, None]
     spread = np.linspace(0.2, 1.8, d) / np.linspace(0.2, 1.8, d).sum() if d > 1 else 1.0
-    rows[1, ev.s1_cols] = spread * d * (1.0 - FEASIBILITY_MARGIN)
-    rows[2, ev.s1_cols[0]] = rows[2, -1] = 1.2e-9
-    rows[3, ev.s1_cols] = spread * 1.5 * d
+    rows[1] = spread * d * (1.0 - FEASIBILITY_MARGIN)
+    rows[2, 0] = 1.2e-9
+    rows[3] = spread * 1.5 * d
     return rows
 
 
@@ -233,34 +332,34 @@ def _move_batches(corpus_small):
     return batches + [_mixed_width_batch()]
 
 
-def _per_vertex(table, moves):
+def _per_vertex(scorer, moves):
     """Split (2, M) move arrays into per-vertex (count, slot) arrays, slot
-    j moving column j // 2 + 1, up for even j and down for odd j."""
-    cuts = np.cumsum(table.counts * table.ncoords)[:-1]
+    j moving sphere-1 value j // 2, up for even j and down for odd j."""
+    cuts = np.cumsum(scorer.counts * scorer.degrees)[:-1]
     return [
         part.reshape(2, count, -1).transpose(1, 2, 0).reshape(count, -1)
-        for part, count in zip(np.split(moves, cuts, axis=1), table.counts)
+        for part, count in zip(np.split(moves, cuts, axis=1), scorer.counts)
     ]
 
 
 def test_delta_moves_match_proposal_tensor(corpus_small):
     # every descent move scored by delta, over the ragged rows of many
-    # vertices at once, against the same move built as a full row and
-    # evaluated by _batch_ratios; triangles and 4-cycles (a column at the z
-    # end of several pairs) come from the small corpus
+    # vertices at once, against the same move built as a full row, filled
+    # and evaluated by _batch_ratios; triangles and 4-cycles (coupling
+    # terms) come from the small corpus
     steps = np.array([0.5, 0.25, 1e-3, 3.0, 0.7, 0.01, 0.125, 0.9])
     rng = np.random.default_rng(41)
     excluded = 0
     for batch in _move_batches(corpus_small):
         evs = [LocalEvaluator(g, x) for g, x in batch]
         rows = [_move_rows(ev, rng) for ev in evs]
-        table = MoveTable(evs, [len(r) for r in rows])
+        scorer = MoveScorer(evs, [len(r) for r in rows])
         current = np.concatenate([r.ravel() for r in rows])
         step = np.tile(steps, len(evs))
         for n in (2.0, 3.5, np.inf):
-            scored = _score_moves(table, current, step, n)
-            moved, values, dead, lap = (_per_vertex(table, a) for a in scored[:4])
-            unmoved = np.split(scored[4], np.cumsum(table.counts)[:-1])
+            scored = _score_moves(scorer, current, step, n)
+            moved, values, dead, lap = (_per_vertex(scorer, a) for a in scored[:4])
+            unmoved = np.split(scored[4], np.cumsum(scorer.counts)[:-1])
             for i, ev in enumerate(evs):
                 ref_moved, ref_values, ref_dead, ref_lap = proposal_tensor_moves(
                     ev, rows[i], steps, n
@@ -270,10 +369,12 @@ def test_delta_moves_match_proposal_tensor(corpus_small):
                 assert np.array_equal(np.isinf(values[i]), np.isinf(ref_values))
                 assert np.allclose(moved[i], ref_moved, rtol=1e-14, atol=0.0)
                 finite = np.isfinite(ref_values)
-                a, b = values[i][finite], ref_values[finite]
-                assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), np.abs(b)) + 1e-12)
-                full = _batch_ratios(ev, rows[i], n)
-                assert np.all(np.abs(unmoved[i] - full) <= 1e-12 * np.abs(full) + 1e-12)
+                assert _close(values[i][finite], ref_values[finite])
+                filled = walked_fill(ev, rows[i])
+                full = _batch_ratios(ev, filled, n)
+                full[ev.gamma(filled) < GRADIENT_FLOOR] = np.inf
+                assert np.array_equal(np.isinf(unmoved[i]), np.isinf(full))
+                assert _close(unmoved[i][np.isfinite(full)], full[np.isfinite(full)])
                 excluded += int(ref_dead.sum()) + int((ref_lap >= 0.0).sum())
     assert excluded > 0   # the edge rows reach both exclusions
 
@@ -286,14 +387,14 @@ def test_scored_moves_do_not_depend_on_the_rows_beside_them():
     evs = [LocalEvaluator(g, x) for g, x in batch]
     rows = [_move_rows(ev, rng)[[0, 1, 4, 5]] for ev in evs]
     steps = np.array([0.5, 0.03, 0.25, 2.0])
-    table = MoveTable(evs, [4] * len(evs))
+    scorer = MoveScorer(evs, [4] * len(evs))
     current = np.concatenate([r.ravel() for r in rows])
-    together = _score_moves(table, current, np.tile(steps, len(evs)), 2.0)
-    together = [_per_vertex(table, a) for a in together[:4]] + [together[4].reshape(-1, 4)]
+    together = _score_moves(scorer, current, np.tile(steps, len(evs)), 2.0)
+    together = [_per_vertex(scorer, a) for a in together[:4]] + [together[4].reshape(-1, 4)]
     for i, (ev, r) in enumerate(zip(evs, rows)):
-        alone_table = MoveTable([ev], [4])
-        alone = _score_moves(alone_table, r.ravel().copy(), steps, 2.0)
-        alone = [_per_vertex(alone_table, a)[0] for a in alone[:4]] + [alone[4]]
+        alone_scorer = MoveScorer([ev], [4])
+        alone = _score_moves(alone_scorer, r.ravel().copy(), steps, 2.0)
+        alone = [_per_vertex(alone_scorer, a)[0] for a in alone[:4]] + [alone[4]]
         for a, b in zip(alone, together):
             assert np.array_equal(a, b[i])
 
@@ -310,10 +411,27 @@ def test_descend_returns_full_values_not_above_the_starts(corpus_small):
         assert len(refined) == len(evs)
         for ev, start, (values, rows) in zip(evs, starts, refined):
             assert rows.shape == start.shape
-            assert np.array_equal(values, _batch_ratios(ev, rows, 2.0))
-            start_values = _batch_ratios(ev, start, 2.0)
-            assert np.all(values <= start_values + 1e-12 * np.abs(start_values))
-            assert np.all(rows > 0.0) and np.all(ev.laplacian(rows) < 0.0)
+            assert np.array_equal(values, _reduced_ratios(ev, rows, 2.0))
+            assert np.all(values <= _reduced_ratios(ev, start, 2.0))
+            assert np.all(rows > 0.0) and np.all(rows.mean(axis=1) < 1.0)
+
+
+def test_descent_takes_no_move_within_rounding():
+    # rows the descent converged to at the sphere-1 budget: an up move
+    # clamps back to the row up to rounding and no other move gains, so
+    # the only "gains" left are rounding; descended again, the rows come
+    # back bit for bit (without the acceptance threshold they drift)
+    for g, x in [(tree_hub(6), 0), (girth5_corpus()[5], 1)]:
+        ev = LocalEvaluator(g, x)
+        sampled = _sampled_rows(ev, derive_stream(0, x), 200)
+        starts = sampled[np.argsort(_reduced_ratios(ev, sampled, 2.0))[:20]]
+        ((_, converged),) = _descend([ev], [starts], 2.0)
+        budget = ev.degree * (1.0 - FEASIBILITY_MARGIN)
+        converged = converged[np.abs(converged.sum(axis=1) - budget) <= 1e-12]
+        assert len(converged) >= 10
+        ((values, rows),) = _descend([ev], [converged], 2.0)
+        assert np.array_equal(rows, converged)
+        assert np.array_equal(values, _reduced_ratios(ev, converged, 2.0))
 
 
 def test_estimates_do_not_depend_on_the_batching(monkeypatch):
@@ -328,7 +446,7 @@ def test_estimates_do_not_depend_on_the_batching(monkeypatch):
         return descend(evs, starts, n)
 
     monkeypatch.setattr(cde_mod, "_descend", counting)
-    monkeypatch.setattr(cde_mod, "_DESCENT_BATCH", 3000)
+    monkeypatch.setattr(cde_mod, "_DESCENT_BATCH", 1000)
     together = list(cde_estimates(g, range(g.vertex_count), 2.0, samples=2000, seed=3))
     assert len(batches) >= 2 and max(batches) >= 2
     assert sum(batches) == g.vertex_count
@@ -348,14 +466,19 @@ def test_estimates_check_arguments_before_the_first_estimate(petersen_graph):
 
 
 def test_chunked_ratios_equal_one_call_on_a_wide_vertex(monkeypatch):
-    # the hub-100 centre has 400 pairs, so a block holds 327 of the rows
+    # the hub-100 centre has 400 pairs and 100 sphere-1 values, so a block
+    # holds 327 of the full rows and 1310 of the sphere-1 rows
     ev = LocalEvaluator(tree_hub(100), 0)
-    raw = _sampled_rows(ev, derive_stream(3, 0), 1000)
-    assert len(raw) > cde_mod._RATIO_CHUNK * cde_mod._RATIO_PAIRS // len(ev.pair_y)
-    blocks = _batch_ratios(ev, raw, 2.0)
+    sampled = _sampled_rows(ev, derive_stream(3, 0), 2000)
+    full = ev.fill(sampled[:1000])
+    assert len(full) > cde_mod._RATIO_CHUNK * cde_mod._RATIO_PAIRS // len(ev.pair_y)
+    assert len(sampled) > cde_mod._RATIO_CHUNK * cde_mod._RATIO_PAIRS // ev.degree
+    blocks = _batch_ratios(ev, full, 2.0), _reduced_ratios(ev, sampled, 2.0)
     # one block of every row
-    monkeypatch.setattr(cde_mod, "_RATIO_CHUNK", len(raw) * len(ev.pair_y))
-    assert np.array_equal(blocks, _batch_ratios(ev, raw, 2.0))
+    monkeypatch.setattr(cde_mod, "_RATIO_CHUNK", len(sampled) * len(ev.pair_y))
+    assert np.array_equal(blocks[0], _batch_ratios(ev, full, 2.0))
+    assert np.array_equal(blocks[1], _reduced_ratios(ev, sampled, 2.0))
+    assert np.array_equal(blocks[1], MoveScorer([ev], [len(sampled)]).ratios(sampled.ravel(), 2.0))
 
 
 def _trigger_cases():
@@ -372,7 +495,7 @@ def _trigger_cases():
                                + [(girth5_corpus()[k], k % 5) for k in (0, 7, 20)]):
         ev = LocalEvaluator(g, x)
         raw = _sampled_rows(ev, derive_stream(i, x), 10000)
-        cases[f"sampled_{i}"] = _batch_ratios(ev, raw, 2.0)
+        cases[f"sampled_{i}"] = _reduced_ratios(ev, raw, 2.0)
     return cases
 
 
@@ -411,8 +534,8 @@ def test_structured_rows_match_listed_rows(p):
 
 def test_hub_center_estimate_memory_is_bounded():
     # degree-100 center, 401-wide 2-ball, default sample count: scored by
-    # delta the search traces ~120 MiB; building every proposal row as a
-    # full row peaks near 1.3 GB of RSS here
+    # delta over sphere 1 the search traces ~40 MiB; building every
+    # proposal row as a full row peaks near 1.3 GB of RSS here
     g = tree_hub(100)
     tracemalloc.start()
     try:
@@ -425,9 +548,10 @@ def test_hub_center_estimate_memory_is_bounded():
 
 
 def test_hub_center_estimate_peak_is_one_sample_array():
-    # the 10^4 x 401 sampled rows are 30.6 MiB; they are built in the
-    # draws' array, dropped before the structured scan, and the structured
-    # configurations are made only up to the cap
+    # the 10^4 sampled rows are 101 draws wide (7.7 MiB), built in the
+    # draws' array and dropped before the structured scan, whose 8000 x 401
+    # rows (24.5 MiB) are the peak; its configurations are made only up to
+    # the cap
     g = tree_hub(100)
     tracemalloc.start()
     try:

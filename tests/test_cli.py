@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import girth5_corpus, tree_hub
-from curvkit import parse_edge_list, petersen, random_tree, serialize_edge_list, star
+from curvkit import Graph, parse_edge_list, petersen, random_tree, serialize_edge_list, star
 from curvkit.cli import main
 from curvkit.report import format_float, load_schema
 
@@ -276,6 +276,26 @@ def test_verify_high_degree_within_budget(capsys, tmp_path, name, graph, budget)
     assert len(records) == graph.vertex_count
     assert all(r["verdict"] == "pass" for r in records)
     assert elapsed < budget, f"{name}: {elapsed:.1f} s over the {budget:.0f} s budget"
+
+
+def test_verify_high_degree_non_tree_within_budget(capsys, tmp_path):
+    # the degree-100 hub with each pair of consecutive neighbours joined:
+    # triangle pairs at the centre and shared distance-2 vertices at every
+    # neighbour, so every CDE move there also scores coupling terms; about
+    # 3 s on a 2-core VM
+    hub = tree_hub(100)
+    g = Graph.from_edges(hub.edges + [(y, y + 1) for y in range(1, 100)])
+    f = tmp_path / "hub100-triangles.edges"
+    f.write_text(serialize_edge_list(g))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(f), "--theorem", "both", "--samples", "100")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    records = json.loads(out)["records"]
+    assert len(records) == g.vertex_count
+    # the centre and its neighbours lie on triangles; the leaves pass
+    assert [r["verdict"] for r in records] == ["precondition_not_met"] * 101 + ["pass"] * 300
+    assert elapsed < 30.0, f"{elapsed:.1f} s over the 30 s budget"
 
 
 def test_verify_verbose_logs_tight_margins(capsys, tmp_path):
@@ -545,6 +565,16 @@ def test_malformed_file_exit2(capsys, tmp_path):
     bad.write_text("0 1\nnot an edge\n")
     code, _, err = run(capsys, "girth", str(bad))
     assert code == 2 and "line 2" in err
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_line_separator_inside_a_line_exit2(capsys, tmp_path, sep):
+    # only "\n" ends a line: "0 1<sep>1 2" is one malformed line, not two edges
+    bad = tmp_path / "sep.edges"
+    bad.write_bytes(f"0 1{sep}1 2\n".encode())
+    for sub in ("girth", "verify"):
+        code, out, err = run(capsys, sub, str(bad))
+        assert code == 2 and out == "" and "line 1" in err
 
 
 def test_self_loop_file_exit2(capsys, tmp_path):

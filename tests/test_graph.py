@@ -61,6 +61,20 @@ def test_parse_accepts_crlf():
     assert g.vertex_count == 3
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"])
+def test_parse_only_newline_ends_a_line(sep):
+    # str.splitlines would end a line at each of these and read two edges
+    for text in (f"0 1{sep}1 2\n", f"0 1{sep}1 2\n".encode()):
+        with pytest.raises(EdgeListParseError) as err:
+            parse_edge_list(text)
+        assert err.value.line_no == 1
+    # not even at the end of a line, where stripping would hide it
+    if not sep.isascii():
+        with pytest.raises(EdgeListParseError) as err:
+            parse_edge_list(f"0 1{sep}\n1 2\n")
+        assert err.value.line_no == 1
+
+
 def test_parse_malformed_line_number():
     with pytest.raises(EdgeListParseError) as err:
         parse_edge_list("0 1\n1 2 3")
