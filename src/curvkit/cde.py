@@ -18,14 +18,14 @@ to a feasible function, so none is rejected), pattern-search refinement
 of the best candidates, plus a structured scan of the family
 f(z) = f(y)^2 over the whole 2-ball. A refinement move changes one
 sphere-1 value, so it is scored by delta in O(1) on a girth-5 ball
-(localforms.MoveScorer) rather than by re-evaluating a whole row. Sampling and the scans run per vertex; the
-refinement runs over the candidates of many consecutive vertices at once,
-in one lockstep descent per batch of rows of mixed widths, so its numpy
-call count does not grow with the number of vertices. The result is an
-upper bound on the true pointwise infimum; "no violation found" is the
-acceptance outcome, a found violation is re-verified definitionally
-before being reported; the witness is the best candidate with sphere 2
-filled by f(z)*.
+(localforms.MoveScorer) rather than by re-evaluating a whole row.
+Sampling and the scans run per vertex; the refinement runs over the
+candidates of many consecutive vertices at once, in one lockstep descent
+per batch of rows of mixed widths, so its numpy call count does not grow
+with the number of vertices. The result is an upper bound on the true
+pointwise infimum; "no violation found" is the acceptance outcome, a
+found violation is re-verified definitionally before being reported; the
+witness is the best candidate with sphere 2 filled by f(z)*.
 
 Sampling is driven by counter-mode SplitMix64 (see rng.py): sample i is a
 pure function of (seed, vertex, i), so estimates are deterministic,
@@ -62,8 +62,8 @@ _DESCENT_MIN_STEP = 1e-3
 # a descent move must beat its candidate's ratio by more than this, relative
 # to max(1, |ratio|): the scorer's rounding error is a few 1e-13 of that
 _ACCEPT_TOL = 1e-12
-# rows per ratio block, fewer above _RATIO_PAIRS pairs (or sphere-1 values), so
-# a block's temporaries hold at most _RATIO_CHUNK x _RATIO_PAIRS entries
+# rows per ratio block, fewer above _RATIO_PAIRS temporaries per row (2 per pair of a
+# full row, 1 per sphere-1 value): a block holds at most _RATIO_CHUNK x _RATIO_PAIRS
 _RATIO_CHUNK = 2048
 _RATIO_PAIRS = 64
 _DESCENT_BATCH = 1 << 13   # coordinates (rows x d_x) per lockstep descent
@@ -277,13 +277,15 @@ def _trigger_rows(ratios: np.ndarray) -> list[int]:
 
 
 def _batch_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
-    """Ratio for each row, +inf where the denominator degenerates, over
-    blocks of _RATIO_CHUNK rows, fewer (at least one) above _RATIO_PAIRS
-    pairs; rows are independent, so the blocks change no bit."""
-    chunk = max(1, _RATIO_CHUNK * _RATIO_PAIRS // max(len(ev.pair_y), _RATIO_PAIRS))
+    """Ratio for each strictly positive full row, +inf where the denominator
+    degenerates, scored at f(x) = 1: each row is divided by its centre value
+    (the ratio is scale-invariant; dividing by 1.0 is exact). Blocks of
+    _RATIO_CHUNK rows, fewer (at least one) above _RATIO_PAIRS / 2 pairs;
+    rows are independent, so the blocks change no bit."""
+    chunk = max(1, _RATIO_CHUNK * _RATIO_PAIRS // max(2 * len(ev.pair_y), _RATIO_PAIRS))
     out = np.full(len(rows), np.inf)
     for i in range(0, len(rows), chunk):
-        block = rows[i : i + chunk]
+        block = rows[i : i + chunk] / rows[i : i + chunk, :1]
         den = ev.gamma(block)
         np.divide(ev.cde_numerator(block, n), den, out=out[i : i + chunk], where=den > 0.0)
     return out

@@ -2,18 +2,19 @@
 
 The 2-ball structure, (y, z, weight) arrays over the pairs y ~ x, z ~ y,
 comes from ``graph.Balls``; whole batches of candidate functions are
-evaluated with numpy. This is the only statement of the closed local G_2
-formula: the entries of the CD quadratic form are stated once, in
+evaluated with numpy. The closed local G_2 formula is stated once: its
+per-pair summand in ``_pair_form``, the CD form's entries in
 ``cd_entries`` (the cd module scatters them, for one ball or many at
-once), the scalar ``operators.gamma2_local`` is a one-row call into this
-module, and the reduced CDE ratio below is built from the same per-pair
-summand. The definitional implementations in the operators module are the
-independent route; tests cross-check the two.
+once); ``operators.gamma2_local`` is a one-row call into this module.
+Both CDE evaluations, of full rows (``LocalEvaluator.cde_numerator``)
+and of the reduced ratio R (``MoveScorer``), sum the per-pair summand
+psi_w below. The definitional implementations in the operators module
+are the independent route; tests cross-check the two.
 
 Batch layout: rows are candidate functions, columns are the ball columns
 of ``graph.Balls``: [center, sphere1..., sphere2...].
 
-The reduced CDE ratio. Fix f(x) = 1 and the sphere-1 values t. With
+The CDE numerator and the reduced ratio. Fix f(x) = 1, f(y) = t_y. With
 w = 1/(2 d_x d_y) and h(y) = (f(y) - f(x)) G(f)(y) / f(y), the CDE
 numerator G_2(f) - G(f, G(f)/f) - (1/n)(Df)^2 at x is
 
@@ -71,18 +72,12 @@ class LocalEvaluator:
         self.vertices = np.concatenate([b.centres, b.sphere1, b.sphere2])
         self.pair_y, self.pair_z, self.pair_w = b.pair_y, b.pair_z, b.pair_w
         self.s1_degree = b.s1_degree
-        # the pairs of the i-th sphere-1 vertex (their owner) are d_y
-        # consecutive rows; (f(z)-f(y))^2 summed over them and scaled by
-        # 1/(2 d_y) yields G(f)(y), here as a per-neighbor aggregation matrix
+        # the reduced ratio's terms (see the module docstring), by the
+        # sphere-1 index of a pair's y (its owner): each owner's weight and
+        # count of distance-2 vertices it is the only parent of; the
+        # triangle pairs; and the pairs to the distance-2 vertices with
+        # several parents, which are numbered
         owner = self.pair_y - 1
-        group = np.zeros((len(owner), d))
-        group[np.arange(len(owner)), owner] = 1.0 / (2.0 * self.s1_degree[owner])
-        self.gamma_s1_weights = group
-
-        # the reduced ratio's terms (see the module docstring), by sphere-1
-        # index: each owner's weight and count of distance-2 vertices it is
-        # the only parent of; the triangle pairs; and the pairs to the
-        # distance-2 vertices with several parents, which are numbered
         z, w = self.pair_z, self.pair_w
         in_s2 = z > d
         parents = np.bincount(z[in_s2], minlength=width)
@@ -120,26 +115,16 @@ class LocalEvaluator:
         lap = self.laplacian(rows)
         dyz = rows[:, self.pair_z] - rows[:, self.pair_y]
         dxz = rows[:, self.pair_z] - rows[:, [0]]
-        acc = _pair_form(dyz, dxz, dyz, dxz, self.pair_w).sum(axis=1)
+        acc = _pair_form(dyz, dxz, self.pair_w).sum(axis=1)
         return 0.5 * lap * lap + acc
 
-    def gamma_at_s1(self, rows: np.ndarray) -> np.ndarray:
-        """G(f)(y) for every sphere-1 vertex y, shape (B, |S1|)."""
-        dyz = rows[:, self.pair_z] - rows[:, self.pair_y]
-        return (dyz * dyz) @ self.gamma_s1_weights
-
-    def gamma_f_ratio(self, rows: np.ndarray) -> np.ndarray:
-        """G(f, G(f)/f) at the center; rows must be strictly positive."""
-        u_center = self.gamma(rows) / rows[:, 0]
-        u_s1 = self.gamma_at_s1(rows) / rows[:, self.s1_cols]
-        diff_f = rows[:, self.s1_cols] - rows[:, [0]]
-        diff_u = u_s1 - u_center[:, None]
-        return (diff_f * diff_u).sum(axis=1) / (2.0 * self.degree)
-
     def cde_numerator(self, rows: np.ndarray, n: float) -> np.ndarray:
-        """G_2(f) - G(f, G(f)/f) - (1/n)(Df)^2 at the center."""
-        lap = self.laplacian(rows)
-        return self.gamma2(rows) - self.gamma_f_ratio(rows) - lap * lap / n
+        """G_2(f) - G(f, G(f)/f) - (1/n)(Df)^2 at the center, for strictly
+        positive rows with f(x) = 1: the psi_w sum over the pairs plus the
+        Df(x) terms (see the module docstring)."""
+        t, fz = rows[:, self.pair_y], rows[:, self.pair_z]
+        terms = _reduced_pair(t, fz - t, fz - 1.0, self.pair_w).sum(axis=1)
+        return _numerator(terms, self.laplacian(rows), self.gamma(rows), n)
 
     def fill(self, t: np.ndarray) -> np.ndarray:
         """Rows with f(x) = 1, sphere 1 from the rows of t and each
@@ -156,12 +141,11 @@ class LocalEvaluator:
         return rows
 
 
-def _pair_form(yz, xz, yz2, xz2, w):
-    """Per-pair summand of the closed G_2, polarized:
-    w [(f(z)-f(y))(g(z)-g(y)) - (f(z)-f(x))(g(z)-g(x)) / 2], given the
-    differences of f (yz, xz) and of g (yz2, xz2); f = g gives the G_2 term.
-    """
-    return (yz * yz2 - 0.5 * xz * xz2) * w
+def _pair_form(yz, xz, w):
+    """Per-pair summand of the closed G_2 of one function f,
+    w [(f(z)-f(y))^2 - (f(z)-f(x))^2 / 2], given its differences
+    yz = f(z) - f(y) and xz = f(z) - f(x)."""
+    return (yz * yz - 0.5 * xz * xz) * w
 
 
 def cd_entries(y, z, w, degree, n: float):
@@ -349,7 +333,7 @@ class MoveScorer:
 def _reduced_pair(t, dt, d1, w):
     """psi_w of one pair: its G_2 summand plus its share of -h(y) / (2 d_x),
     at f(x) = 1 and f(y) = t, given dt = f(z) - t and d1 = f(z) - 1."""
-    return _pair_form(dt, d1, dt, d1, w) - 0.5 * w * ((t - 1.0) / t) * dt * dt
+    return _pair_form(dt, d1, w) - 0.5 * w * ((t - 1.0) / t) * dt * dt
 
 
 def _own_terms(t, w, single):

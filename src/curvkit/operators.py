@@ -14,7 +14,9 @@ Conventions (fixed package-wide):
 Each form ships in two flavors: the definitional evaluation above and a
 closed local formula over the 2-ball (for G_2, the one in the localforms
 module). The two are algebraically equal and serve as mutual oracles;
-tests cross-check them to 1e-12 relative.
+tests cross-check them to 1e-12 relative. G(f, G(f)/f) keeps its
+definitional route (``gamma_f_ratio``), cross-checked by the split form
+``tests/oracles.gamma_f_ratio_split``.
 """
 
 from __future__ import annotations

@@ -68,6 +68,8 @@ def counter_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    if count > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"cannot allocate {count} draws of 8 bytes")
     out = np.empty(count, dtype=np.float64)
     # mixed in place one fixed-size block at a time, so the only temporaries
     # are a block and its shift, not several arrays of the output's size

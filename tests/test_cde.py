@@ -12,7 +12,6 @@ from curvkit import (
     cde_estimate,
     cde_ratio,
     cycle,
-    gamma,
     gamma2,
     gamma_local,
     laplacian,
@@ -191,22 +190,6 @@ def test_estimate_includes_structured_family(petersen_graph):
     assert est.sampled_min <= structured_min
 
 
-def test_batch_ratios_match_scalar_path(corpus_small):
-    for g in corpus_small[:5]:
-        x = 0
-        ev = LocalEvaluator(g, x)
-        rng = np.random.default_rng(23)
-        rows = np.exp(rng.normal(size=(20, ev.width)) * 0.5)
-        rows[:, 0] = 1.0
-        values = _batch_ratios(ev, rows, 2.0)
-        lap = ev.laplacian(rows)
-        for i in range(len(rows)):
-            if lap[i] >= 0:
-                continue
-            full = ev.to_vertex_function_values(rows[i], fill=1.0)
-            assert approx_equal(values[i], cde_ratio(g, x, 2.0, full), rel=1e-12)
-
-
 def _close(a, b, rel=1e-12):
     """Equal to rel relative, with an absolute floor of rel near 0, where
     both routes cancel terms of size O(1)."""
@@ -220,6 +203,27 @@ def _reduced_cases():
         for x in range(g.vertex_count):
             yield g, x
     yield tree_hub(14), 0
+
+
+def test_batch_ratios_match_scalar_path():
+    # the psi_w pair sum of full rows against the definitional cde_ratio;
+    # every other row is scaled, so f(x) != 1 there
+    rng = np.random.default_rng(23)
+    checked = 0
+    for g, x in _reduced_cases():
+        ev = LocalEvaluator(g, x)
+        rows = np.exp(rng.normal(size=(6, ev.width)) * 0.5)
+        rows[:, 0] = 1.0
+        rows[:, ev.s1_cols] *= 0.7   # mostly Df(x) < 0, at every degree
+        rows[1::2] *= np.exp(rng.normal(size=(3, 1)))
+        lap = ev.laplacian(rows)
+        for n in (2.0, 3.5, np.inf):
+            values = _batch_ratios(ev, rows, n)
+            for i in np.flatnonzero(lap < 0.0):
+                full = ev.to_vertex_function_values(rows[i], fill=1.0)
+                assert approx_equal(values[i], cde_ratio(g, x, n, full), rel=1e-12)
+                checked += 1
+    assert checked >= 7000
 
 
 def test_reduced_ratio_matches_the_filled_row():
@@ -467,7 +471,8 @@ def test_estimates_check_arguments_before_the_first_estimate(petersen_graph):
 
 def test_chunked_ratios_equal_one_call_on_a_wide_vertex(monkeypatch):
     # the hub-100 centre has 400 pairs and 100 sphere-1 values, so a block
-    # holds 327 of the full rows and 1310 of the sphere-1 rows
+    # holds 163 of the full rows (two temporaries per pair) and 1310 of the
+    # sphere-1 rows
     ev = LocalEvaluator(tree_hub(100), 0)
     sampled = _sampled_rows(ev, derive_stream(3, 0), 2000)
     full = ev.fill(sampled[:1000])
@@ -560,18 +565,6 @@ def test_hub_center_estimate_peak_is_one_sample_array():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-
-
-def test_gamma_at_s1_matches_definitional_gamma(corpus_small):
-    # the per-neighbor aggregation matrix against G(f)(y) from the definition
-    for g in corpus_small:
-        vals = np.exp(np.random.default_rng(31).normal(size=g.vertex_count))
-        for x in range(g.vertex_count):
-            ev = LocalEvaluator(g, x)
-            row = vals[ev.vertices][None, :]
-            local = ev.gamma_at_s1(row)[0]
-            for i, y in enumerate(g.adjacency[x]):
-                assert approx_equal(local[i], gamma(g, vals, vals, y), rel=1e-12)
 
 
 def test_parameter_validation(petersen_graph):

@@ -414,6 +414,17 @@ def test_out_of_memory_exit_code(capsys, petersen_file, monkeypatch):
     assert err.splitlines() == ["error: out of memory: Unable to allocate 1.49 GiB for an array"]
 
 
+@pytest.mark.parametrize("command", ["verify", "curvature-cde"])
+@pytest.mark.parametrize("samples", [str(2**59), str(2**62)])
+def test_unaddressable_sample_count_is_out_of_memory(capsys, petersen_file, command, samples):
+    # Petersen draws 4 uniforms per sample: 2^61 float64s overflow the byte
+    # count, 2^64 the dimension; both are refused before anything allocates
+    code, out, err = run(capsys, command, petersen_file, "--samples", samples)
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: out of memory")
+
+
 def test_commands_do_not_import_numpy_ma(petersen_file):
     # numpy.ma (imported by np.unique, among others) costs about a megabyte
     # of resident memory; the four commands run in one fresh interpreter
