@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -84,13 +85,22 @@ class CdResult:
     The witness attains equality at K = curvature_K and violates the
     inequality at any strictly larger K (it spans the minimal eigenspace
     direction); it is normalized to vanish at the vertex and outside the
-    2-ball.
+    2-ball. The result holds only its values on the 2-ball (sphere 1, then
+    sphere 2); the full-length function is built on first read.
     """
 
     vertex: int
     dimension_n: float
     curvature_K: float
-    minimizing_function: VertexFunction
+    vertex_count: int
+    ball_vertices: np.ndarray
+    ball_values: np.ndarray
+
+    @cached_property
+    def minimizing_function(self) -> VertexFunction:
+        return VertexFunction.from_ball(
+            self.vertex_count, self.ball_vertices, self.ball_values, 0.0
+        )
 
 
 def _check_dimension(n: float) -> float:
@@ -114,8 +124,8 @@ def cd_curvatures(g: Graph, vertices: Iterable[int], n: float = 2.0) -> Iterator
     """The curvature at each of these vertices, yielded in their order.
 
     Vertices are computed in batches of consecutive vertices (see the
-    module docstring); a result's full-length witness is built only when
-    it is yielded. Equal bit for bit to ``smallest_eigenvalue`` of
+    module docstring); a result's full-length witness is built on first
+    read. Equal bit for bit to ``smallest_eigenvalue`` of
     ``schur_minimize`` of the ``assemble_cd_forms`` form, times 2 d_x, with
     the witness's sphere-2 values from ``schur_minimizer``. Arguments are
     checked before the first result is requested.
@@ -168,16 +178,15 @@ def _batch(g: Graph, xs: list[int], n: float) -> Iterator[CdResult]:
     w_star = -acc / pivot
 
     for k, x in enumerate(xs):
-        f = np.zeros(g.vertex_count)
-        span = slice(s1_first[k], s1_first[k] + dx[k])
-        f[balls.sphere1[span]] = u[span]
-        span = slice(s2_first[k], s2_first[k] + balls.width[k] - 1 - dx[k])
-        f[balls.sphere2[span]] = w_star[span]
+        s1 = slice(s1_first[k], s1_first[k] + dx[k])
+        s2 = slice(s2_first[k], s2_first[k] + balls.width[k] - 1 - dx[k])
         yield CdResult(
             vertex=x,
             dimension_n=n,
             curvature_K=float(2.0 * dx[k] * lam[k]),
-            minimizing_function=VertexFunction(f),
+            vertex_count=g.vertex_count,
+            ball_vertices=np.concatenate((balls.sphere1[s1], balls.sphere2[s2])),
+            ball_values=np.concatenate((u[s1], w_star[s2])),
         )
 
 

@@ -25,7 +25,8 @@ per batch of rows of mixed widths, so its numpy call count does not grow
 with the number of vertices. The result is an upper bound on the true
 pointwise infimum; "no violation found" is the acceptance outcome, a
 found violation is re-verified definitionally before being reported; the
-witness is the best candidate with sphere 2 filled by f(z)*.
+witness is the best candidate with sphere 2 filled by f(z)*, built at
+full length on first read.
 
 Sampling is driven by counter-mode SplitMix64 (see rng.py): sample i is a
 pure function of (seed, vertex, i), so estimates are deterministic,
@@ -38,6 +39,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -83,11 +85,24 @@ class NoFeasibleSampleError(RuntimeError):
 
 @dataclass(frozen=True)
 class CdeSample:
-    """A feasible test function together with its curvature ratio."""
+    """A feasible test function together with its curvature ratio.
+
+    The sample holds only its values on the 2-ball (the ball columns of
+    ``graph.Balls``); the full-length function, 1.0 outside the ball
+    (positive, and irrelevant by locality), is built on first read.
+    """
 
     vertex: int
-    function: VertexFunction
     ratio: float
+    vertex_count: int
+    ball_vertices: np.ndarray
+    ball_values: np.ndarray
+
+    @cached_property
+    def function(self) -> VertexFunction:
+        return VertexFunction.from_ball(
+            self.vertex_count, self.ball_vertices, self.ball_values, 1.0
+        )
 
 
 @dataclass(frozen=True)
@@ -225,16 +240,20 @@ def _sampled_rows(ev: LocalEvaluator, stream: int, samples: int) -> np.ndarray:
 
 def _refine(batch: list[tuple], n: float, samples: int, seed: int) -> Iterator[CdeEstimate]:
     """Descend every start of the batch in lockstep, then yield each
-    vertex's estimate; one full-length function exists at a time."""
+    vertex's estimate."""
     evs, starts, bests = zip(*batch)
     for ev, best, (values, rows) in zip(evs, bests, _descend(list(evs), list(starts), n)):
         best_value, best_row = _better(best, values, rows, ev.fill)
         x = ev.center
         if best_row is None or not np.isfinite(best_value):
             raise NoFeasibleSampleError(f"no feasible candidate at vertex {x}")
-        # pad with 1.0 outside the 2-ball: positive, and irrelevant by locality
-        full = ev.to_vertex_function_values(best_row, fill=1.0)
-        sample = CdeSample(vertex=x, function=VertexFunction(full), ratio=best_value)
+        sample = CdeSample(
+            vertex=x,
+            ratio=best_value,
+            vertex_count=ev.graph.vertex_count,
+            ball_vertices=ev.vertices,
+            ball_values=best_row,
+        )
         yield CdeEstimate(
             vertex=x,
             dimension_n=n,

@@ -26,7 +26,7 @@ from .cde import NoFeasibleSampleError, cde_estimates
 from .generators import BadParameterError
 from .girth import all_vertex_girths
 from .graph import Graph, GraphError, parse_edge_list, serialize_edge_list
-from .report import csv_rows, dumps, girth_json, report_document
+from .report import dumps, girth_json, report_document
 from .verify import verify_theorems
 
 EXIT_OK = 0
@@ -125,8 +125,21 @@ def _vertices(g: Graph, vertex: int | None) -> list[int]:
     return [vertex]
 
 
-def _print_csv(records: list[dict]) -> None:
-    csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows(records))
+def _emit(fmt: str, doc: dict, records: list[dict]) -> None:
+    """Write doc as JSON, or records as a table: csv with a header row of
+    their keys, or text, space-separated values without one. A table
+    leaves out the witness that failing verify records carry."""
+    if fmt == "json":
+        sys.stdout.write(dumps(doc))
+        return
+    fields = [k for k in records[0] if k != "witness"]
+    table = csv.DictWriter(
+        sys.stdout, fields, extrasaction="ignore", lineterminator="\n",
+        delimiter="," if fmt == "csv" else " ",
+    )
+    if fmt == "csv":
+        table.writeheader()
+    table.writerows(records)
 
 
 def cmd_girth(args) -> int:
@@ -137,14 +150,7 @@ def cmd_girth(args) -> int:
         doc["per_vertex"] = [
             {"vertex": x, "girth": girth_json(v)} for x, v in enumerate(values)
         ]
-    records = doc.get("per_vertex", [doc])
-    if args.format == "json":
-        sys.stdout.write(dumps(doc))
-    elif args.format == "csv":
-        _print_csv(records)
-    else:
-        for r in records:
-            print(*r.values())
+    _emit(args.format, doc, doc.get("per_vertex", [doc]))
     return EXIT_OK
 
 
@@ -155,10 +161,7 @@ def cmd_curvature_cd(args) -> int:
         {"vertex": result.vertex, "dim": args.dim, "curvature": result.curvature_K}
         for result in cd_curvatures(g, _vertices(g, args.vertex), args.dim)
     ]
-    if args.format == "json":
-        sys.stdout.write(dumps({"dim": args.dim, "records": records}))
-    else:
-        _print_csv(records)
+    _emit(args.format, {"dim": args.dim, "records": records}, records)
     return EXIT_OK
 
 
@@ -167,28 +170,19 @@ def cmd_curvature_cde(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     g = _load_graph(args.file)
-    records = []
-    vertices = _vertices(g, args.vertex)
-    for est in cde_estimates(g, vertices, args.dim, args.samples, args.seed):
-        records.append(
-            {
-                "vertex": est.vertex,
-                "dim": args.dim,
-                "samples": est.samples_used,
-                "seed": est.seed,
-                "sampled_min": est.sampled_min,
-            }
-        )
-    if args.format == "json":
-        doc = {
+    estimates = cde_estimates(g, _vertices(g, args.vertex), args.dim, args.samples, args.seed)
+    records = [
+        {
+            "vertex": est.vertex,
             "dim": args.dim,
-            "samples": args.samples,
-            "seed": args.seed,
-            "records": records,
+            "samples": est.samples_used,
+            "seed": est.seed,
+            "sampled_min": est.sampled_min,
         }
-        sys.stdout.write(dumps(doc))
-    else:
-        _print_csv(records)
+        for est in estimates
+    ]
+    doc = {"dim": args.dim, "samples": args.samples, "seed": args.seed, "records": records}
+    _emit(args.format, doc, records)
     return EXIT_OK
 
 
@@ -240,10 +234,7 @@ def cmd_verify(args) -> int:
         "strict_global_girth": args.strict_global_girth,
     }
     doc = report_document(g, report, params)
-    if args.format == "json":
-        sys.stdout.write(dumps(doc))
-    else:
-        _print_csv([{k: v for k, v in r.items() if k != "witness"} for r in doc["records"]])
+    _emit(args.format, doc, doc["records"])
     if report.has_failures:
         return EXIT_VIOLATION
     if report.all_precondition_not_met:

@@ -185,6 +185,15 @@ class VertexFunction:
         vals[vertex] = 1.0
         return cls(vals)
 
+    @classmethod
+    def from_ball(
+        cls, vertex_count: int, vertices: np.ndarray, values: np.ndarray, fill: float
+    ) -> "VertexFunction":
+        """values on these vertices (a 2-ball's), fill everywhere else."""
+        vals = np.full(vertex_count, fill)
+        vals[vertices] = values
+        return cls(vals)
+
 
 @dataclass(frozen=True)
 class LocalBall:

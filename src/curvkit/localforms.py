@@ -91,12 +91,6 @@ class LocalEvaluator:
         self.shared_count = int(np.count_nonzero(parents > 1))
         self.s2_y, self.s2_z, self.s2_w = owner[in_s2], z[in_s2] - 1 - d, w[in_s2]
 
-    def to_vertex_function_values(self, row: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        """Expand one ball row to a full vertex-value array."""
-        out = np.full(self.graph.vertex_count, float(fill))
-        out[self.vertices] = row
-        return out
-
     def laplacian(self, rows: np.ndarray) -> np.ndarray:
         return rows[:, self.s1_cols].sum(axis=1) / self.degree - rows[:, 0]
 

@@ -1,10 +1,13 @@
 """Deterministic machine-readable report serialization.
 
-JSON output is byte-identical across runs for identical inputs: keys keep
-a fixed construction order, floats are written with 17 significant digits
-(so parsed values round-trip exactly), and infinite girth is written as
-the string "inf" (JSON has no Infinity literal). A JSON Schema for the
-verification report ships with the package (report.schema.json).
+Reports are written by the standard library's ``json`` (here) and ``csv``
+(in the CLI) writers. JSON output is byte-identical across runs for
+identical inputs: keys keep a fixed construction order, floats are written
+in Python's shortest round-trip form (``repr``, so parsed values reproduce
+the computed doubles exactly), a non-finite float is an error, and infinite
+girth is written as the string "inf" (JSON has no Infinity literal). A JSON
+Schema for the verification report ships with the package
+(report.schema.json).
 """
 
 from __future__ import annotations
@@ -18,60 +21,9 @@ from .graph import Graph
 from .verify import CurvatureReport, VertexReport
 
 
-def format_float(x: float) -> str:
-    """17 significant digits; enough to reproduce the double exactly."""
-    return "%.17g" % x
-
-
-def dumps(obj: Any, indent: int = 2) -> str:
+def dumps(obj: Any) -> str:
     """Serialize dict/list/str/bool/int/float/None to deterministic JSON."""
-    pieces: list[str] = []
-    _write(obj, pieces, indent, 0)
-    pieces.append("\n")
-    return "".join(pieces)
-
-
-def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"cannot serialize non-finite float {obj}")
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(pad)
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _write(value, out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(close_pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad)
-            _write(value, out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(close_pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def girth_json(value: float) -> int | str:
@@ -93,7 +45,7 @@ def record_to_dict(record: VertexReport) -> dict[str, Any]:
         "dim": record.dim,
     }
     if record.witness is not None:
-        out["witness"] = [float(v) for v in record.witness.values]
+        out["witness"] = record.witness.values.tolist()
     return out
 
 
@@ -105,24 +57,8 @@ def report_document(
         "graph": {"vertices": g.vertex_count, "edges": g.edge_count},
         "params": params,
         "records": [record_to_dict(r) for r in report.records],
-        "summary": {
-            verdict: report.count(verdict)
-            for verdict in ("pass", "fail", "precondition_not_met")
-        },
+        "summary": {v: report.count(v) for v in ("pass", "fail", "precondition_not_met")},
     }
-
-
-def csv_rows(records: list[dict[str, Any]]) -> list[list[str]]:
-    """Header (the first record's keys) plus one row of cells per record."""
-
-    def cell(value: Any) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, float):
-            return format_float(value)
-        return str(value)
-
-    return [list(records[0])] + [[cell(v) for v in r.values()] for r in records]
 
 
 def load_schema() -> dict[str, Any]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from math import inf
+from operator import attrgetter
 
 # cd_curvature and cde_estimate are no longer called here, but stay
 # importable under this module's name, which perfbench/tracer.py wraps
@@ -115,18 +116,22 @@ def cd_witness_value(g: Graph, x: int, i: int) -> float:
 def _run_cd(g: Graph, dim: float, samples: int, seed: int):
     for result in cd_curvatures(g, range(g.vertex_count), dim):
         bound = cd_bound_girth5(g, result.vertex)
-        yield bound, result.curvature_K, result.minimizing_function
+        yield bound, result.curvature_K, result
 
 
 def _run_cde(g: Graph, dim: float, samples: int, seed: int):
     for estimate in cde_estimates(g, range(g.vertex_count), dim, samples, seed):
         bound = -g.degree(estimate.vertex) / 2.0 - 1.0
-        yield bound, estimate.sampled_min, estimate.argmin.function
+        yield bound, estimate.sampled_min, estimate
 
 
-# (name, yields (bound, value, candidate) per vertex in order, re-verifies a
-# candidate)
-_THEOREMS = (("cd", _run_cd, cd_check), ("cde", _run_cde, cde_check))
+# (name, yields (bound, value, result) per vertex in order, the result's
+# candidate function, re-verifies a candidate); a candidate is built only
+# where its margin is negative
+_THEOREMS = (
+    ("cd", _run_cd, attrgetter("minimizing_function"), cd_check),
+    ("cde", _run_cde, attrgetter("argmin.function"), cde_check),
+)
 
 
 def verify_theorems(
@@ -150,7 +155,7 @@ def verify_theorems(
     whole_graph_girth = min(girths)
     computed = {
         name: compute(g, dim, samples, seed)
-        for name, compute, _ in _THEOREMS
+        for name, compute, _, _ in _THEOREMS
         if name in selected
     }
 
@@ -162,16 +167,15 @@ def verify_theorems(
         # name -> (bound, computed value, margin); all None when not run
         results = {}
         witness: VertexFunction | None = None
-        failed = False
-        for name, _, check in _THEOREMS:
+        for name, _, candidate_of, check in _THEOREMS:
             if name not in selected:
                 results[name] = (None, None, None)
                 continue
-            bound, value, candidate = next(computed[name])
+            bound, value, result = next(computed[name])
             margin = value - bound
             if gate and margin < -MARGIN_TOL:
+                candidate = candidate_of(result)
                 if not check(g, x, dim, bound, candidate):
-                    failed = True
                     witness = candidate
                 else:
                     logger.warning(
@@ -184,10 +188,7 @@ def verify_theorems(
                 logger.info("vertex %d: tight %s margin %.3e", x, name, margin)
             results[name] = (bound, value, margin)
 
-        if not gate:
-            verdict = "precondition_not_met"
-        else:
-            verdict = "fail" if failed else "pass"
+        verdict = ("pass" if witness is None else "fail") if gate else "precondition_not_met"
         cd_bound, cd_computed, cd_margin = results["cd"]
         cde_bound, cde_sampled, cde_margin = results["cde"]
         records.append(

@@ -220,7 +220,7 @@ def test_batch_ratios_match_scalar_path():
         for n in (2.0, 3.5, np.inf):
             values = _batch_ratios(ev, rows, n)
             for i in np.flatnonzero(lap < 0.0):
-                full = ev.to_vertex_function_values(rows[i], fill=1.0)
+                full = VertexFunction.from_ball(g.vertex_count, ev.vertices, rows[i], 1.0)
                 assert approx_equal(values[i], cde_ratio(g, x, n, full), rel=1e-12)
                 checked += 1
     assert checked >= 7000

@@ -14,7 +14,7 @@ import pytest
 from conftest import girth5_corpus, tree_hub
 from curvkit import Graph, parse_edge_list, petersen, random_tree, serialize_edge_list, star
 from curvkit.cli import main
-from curvkit.report import format_float, load_schema
+from curvkit.report import dumps, load_schema
 
 
 @pytest.fixture()
@@ -447,13 +447,52 @@ print("numpy.ma" in sys.modules)
     assert done.stdout == "False\n"
 
 
+# ---- the report writer ------------------------------------------------------
+
+def _typed(value):
+    """value with every leaf as (type, repr), so 2 and 2.0, 0.0 and -0.0
+    compare unequal."""
+    if isinstance(value, dict):
+        return {k: _typed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return type(value), repr(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.0, -0.0, 5e-324, 0.1 + 0.2, 1e308, None, {"a": {}, "b": [[], {}]}, [None, -0.0, {"x": []}]],
+)
+def test_dumps_round_trips_values_and_types(value):
+    assert _typed(json.loads(dumps(value))) == _typed(value)
+
+
+def test_dumps_layout():
+    doc = {"g": "inf", "r": [{"v": 0, "m": -0.0, "w": None}], "e": {}, "l": []}
+    assert dumps(doc) == (
+        '{\n  "g": "inf",\n  "r": [\n    {\n      "v": 0,\n      "m": -0.0,\n'
+        '      "w": null\n    }\n  ],\n  "e": {},\n  "l": []\n}\n'
+    )
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), [1.0, -float("inf")]])
+def test_dumps_rejects_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        dumps(value)
+
+
+def test_dumps_rejects_unknown_types():
+    with pytest.raises(TypeError):
+        dumps({"f": np.arange(2.0)})
+
+
 # ---- CSV against JSON -----------------------------------------------------
 
 def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return format_float(value)
+        return repr(value)
     return str(value)
 
 

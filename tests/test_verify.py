@@ -8,8 +8,10 @@ from curvkit import (
     PreconditionFailedError,
     cd_bound_girth5,
     cd_check,
+    cd_curvatures,
     cd_witness_value,
     cde_check,
+    cde_estimates,
     cycle,
     petersen,
     path,
@@ -195,26 +197,31 @@ def test_no_failure_without_reverified_witness(corpus_girth5):
                 assert r.witness is None
 
 
-def _verify_peaks(theorem: str, **options) -> dict[int, int]:
-    """tracemalloc peak of verify_theorems on girth-5 graphs of 300 and
-    1500 vertices."""
+def _peaks(run) -> dict[int, int]:
+    """tracemalloc peak of run(g), which returns one item per vertex, on
+    girth-5 graphs of 300 and 1500 vertices."""
     peaks = {}
     for n in (300, 1500):
         g = random_with_girth(n, 3 * n // 2, 5, 1)
         tracemalloc.start()
         try:
-            report = verify_theorems(g, theorem, **options)
+            held = run(g)
             _, peaks[n] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(report.records) == n
+        assert len(held) == n
     return peaks
 
 
+def _verify_peaks(theorem: str, **options) -> dict[int, int]:
+    """tracemalloc peak of verify_theorems on those graphs."""
+    return _peaks(lambda g: verify_theorems(g, theorem, **options).records)
+
+
 def test_cde_verify_memory_is_not_quadratic_in_the_vertex_count():
-    # an estimate carries a full-length vertex function, so holding every
-    # vertex's estimate at once would add n^2 x 8 bytes: 17 MiB at n = 1500,
-    # against ~5 MiB for the whole n = 300 run
+    # holding a full-length witness for every vertex at once would add
+    # n^2 x 8 bytes: 17 MiB at n = 1500, against ~5 MiB for the whole n = 300
+    # run
     peaks = _verify_peaks("cde", samples=200)
     assert peaks[1500] < 2.5 * peaks[300], {n: f"{p / 2**20:.1f} MiB" for n, p in peaks.items()}
 
@@ -222,4 +229,19 @@ def test_cde_verify_memory_is_not_quadratic_in_the_vertex_count():
 def test_cd_verify_memory_is_not_quadratic_in_the_vertex_count():
     # the same for the CD witnesses, against ~2 MiB for the n = 300 run
     peaks = _verify_peaks("cd")
+    assert peaks[1500] < 2.5 * peaks[300], {n: f"{p / 2**20:.1f} MiB" for n, p in peaks.items()}
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda g: cd_curvatures(g, range(g.vertex_count)),
+        lambda g: cde_estimates(g, range(g.vertex_count), samples=200),
+    ],
+    ids=["cd", "cde"],
+)
+def test_held_results_memory_is_not_quadratic_in_the_vertex_count(compute):
+    # a result holds its witness on the 2-ball only; a full-length witness
+    # per result would add n^2 x 8 bytes over all of them, 17 MiB at n = 1500
+    peaks = _peaks(lambda g: list(compute(g)))
     assert peaks[1500] < 2.5 * peaks[300], {n: f"{p / 2**20:.1f} MiB" for n, p in peaks.items()}
