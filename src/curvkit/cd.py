@@ -78,7 +78,7 @@ class NotEliminableError(ValueError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CdResult:
     """Pointwise curvature with the minimizing function as a witness.
 

@@ -83,7 +83,7 @@ class NoFeasibleSampleError(RuntimeError):
     """The search produced no candidate with a finite ratio."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CdeSample:
     """A feasible test function together with its curvature ratio.
 

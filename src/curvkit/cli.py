@@ -83,13 +83,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--dim", type=float, default=2.0)
     p_verify.add_argument("--samples", type=int, default=10000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--min-girth", type=int, default=5)
     p_verify.add_argument("--format", choices=["json", "csv"], default="json")
-    p_verify.add_argument(
-        "--strict-global-girth",
-        action="store_true",
-        help="gate on the whole-graph girth instead of per-vertex girth",
-    )
     p_verify.add_argument(
         "-v",
         "--verbose",
@@ -211,8 +205,6 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--dim must be >= 2 for verify, got {args.dim}")
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
-    if args.min_girth < 3:
-        raise UsageError(f"--min-girth must be >= 3, got {args.min_girth}")
     g = _load_graph(args.file)
     with _log_to_stderr(args.verbose):
         report = verify_theorems(
@@ -221,8 +213,6 @@ def cmd_verify(args) -> int:
             samples=args.samples,
             seed=args.seed,
             dim=args.dim,
-            min_girth=args.min_girth,
-            strict_global_girth=args.strict_global_girth,
         )
     run_cde = args.theorem in ("cde", "both")
     params = {
@@ -230,8 +220,6 @@ def cmd_verify(args) -> int:
         "dim": args.dim,
         "samples": args.samples if run_cde else None,
         "seed": args.seed if run_cde else None,
-        "min_girth": args.min_girth,
-        "strict_global_girth": args.strict_global_girth,
     }
     doc = report_document(g, report, params)
     _emit(args.format, doc, doc["records"])

@@ -124,8 +124,6 @@ def random_with_girth(
 
 def _distance_at_least(adjacency: list[set[int]], u: int, v: int, limit: int) -> bool:
     """True when dist(u, v) >= limit (BFS truncated at depth limit - 1)."""
-    if limit <= 0:
-        return True
     dist = {u: 0}
     queue = deque([u])
     while queue:

@@ -148,7 +148,7 @@ class Graph:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexFunction:
     """Real-valued function on the vertices, stored as a float64 array."""
 

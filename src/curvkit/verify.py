@@ -1,7 +1,7 @@
 """End-to-end verification of the girth-5 curvature bounds.
 
-For every vertex x whose girth gate passes (girth at x >= 5 by default,
-infinite girth included):
+For every vertex x whose girth gate passes (girth at x >= 5, infinite
+girth included; the hypothesis under which the paper proves both bounds):
 
 * CD bound: the computed pointwise curvature K(x, 2) must be at least
   min_i (2 - k_i)/k_i over the neighbor degrees k_i.
@@ -33,6 +33,7 @@ from .girth import GirthValue, on_cycle, vertex_girth
 from .graph import Graph, VertexFunction, _check_vertex
 
 MARGIN_TOL = 1e-8
+GIRTH_GATE = 5   # the bounds' hypothesis: no cycle shorter than 5 through x
 
 logger = logging.getLogger(__name__)
 
@@ -94,8 +95,8 @@ def cd_witness_value(g: Graph, x: int, i: int) -> float:
     distance-2 assignment f(z) = 2 f(y_i) minimizes the block).
     """
     _check_vertex(g, x)
-    if vertex_girth(g, x) < 5:
-        raise PreconditionFailedError(f"girth at vertex {x} is below 5")
+    if vertex_girth(g, x) < GIRTH_GATE:
+        raise PreconditionFailedError(f"girth at vertex {x} is below {GIRTH_GATE}")
     nbrs = g.adjacency[x]
     if not 0 <= i < len(nbrs):
         raise ValueError(f"neighbor index {i} out of range 0..{len(nbrs) - 1}")
@@ -140,8 +141,6 @@ def verify_theorems(
     samples: int = 10000,
     seed: int = 0,
     dim: float = 2.0,
-    min_girth: int = 5,
-    strict_global_girth: bool = False,
 ) -> CurvatureReport:
     """Verify the selected bound(s) at every vertex of g."""
     if theorem not in ("cd", "cde", "both"):
@@ -152,7 +151,6 @@ def verify_theorems(
     # searched through this module's name so tracing can wrap each search
     cyclic = on_cycle(g)
     girths = [vertex_girth(g, x) if cyclic[x] else inf for x in range(g.vertex_count)]
-    whole_graph_girth = min(girths)
     computed = {
         name: compute(g, dim, samples, seed)
         for name, compute, _, _ in _THEOREMS
@@ -161,8 +159,7 @@ def verify_theorems(
 
     records = []
     for x, girth_here in enumerate(girths):
-        gate_girth = whole_graph_girth if strict_global_girth else girth_here
-        gate = gate_girth >= min_girth
+        gate = girth_here >= GIRTH_GATE
 
         # name -> (bound, computed value, margin); all None when not run
         results = {}

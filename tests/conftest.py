@@ -105,3 +105,15 @@ def corpus_operators() -> list[tuple[Graph, int]]:
 @pytest.fixture(scope="session")
 def corpus_small() -> list[Graph]:
     return small_mixed_corpus()
+
+
+@pytest.fixture()
+def cd_bound_raised_at_vertex_3(monkeypatch):
+    """Raise the CD bound by 0.5 at vertex 3: on the Petersen graph, whose
+    curvature meets the bound, a violation that re-verifies."""
+    import curvkit.verify
+
+    bound = curvkit.verify.cd_bound_girth5
+    monkeypatch.setattr(
+        curvkit.verify, "cd_bound_girth5", lambda g, x: bound(g, x) + (0.5 if x == 3 else 0.0)
+    )

@@ -21,6 +21,7 @@ from curvkit import (
     vertex_girth,
 )
 import curvkit.cde as cde_mod
+import curvkit.localforms as localforms
 from conftest import girth5_corpus, small_mixed_corpus, tree_hub
 from curvkit.cde import (
     FEASIBILITY_MARGIN,
@@ -346,14 +347,28 @@ def _per_vertex(scorer, moves):
     ]
 
 
-def test_delta_moves_match_proposal_tensor(corpus_small):
+@pytest.mark.parametrize("route", ["delta", "full"])
+def test_delta_moves_match_proposal_tensor(corpus_small, monkeypatch, route):
     # every descent move scored by delta, over the ragged rows of many
     # vertices at once, against the same move built as a full row, filled
     # and evaluated by _batch_ratios; triangles and 4-cycles (coupling
-    # terms) come from the small corpus
+    # terms) come from the small corpus. The "full" route forces the
+    # fallback: every move with G(f)(x) above the floor is scored in full
+    # on a row of its own, and must give the same scores
+    redone = []   # the rows scored in full by the fallback
+    if route == "full":
+        ratios = MoveScorer.ratios
+
+        def counted(self, flat, n):
+            out = ratios(self, flat, n)
+            redone.append(len(out))
+            return out
+
+        monkeypatch.setattr(localforms, "_DELTA_CANCEL", 0.0)
+        monkeypatch.setattr(MoveScorer, "ratios", counted)
     steps = np.array([0.5, 0.25, 1e-3, 3.0, 0.7, 0.01, 0.125, 0.9])
     rng = np.random.default_rng(41)
-    excluded = 0
+    excluded = finite_moves = 0
     for batch in _move_batches(corpus_small):
         evs = [LocalEvaluator(g, x) for g, x in batch]
         rows = [_move_rows(ev, rng) for ev in evs]
@@ -380,7 +395,10 @@ def test_delta_moves_match_proposal_tensor(corpus_small):
                 assert np.array_equal(np.isinf(unmoved[i]), np.isinf(full))
                 assert _close(unmoved[i][np.isfinite(full)], full[np.isfinite(full)])
                 excluded += int(ref_dead.sum()) + int((ref_lap >= 0.0).sum())
+                finite_moves += int(finite.sum())
     assert excluded > 0   # the edge rows reach both exclusions
+    if route == "full":
+        assert sum(redone) >= finite_moves > 0
 
 
 def test_scored_moves_do_not_depend_on_the_rows_beside_them():

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import girth5_corpus, tree_hub
-from curvkit import Graph, parse_edge_list, petersen, random_tree, serialize_edge_list, star
+from curvkit import (
+    Graph, cd_curvature, parse_edge_list, petersen, random_tree, serialize_edge_list, star
+)
 from curvkit.cli import main
 from curvkit.report import dumps, load_schema
 
@@ -150,8 +152,9 @@ def test_curvature_cde_high_degree_center(capsys, tmp_path):
     assert doc["records"][0]["sampled_min"] >= -21.0
 
 
-def test_curvature_cde_bad_samples(capsys, star3_file):
-    code, _, err = run(capsys, "curvature-cde", star3_file, "--samples", "0")
+@pytest.mark.parametrize("command", ["curvature-cde", "verify"])
+def test_curvature_cde_bad_samples(capsys, star3_file, command):
+    code, _, err = run(capsys, command, star3_file, "--samples", "0")
     assert code == 64 and "samples" in err
 
 
@@ -244,17 +247,30 @@ def test_verify_csv_format(capsys, petersen_file):
     assert len(rows) == 11
 
 
-def test_verify_strict_global_girth_flag(capsys, tmp_path):
+def test_verify_strict_global_girth_flag(capsys, tmp_path, petersen_file):
     # triangle with a pendant tail: per-vertex gating verifies the tail,
-    # strict global gating rejects every vertex (girth 3), exit 3
+    # exit 0; the gate is fixed at girth 5, so the options that moved it
+    # are gone
     mixed = tmp_path / "mixed.edges"
     mixed.write_text("0 1\n1 2\n0 2\n2 3\n3 4\n")
     code, _, _ = run(capsys, "verify", str(mixed), "--theorem", "cd")
     assert code == 0
-    code, _, _ = run(
-        capsys, "verify", str(mixed), "--theorem", "cd", "--strict-global-girth"
-    )
-    assert code == 3
+    for option in (["--min-girth", "5"], ["--strict-global-girth"]):
+        code, out, err = run(capsys, "verify", petersen_file, *option)
+        assert code == 64 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+
+
+def test_verify_reverified_violation_exit1_with_witness(
+    capsys, petersen_file, cd_bound_raised_at_vertex_3
+):
+    code, out, _ = run(capsys, "verify", petersen_file, "--theorem", "cd")
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_schema())
+    assert [r["vertex"] for r in doc["records"] if "witness" in r] == [3]
+    minimizer = cd_curvature(petersen(), 3).minimizing_function
+    assert doc["records"][3]["witness"] == minimizer.values.tolist()
 
 
 @pytest.mark.parametrize(

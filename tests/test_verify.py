@@ -1,16 +1,21 @@
+import logging
 import tracemalloc
+from dataclasses import replace
 from math import inf
 
 import pytest
 
+import curvkit.verify
 from curvkit import (
     Graph,
     PreconditionFailedError,
     cd_bound_girth5,
     cd_check,
+    cd_curvature,
     cd_curvatures,
     cd_witness_value,
     cde_check,
+    cde_estimate,
     cde_estimates,
     cycle,
     petersen,
@@ -21,6 +26,7 @@ from curvkit import (
     verify_theorems,
     vertex_girth,
 )
+from curvkit.verify import VertexReport
 
 
 def test_cd_bound_examples():
@@ -133,17 +139,13 @@ def test_mixed_girth_gating():
         assert by_vertex[v].verdict == "precondition_not_met"
     for v in (3, 4, 5):
         assert by_vertex[v].verdict == "pass"
-    # strict global gating marks every vertex as unverifiable (girth 3)
-    strict = verify_theorems(g, "cd", strict_global_girth=True)
-    assert strict.all_precondition_not_met
 
 
-def test_strict_global_girth_computes_each_vertex_girth_once(monkeypatch):
-    # the whole-graph gate is the minimum of the per-vertex girths already
-    # computed for the report, not a second all-vertex pass; the bridge pass
-    # leaves the tail 3-4-5 (girth inf) unsearched
+def test_gate_computes_each_vertex_girth_once(monkeypatch):
+    # the gate reads the per-vertex girths computed for the report, each
+    # searched once; the bridge pass leaves the tail 3-4-5 (girth inf)
+    # unsearched
     import curvkit.girth
-    import curvkit.verify
 
     g = Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])
     calls = []
@@ -155,18 +157,16 @@ def test_strict_global_girth_computes_each_vertex_girth_once(monkeypatch):
     original = curvkit.girth.vertex_girth
     monkeypatch.setattr(curvkit.verify, "vertex_girth", counted)
     monkeypatch.setattr(curvkit.girth, "vertex_girth", counted)
-    report = verify_theorems(g, "cd", strict_global_girth=True)
-    assert report.all_precondition_not_met
+    report = verify_theorems(g, "cd")
+    assert [r.verdict for r in report.records] == ["precondition_not_met"] * 3 + ["pass"] * 3
     assert len(calls) == len(set(calls))
     assert set(calls) == {0, 1, 2}
 
 
 def test_min_girth_threshold_parameter():
-    g = cycle(4)
-    default = verify_theorems(g, "cd")
+    # the gate is the bounds' hypothesis, girth >= 5: a 4-cycle is gated out
+    default = verify_theorems(cycle(4), "cd")
     assert default.all_precondition_not_met
-    relaxed = verify_theorems(g, "cd", min_girth=4)
-    assert all(r.verdict == "pass" for r in relaxed.records)
 
 
 def test_invalid_theorem_name(petersen_graph):
@@ -195,6 +195,61 @@ def test_no_failure_without_reverified_witness(corpus_girth5):
                     assert not cd_check(g, r.vertex, 2.0, r.cd_bound, r.witness)
             else:
                 assert r.witness is None
+
+
+def test_reverified_violation_fails_with_the_minimizer_as_witness(
+    petersen_graph, cd_bound_raised_at_vertex_3
+):
+    report = verify_theorems(petersen_graph, "cd")
+    assert [r.vertex for r in report.records if r.verdict == "fail"] == [3]
+    record = report.records[3]
+    minimizer = cd_curvature(petersen_graph, 3).minimizing_function
+    assert record.witness.values.tobytes() == minimizer.values.tobytes()
+    assert not cd_check(petersen_graph, 3, 2.0, record.cd_bound, record.witness)
+
+
+def test_violation_that_does_not_reverify_is_logged_not_failed(
+    petersen_graph, monkeypatch, caplog
+):
+    # K - 1 reported at vertex 3 with the true minimizer, which satisfies
+    # the true bound: the margin is negative but the witness does not break it
+    curvatures = curvkit.verify.cd_curvatures
+
+    def lowered(g, vertices, n):
+        for result in curvatures(g, vertices, n):
+            if result.vertex == 3:
+                result = replace(result, curvature_K=result.curvature_K - 1.0)
+            yield result
+
+    monkeypatch.setattr(curvkit.verify, "cd_curvatures", lowered)
+    with caplog.at_level(logging.WARNING, logger="curvkit.verify"):
+        report = verify_theorems(petersen_graph, "cd")
+    assert all(r.verdict == "pass" and r.witness is None for r in report.records)
+    assert caplog.messages == ["vertex 3: cd margin -1.000e+00 did not re-verify as a violation"]
+
+
+def test_results_compare_and_hash_without_raising(petersen_graph):
+    # results hold numpy arrays, so == and hash go by the identity of those;
+    # two runs compare unequal instead of raising
+    g = petersen_graph
+    cd = [cd_curvature(g, 0) for _ in range(2)]
+    cde = [cde_estimate(g, 0, samples=50) for _ in range(2)]
+    functions = [result.minimizing_function for result in cd]
+    records = [
+        VertexReport(
+            vertex=0, girth=5, neighbor_degrees=(3, 3, 3), cd_bound=0.0,
+            cd_computed=-1.0, cd_margin=-1.0, cde_bound=None, cde_sampled_min=None,
+            cde_margin=None, verdict="fail", dim=2.0, seed=None, witness=f,
+        )
+        for f in functions
+    ]
+    for a, b in [functions, cd, [e.argmin for e in cde], cde, records]:
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a) and isinstance(hash(b), int)
+    # a copy of a record holds the same witness, so it compares equal
+    copy = replace(records[0])
+    assert copy == records[0] and hash(copy) == hash(records[0])
 
 
 def _peaks(run) -> dict[int, int]:
