@@ -11,7 +11,7 @@ import warnings
 from collections import deque
 
 from .graph import Graph
-from .rng import SplitMix64
+from .rng import _draws_below
 
 
 class BadParameterError(ValueError):
@@ -62,8 +62,8 @@ def random_tree(vertices: int, seed: int) -> Graph:
     """Uniform-attachment tree: vertex i joins a uniform vertex in [0, i)."""
     if vertices < 2:
         raise BadParameterError(f"random tree needs >= 2 vertices, got {vertices}")
-    rng = SplitMix64(seed)
-    return Graph.from_edges((rng.below(i), i) for i in range(1, vertices))
+    below = _draws_below(seed)
+    return Graph.from_edges((below(i), i) for i in range(1, vertices))
 
 
 def random_with_girth(
@@ -89,10 +89,10 @@ def random_with_girth(
     if target_edges > vertices * (vertices - 1) // 2:
         raise BadParameterError(f"{target_edges} edges exceed the simple-graph maximum")
 
-    rng = SplitMix64(seed)
+    below = _draws_below(seed)
     adjacency: list[set[int]] = [set() for _ in range(vertices)]
     for i in range(1, vertices):
-        parent = rng.below(i)
+        parent = below(i)
         adjacency[parent].add(i)
         adjacency[i].add(parent)
 
@@ -100,8 +100,8 @@ def random_with_girth(
     rejections = 0
     stall = 50 * target_edges
     while edge_count < target_edges and rejections < stall:
-        u = rng.below(vertices)
-        v = rng.below(vertices)
+        u = below(vertices)
+        v = below(vertices)
         if u == v or v in adjacency[u]:
             rejections += 1
             continue

@@ -11,17 +11,18 @@ Conventions (fixed package-wide):
   G_{i+1}(f,h) = (D(G_i(f,h)) - G_i(f,Dh) - G_i(Df,h)) / 2, so that
   G_2(f) = D(G(f))/2 - G(f,Df).
 
-Each form ships in two flavors: the definitional evaluation above and a
+Each form ships in two flavors, algebraically equal and cross-checked by
+the tests to 1e-12 relative: the definitional evaluation above and a
 closed local formula over the 2-ball (for G_2, the one in the localforms
-module). The two are algebraically equal and serve as mutual oracles;
-tests cross-check them to 1e-12 relative. G(f, G(f)/f) keeps its
-definitional route (``gamma_f_ratio``), cross-checked by the split form
-``tests/oracles.gamma_f_ratio_split``.
+module). The definitional route is the G_i recursion alone
+(``gamma_iterate``); G and G_2 are its i = 1, 2 cases. G(f, G(f)/f) keeps
+its definitional route (``gamma_f_ratio``), cross-checked by the split
+form ``tests/oracles.gamma_f_ratio_split``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,29 +54,22 @@ def laplacian(g: Graph, f: FunctionLike, x: int) -> float:
     """Df(x) = (1/d_x) sum_{y ~ x} (f(y) - f(x))."""
     vals = check_function(g, f)
     _check_vertex(g, x)
-    nbrs = g.adjacency[x]
-    fx = vals[x]
+    return _laplacian_at(g, vals.__getitem__, x)
+
+
+def _laplacian_at(g: Graph, value: Callable[[int], float], v: int) -> float:
+    """D at v of the vertex function ``value``, summed in adjacency order."""
+    nbrs = g.adjacency[v]
+    here = value(v)
     acc = 0.0
     for y in nbrs:
-        acc += vals[y] - fx
+        acc += value(y) - here
     return acc / len(nbrs)
 
 
 def gamma(g: Graph, f: FunctionLike, h: FunctionLike, x: int) -> float:
-    """Definitional gradient form G(f,h)(x) = (D(fh) - f*Dh - h*Df)(x)/2."""
-    fv = check_function(g, f)
-    hv = check_function(g, h)
-    _check_vertex(g, x)
-    nbrs = g.adjacency[x]
-    fx, hx = fv[x], hv[x]
-    lap_fh = 0.0
-    lap_f = 0.0
-    lap_h = 0.0
-    for y in nbrs:
-        lap_fh += fv[y] * hv[y] - fx * hx
-        lap_f += fv[y] - fx
-        lap_h += hv[y] - hx
-    return 0.5 * (lap_fh - fx * lap_h - hx * lap_f) / len(nbrs)
+    """Definitional gradient form G(f,h)(x) = G_1(f,h)(x)."""
+    return gamma_iterate(g, f, h, x, 1)
 
 
 def gamma_local(g: Graph, f: FunctionLike, x: int) -> float:
@@ -92,73 +86,48 @@ def gamma_local(g: Graph, f: FunctionLike, x: int) -> float:
 
 
 def gamma_iterate(g: Graph, f: FunctionLike, h: FunctionLike, x: int, i: int) -> float:
-    """Iterated form G_i(f,h)(x); i=1 matches gamma, i=2 (f=h) matches gamma2."""
+    """Iterated form G_i(f,h)(x) by the recursion in the module docstring.
+
+    Reads the adjacency only within distance i - 1 of x: every term is
+    G_j(D^a f, D^b h) at a vertex v with dist(x, v) + a + b + j <= i, and
+    terms and iterated Laplacians are memoized and computed on demand.
+    """
     if i < 0:
         raise ValueError("iteration index must be non-negative")
     if i > MAX_GAMMA_ITERATE:
         raise IterationTooDeepError(f"iteration depth {i} exceeds {MAX_GAMMA_ITERATE}")
-    fv = check_function(g, f)
-    hv = check_function(g, h)
+    vals = (check_function(g, f), check_function(g, h))
     _check_vertex(g, x)
-    # every recursive term is G_j applied to iterated Laplacians of f and h,
-    # so precompute D^0..D^i of both and memoize on (power_f, power_h, j, x)
-    lap_f = [fv]
-    lap_h = [hv]
-    for _ in range(i):
-        lap_f.append(_laplacian_all(g, lap_f[-1]))
-        lap_h.append(_laplacian_all(g, lap_h[-1]))
-    memo: dict[tuple[int, int, int, int], float] = {}
+    h_index = 0 if h is f else 1
+    powers: dict[tuple[int, int, int], float] = {}
+    terms: dict[tuple[int, int, int, int], float] = {}
+
+    def power(k: int, a: int, v: int) -> float:
+        """D^a vals[k] at v."""
+        if a == 0:
+            return vals[k][v]
+        if (k, a, v) not in powers:
+            powers[k, a, v] = _laplacian_at(g, lambda y: power(k, a - 1, y), v)
+        return powers[k, a, v]
 
     def term(a: int, b: int, j: int, v: int) -> float:
-        key = (a, b, j, v)
-        if key in memo:
-            return memo[key]
+        """G_j(D^a f, D^b h)(v)."""
         if j == 0:
-            value = float(lap_f[a][v] * lap_h[b][v])
-        else:
-            nbrs = g.adjacency[v]
-            here = term(a, b, j - 1, v)
-            acc = 0.0
-            for y in nbrs:
-                acc += term(a, b, j - 1, y) - here
-            value = 0.5 * (
-                acc / len(nbrs) - term(a, b + 1, j - 1, v) - term(a + 1, b, j - 1, v)
+            return float(power(0, a, v) * power(h_index, b, v))
+        if (a, b, j, v) not in terms:
+            terms[a, b, j, v] = 0.5 * (
+                _laplacian_at(g, lambda y: term(a, b, j - 1, y), v)
+                - term(a, b + 1, j - 1, v)
+                - term(a + 1, b, j - 1, v)
             )
-        memo[key] = value
-        return value
+        return terms[a, b, j, v]
 
     return term(0, 0, i, x)
 
 
-def _laplacian_all(g: Graph, vals: np.ndarray) -> np.ndarray:
-    out = np.empty(g.vertex_count)
-    for v, nbrs in enumerate(g.adjacency):
-        acc = 0.0
-        fv = vals[v]
-        for y in nbrs:
-            acc += vals[y] - fv
-        out[v] = acc / len(nbrs)
-    return out
-
-
 def gamma2(g: Graph, f: FunctionLike, x: int) -> float:
-    """Definitional iterated form G_2(f)(x) = D(G(f))(x)/2 - G(f, Df)(x).
-
-    G(f) is evaluated definitionally on the 1-ball of x and Df wherever
-    G(f, Df)(x) needs it; only values of f on the 2-ball enter.
-    """
-    vals = check_function(g, f)
-    _check_vertex(g, x)
-    nbrs = g.adjacency[x]
-    gamma_x = gamma(g, vals, vals, x)
-    acc = 0.0
-    for y in nbrs:
-        acc += gamma(g, vals, vals, y) - gamma_x
-    lap = np.zeros(g.vertex_count)
-    lap[x] = laplacian(g, vals, x)
-    for y in nbrs:
-        lap[y] = laplacian(g, vals, y)
-    return 0.5 * acc / len(nbrs) - gamma(g, vals, lap, x)
+    """Definitional iterated form G_2(f)(x) = D(G(f))(x)/2 - G(f, Df)(x)."""
+    return gamma_iterate(g, f, f, x, 2)
 
 
 def gamma2_local(g: Graph, f: FunctionLike, x: int) -> float:

@@ -9,13 +9,17 @@ driven by SplitMix64 with its standard constants:
                     z ^= z >> 27;  z *= 0x94D049BB133111EB
                     z ^= z >> 31
 
-The generator is also usable in counter mode: output i of the stream with
-seed s is mix64(s + (i+1)*GOLDEN), which has no sequential dependency and
-vectorizes. Counter mode gives the prefix property the samplers rely on:
-the first k draws are identical no matter how many draws follow.
+The stream is read in counter mode only: output k = 1, 2, ... of the
+stream with seed s is mix64(s + k*GOLDEN), the k-th output of the
+sequential generator, with no sequential dependency, so it vectorizes.
+Counter mode gives the prefix property the samplers rely on: the first k
+draws are identical no matter how many draws follow.
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import Callable
 
 import numpy as np
 
@@ -39,25 +43,11 @@ def derive_stream(seed: int, index: int) -> int:
     return mix64(mix64(seed & MASK64) ^ (((index + 1) * GOLDEN) & MASK64))
 
 
-class SplitMix64:
-    """Sequential SplitMix64 stream."""
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + GOLDEN) & MASK64
-        return mix64(self._state)
-
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n) via the fixed-point multiply method."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
-        return (self.next_u64() * n) >> 64
-
-    def uniform(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+def _draws_below(seed: int) -> Callable[[int], int]:
+    """n -> uniform integer in [0, n), n >= 1, from outputs 1, 2, ... of the
+    stream in turn, by the fixed-point multiply method."""
+    outputs = (mix64(seed + k * GOLDEN) for k in itertools.count(1))
+    return lambda n: (next(outputs) * n) >> 64
 
 
 def counter_uniforms(seed: int, start: int, count: int) -> np.ndarray:

@@ -21,8 +21,11 @@ smallest), and the structured CDE rows by listing every configuration in
 Python before the cap (production builds only the kept ones with numpy).
 G(f, G(f)/f) is also given by the three-term split of its Laplacians
 (production applies the bilinear form to the quotient function G(f)/f),
-and the 2-ball layout by a set walk over the adjacency lists of one
-center (production sorts the keys of many centres at once).
+G and G_2 by their direct definitional formulas (production evaluates
+both as cases of the G_i recursion), the generator draws by the
+sequential SplitMix64 stream (production reads the stream in counter
+mode), and the 2-ball layout by a set walk over the adjacency lists of
+one center (production sorts the keys of many centres at once).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from curvkit.cde import (
 from curvkit.graph import Graph, _check_vertex, check_function
 from curvkit.localforms import GRADIENT_FLOOR, LocalEvaluator
 from curvkit.operators import _require_positive_two_ball, gamma_local, laplacian
-from curvkit.rng import _MIX1, _MIX2, GOLDEN, MASK64, counter_uniforms, derive_stream
+from curvkit.rng import _MIX1, _MIX2, GOLDEN, MASK64, counter_uniforms, derive_stream, mix64
 
 
 def walked_two_ball(g: Graph, x: int):
@@ -160,6 +163,43 @@ def gamma_f_ratio_split(g: Graph, f, x: int) -> float:
     i2 = 0.5 * vals[x] * sum(gam[y] / vals[y] - gam[x] / vals[x] for y in nbrs) / d
     i3 = 0.5 * (gam[x] / vals[x]) * laplacian(g, vals, x)
     return i1 - i2 - i3
+
+
+def direct_gamma(g: Graph, f, h, x: int) -> float:
+    """Definitional gradient form G(f,h)(x) = (D(fh) - f*Dh - h*Df)(x)/2."""
+    fv = check_function(g, f)
+    hv = check_function(g, h)
+    _check_vertex(g, x)
+    nbrs = g.adjacency[x]
+    fx, hx = fv[x], hv[x]
+    lap_fh = 0.0
+    lap_f = 0.0
+    lap_h = 0.0
+    for y in nbrs:
+        lap_fh += fv[y] * hv[y] - fx * hx
+        lap_f += fv[y] - fx
+        lap_h += hv[y] - hx
+    return 0.5 * (lap_fh - fx * lap_h - hx * lap_f) / len(nbrs)
+
+
+def direct_gamma2(g: Graph, f, x: int) -> float:
+    """Definitional iterated form G_2(f)(x) = D(G(f))(x)/2 - G(f, Df)(x).
+
+    G(f) is evaluated definitionally on the 1-ball of x and Df wherever
+    G(f, Df)(x) needs it; only values of f on the 2-ball enter.
+    """
+    vals = check_function(g, f)
+    _check_vertex(g, x)
+    nbrs = g.adjacency[x]
+    gamma_x = direct_gamma(g, vals, vals, x)
+    acc = 0.0
+    for y in nbrs:
+        acc += direct_gamma(g, vals, vals, y) - gamma_x
+    lap = np.zeros(g.vertex_count)
+    lap[x] = laplacian(g, vals, x)
+    for y in nbrs:
+        lap[y] = laplacian(g, vals, y)
+    return 0.5 * acc / len(nbrs) - direct_gamma(g, vals, lap, x)
 
 
 def cholesky_schur(m: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
@@ -372,6 +412,25 @@ def proposal_tensor_moves(
     low_gradient = ev.gamma(flat).reshape(count, nprops) < GRADIENT_FLOOR
     values = np.where(dead | ~(lap < 0.0) | low_gradient, np.inf, values)
     return final, values, dead, lap
+
+
+class SplitMix64:
+    """Sequential SplitMix64 stream."""
+
+    def __init__(self, seed: int):
+        self._state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + GOLDEN) & MASK64
+        return mix64(self._state)
+
+    def below(self, n: int) -> int:
+        """Uniform integer in [0, n) via the fixed-point multiply method."""
+        return (self.next_u64() * n) >> 64
+
+    def uniform(self) -> float:
+        """Uniform float in [0, 1) with 53 random bits."""
+        return (self.next_u64() >> 11) * 2.0**-53
 
 
 def whole_array_uniforms(seed: int, start: int, count: int) -> np.ndarray:

@@ -80,6 +80,17 @@ def test_nonpositive_function_is_infeasible():
     assert err.value.precondition == "positivity"
 
 
+def test_underflowing_gradient_is_infeasible():
+    # Df(0) < 0, but G(f)(0) ~ (2e-176)^2 underflows to 0
+    g = petersen()
+    f = np.full(10, 1e-160)
+    f[g.adjacency[0][0]] = np.nextafter(1e-160, 0.0)
+    assert laplacian(g, f, 0) < 0.0
+    with pytest.raises(InfeasibleFunctionError, match=r"G\(f\)\(x\) = 0") as err:
+        cde_ratio(g, 0, 2.0, f)
+    assert err.value.precondition == "zero_gradient"
+
+
 def test_ratio_scale_invariance(corpus_small):
     for g in corpus_small[:8]:
         for x in range(0, g.vertex_count, 3):

@@ -6,6 +6,7 @@ from curvkit import (
     DisconnectedError,
     EdgeListParseError,
     Graph,
+    GraphError,
     IsolatedVertexError,
     SelfLoopError,
     VertexFunction,
@@ -107,6 +108,17 @@ def test_from_edges_isolated_vertex_with_explicit_count():
     with pytest.raises(IsolatedVertexError) as err:
         Graph.from_edges([(0, 1)], vertex_count=3)
     assert err.value.vertex == 2
+
+
+def test_from_edges_rejects_bad_ids_and_counts():
+    with pytest.raises(GraphError, match="negative vertex id"):
+        Graph.from_edges([(0, -1)])
+    with pytest.raises(GraphError, match="at least one edge"):
+        Graph.from_edges([])
+    with pytest.raises(GraphError, match="vertex_count must be positive"):
+        Graph.from_edges([(0, 1)], vertex_count=0)
+    with pytest.raises(GraphError, match="edge endpoint 5 out of range 0..2"):
+        Graph.from_edges([(0, 5)], vertex_count=3)
 
 
 def test_serialize_examples():

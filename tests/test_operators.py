@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import positive_functions, random_functions
-from oracles import gamma_f_ratio_split
+from oracles import direct_gamma, direct_gamma2, gamma_f_ratio_split
 from curvkit import (
+    Graph,
     IterationTooDeepError,
     NonpositiveValueError,
     VertexFunction,
@@ -18,8 +19,10 @@ from curvkit import (
     laplacian,
     path,
     petersen,
+    random_with_girth,
     star,
 )
+from curvkit.operators import MAX_GAMMA_ITERATE
 
 
 def test_laplacian_constant_vanishes(corpus_small):
@@ -126,15 +129,55 @@ def test_gamma_iterate_base_case():
 
 
 def test_gamma_iterate_matches_gamma_and_gamma2(corpus_small):
-    for g in corpus_small[:10]:
+    # gamma and gamma2 are the i = 1, 2 cases of gamma_iterate; the direct
+    # formulas of the oracles are the independent definitional reference
+    for g in corpus_small:
         f, h = random_functions(g, 2, seed=31)
         for x in range(g.vertex_count):
-            assert approx_equal(
-                gamma_iterate(g, f, h, x, 1), gamma(g, f, h, x), rel=1e-12
-            )
-            assert approx_equal(
-                gamma_iterate(g, f, f, x, 2), gamma2(g, f, x), rel=1e-12
-            )
+            first = gamma_iterate(g, f, h, x, 1)
+            second = gamma_iterate(g, f, f, x, 2)
+            assert approx_equal(first, gamma(g, f, h, x), rel=1e-12)
+            assert approx_equal(first, direct_gamma(g, f, h, x), rel=1e-12)
+            assert approx_equal(second, gamma2(g, f, x), rel=1e-12)
+            assert approx_equal(second, direct_gamma2(g, f, x), rel=1e-12)
+
+
+class _RecordingRows(tuple):
+    """Adjacency tuple that records the rows read and any full iteration."""
+
+    def __new__(cls, rows):
+        out = super().__new__(cls, rows)
+        out.read = set()
+        out.iterated = False
+        return out
+
+    def __getitem__(self, v):
+        self.read.add(v)
+        return super().__getitem__(v)
+
+    def __iter__(self):
+        self.iterated = True
+        return super().__iter__()
+
+
+def test_gamma_iterate_reads_only_the_ball_it_needs():
+    g = random_with_girth(400, 600, 5, 1)
+    rng = np.random.default_rng(61)
+    f, h = rng.normal(size=400), rng.normal(size=400)
+    for x in (7, 200):
+        dist = {x: 0}
+        queue = [x]
+        for v in queue:
+            for z in g.adjacency[v]:
+                if z not in dist:
+                    dist[z] = dist[v] + 1
+                    queue.append(z)
+        for i in range(MAX_GAMMA_ITERATE + 1):
+            rows = _RecordingRows(g.adjacency)
+            watched = Graph(vertex_count=g.vertex_count, adjacency=rows)
+            assert gamma_iterate(watched, f, h, x, i) == gamma_iterate(g, f, h, x, i)
+            assert not rows.iterated
+            assert rows.read <= {v for v, d in dist.items() if d <= i - 1}
 
 
 def test_gamma_iterate_depth_guard():

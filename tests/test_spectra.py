@@ -99,6 +99,22 @@ def test_not_symmetric_rejected():
         smallest_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_matrix_shape_rejected():
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        smallest_eigenvalue(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        smallest_eigenvalue(np.zeros((0, 0)))
+
+
+def test_schur_arguments_rejected():
+    with pytest.raises(ValueError, match="keep index 5 out of range"):
+        schur_minimize(np.eye(3), [5])
+    with pytest.raises(ValueError, match="cannot eliminate every coordinate"):
+        schur_minimize(np.eye(2), [])
+    with pytest.raises(ValueError, match=r"u has shape \(2,\), expected \(1,\)"):
+        schur_minimizer(np.eye(3), [0], np.ones(2))
+
+
 def test_schur_empty_elimination_returns_input():
     m = np.array([[2.0, 1.0], [1.0, 3.0]])
     s = schur_minimize(m, [0, 1])
