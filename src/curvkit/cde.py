@@ -46,7 +46,7 @@ import numpy as np
 
 from .cd import _check_dimension
 from .graph import Graph, VertexFunction, ball, batches, check_function, _check_vertex
-from .localforms import LocalEvaluator, MoveScorer
+from .localforms import LocalEvaluator, MoveScorer, _ratio
 from .operators import gamma2, gamma_f_ratio, gamma_local, laplacian
 from .rng import counter_uniforms, derive_stream
 
@@ -296,17 +296,17 @@ def _trigger_rows(ratios: np.ndarray) -> list[int]:
 
 
 def _batch_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
-    """Ratio for each strictly positive full row, +inf where the denominator
-    degenerates, scored at f(x) = 1: each row is divided by its centre value
-    (the ratio is scale-invariant; dividing by 1.0 is exact). Blocks of
+    """Ratio for each strictly positive full row, +inf where G(f)(x) is
+    below the gradient floor (the rule of R, localforms._ratio), scored at
+    f(x) = 1: each row is divided by its centre value (the ratio is
+    scale-invariant; dividing by 1.0 is exact). Blocks of
     _RATIO_CHUNK rows, fewer (at least one) above _RATIO_PAIRS / 2 pairs;
     rows are independent, so the blocks change no bit."""
     chunk = max(1, _RATIO_CHUNK * _RATIO_PAIRS // max(2 * len(ev.pair_y), _RATIO_PAIRS))
-    out = np.full(len(rows), np.inf)
+    out = np.empty(len(rows))
     for i in range(0, len(rows), chunk):
         block = rows[i : i + chunk] / rows[i : i + chunk, :1]
-        den = ev.gamma(block)
-        np.divide(ev.cde_numerator(block, n), den, out=out[i : i + chunk], where=den > 0.0)
+        out[i : i + chunk] = _ratio(ev.cde_numerator(block, n), ev.gamma(block))
     return out
 
 

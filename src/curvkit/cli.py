@@ -6,8 +6,7 @@ Exit codes: 0 success (verify: no failing vertex), 1 a curvature bound was
 violated (witness embedded in the JSON report), 2 input parse/validation
 error, 3 every vertex failed the girth precondition, 4 the CDE search
 found no candidate with a finite ratio at some vertex, 5 out of memory,
-64 usage error (including a verify --dim below 2, where the bounds are
-not claimed).
+64 usage error.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .generators import BadParameterError
 from .girth import all_vertex_girths
 from .graph import Graph, GraphError, parse_edge_list, serialize_edge_list
 from .report import dumps, girth_json, report_document
-from .verify import verify_theorems
+from .verify import DIM, verify_theorems
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -80,7 +79,6 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="verify the girth-5 curvature bounds")
     p_verify.add_argument("file")
     p_verify.add_argument("--theorem", choices=["cd", "cde", "both"], default="both")
-    p_verify.add_argument("--dim", type=float, default=2.0)
     p_verify.add_argument("--samples", type=int, default=10000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--format", choices=["json", "csv"], default="json")
@@ -200,24 +198,15 @@ def _log_to_stderr(enabled: bool):
 
 
 def cmd_verify(args) -> int:
-    _check_dim(args.dim)
-    if args.dim < 2:
-        raise UsageError(f"--dim must be >= 2 for verify, got {args.dim}")
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     g = _load_graph(args.file)
     with _log_to_stderr(args.verbose):
-        report = verify_theorems(
-            g,
-            theorem=args.theorem,
-            samples=args.samples,
-            seed=args.seed,
-            dim=args.dim,
-        )
+        report = verify_theorems(g, theorem=args.theorem, samples=args.samples, seed=args.seed)
     run_cde = args.theorem in ("cde", "both")
     params = {
         "theorem": args.theorem,
-        "dim": args.dim,
+        "dim": DIM,
         "samples": args.samples if run_cde else None,
         "seed": args.seed if run_cde else None,
     }

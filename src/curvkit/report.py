@@ -18,7 +18,7 @@ from importlib import resources
 from typing import Any
 
 from .graph import Graph
-from .verify import CurvatureReport, VertexReport
+from .verify import DIM, CurvatureReport, VertexReport
 
 
 def dumps(obj: Any) -> str:
@@ -42,7 +42,7 @@ def record_to_dict(record: VertexReport) -> dict[str, Any]:
         "cde_margin": record.cde_margin,
         "verdict": record.verdict,
         "seed": record.seed,
-        "dim": record.dim,
+        "dim": DIM,
     }
     if record.witness is not None:
         out["witness"] = record.witness.values.tolist()

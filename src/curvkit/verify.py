@@ -14,8 +14,8 @@ reported as a failure after the candidate function re-verifies against a
 from-scratch definitional evaluation; margins in (-1e-8, 0) are logged as
 tight.
 
-The paper states both bounds at dimension n = 2. Larger n is accepted (both
-curvatures only grow with n); n below 2 is rejected.
+The paper states both bounds at dimension n = 2, and both are checked
+there only: both curvatures only grow with n, so a larger n is implied.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .graph import Graph, VertexFunction, _check_vertex
 
 MARGIN_TOL = 1e-8
 GIRTH_GATE = 5   # the bounds' hypothesis: no cycle shorter than 5 through x
+DIM = 2.0        # the dimension n at which the paper states both bounds
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +49,6 @@ class VertexReport:
 
     vertex: int
     girth: GirthValue
-    neighbor_degrees: tuple[int, ...]
     cd_bound: float | None
     cd_computed: float | None
     cd_margin: float | None
@@ -56,7 +56,6 @@ class VertexReport:
     cde_sampled_min: float | None
     cde_margin: float | None
     verdict: str                      # pass | fail | precondition_not_met
-    dim: float
     seed: int | None
     witness: VertexFunction | None    # attached only on fail, re-verified
 
@@ -114,14 +113,14 @@ def cd_witness_value(g: Graph, x: int, i: int) -> float:
     return acc / k
 
 
-def _run_cd(g: Graph, dim: float, samples: int, seed: int):
-    for result in cd_curvatures(g, range(g.vertex_count), dim):
+def _run_cd(g: Graph, samples: int, seed: int):
+    for result in cd_curvatures(g, range(g.vertex_count), DIM):
         bound = cd_bound_girth5(g, result.vertex)
         yield bound, result.curvature_K, result
 
 
-def _run_cde(g: Graph, dim: float, samples: int, seed: int):
-    for estimate in cde_estimates(g, range(g.vertex_count), dim, samples, seed):
+def _run_cde(g: Graph, samples: int, seed: int):
+    for estimate in cde_estimates(g, range(g.vertex_count), DIM, samples, seed):
         bound = -g.degree(estimate.vertex) / 2.0 - 1.0
         yield bound, estimate.sampled_min, estimate
 
@@ -140,19 +139,16 @@ def verify_theorems(
     theorem: str = "both",
     samples: int = 10000,
     seed: int = 0,
-    dim: float = 2.0,
 ) -> CurvatureReport:
-    """Verify the selected bound(s) at every vertex of g."""
+    """Verify the selected bound(s) at every vertex of g, at n = DIM."""
     if theorem not in ("cd", "cde", "both"):
         raise ValueError(f"theorem must be cd, cde or both, got {theorem!r}")
-    if not dim >= 2:
-        raise ValueError(f"the bounds are stated for dim >= 2, got {dim}")
     selected = ("cd", "cde") if theorem == "both" else (theorem,)
     # searched through this module's name so tracing can wrap each search
     cyclic = on_cycle(g)
     girths = [vertex_girth(g, x) if cyclic[x] else inf for x in range(g.vertex_count)]
     computed = {
-        name: compute(g, dim, samples, seed)
+        name: compute(g, samples, seed)
         for name, compute, _, _ in _THEOREMS
         if name in selected
     }
@@ -172,7 +168,7 @@ def verify_theorems(
             margin = value - bound
             if gate and margin < -MARGIN_TOL:
                 candidate = candidate_of(result)
-                if not check(g, x, dim, bound, candidate):
+                if not check(g, x, DIM, bound, candidate):
                     witness = candidate
                 else:
                     logger.warning(
@@ -192,7 +188,6 @@ def verify_theorems(
             VertexReport(
                 vertex=x,
                 girth=girth_here,
-                neighbor_degrees=tuple(g.degree(y) for y in g.adjacency[x]),
                 cd_bound=cd_bound,
                 cd_computed=cd_computed,
                 cd_margin=cd_margin,
@@ -200,7 +195,6 @@ def verify_theorems(
                 cde_sampled_min=cde_sampled,
                 cde_margin=cde_margin,
                 verdict=verdict,
-                dim=float(dim),
                 seed=seed if "cde" in selected else None,
                 witness=witness,
             )

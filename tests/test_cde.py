@@ -255,6 +255,21 @@ def test_reduced_ratio_matches_the_filled_row():
             assert _close(reduced[~low], _batch_ratios(ev, filled, n)[~low])
 
 
+def test_full_rows_below_the_gradient_floor_score_inf():
+    # one floor rule for full rows and for R: a positive G(f)(x) below
+    # GRADIENT_FLOOR is +inf on both routes, not a finite ratio
+    rng = np.random.default_rng(31)
+    for g, x in [(petersen(), 0), (star(3), 0), (path(5), 2), (tree_hub(6), 0)]:
+        ev = LocalEvaluator(g, x)
+        t = 1.0 - 0.04 * rng.uniform(0.1, 1.0, size=(8, ev.degree))
+        filled = ev.fill(t)
+        gx = ev.gamma(filled)
+        assert np.all((0.0 < gx) & (gx < GRADIENT_FLOOR))
+        for n in (2.0, np.inf):
+            assert np.all(np.isposinf(_batch_ratios(ev, filled, n)))
+            assert np.all(np.isposinf(MoveScorer([ev], [len(t)]).ratios(t.ravel(), n)))
+
+
 def test_fill_matches_walked_fill():
     rng = np.random.default_rng(19)
     for g, x in _reduced_cases():
@@ -279,7 +294,11 @@ def test_filled_sphere2_is_optimal():
                 moved = filled.copy()
                 moved[:, ev.s2_cols] *= np.exp(rng.normal(0.0, sigma, size=(50, len(ev.s2_cols))))
                 ratio = _batch_ratios(ev, moved, 2.0)
-                assert np.all(ratio >= best - 1e-12 * np.maximum(np.abs(best), 1.0))
+                # G(f)(x) does not read sphere 2, so both rows share the floor
+                finite = np.isfinite(best)
+                assert np.array_equal(np.isfinite(ratio), finite)
+                ratio, low = ratio[finite], best[finite]
+                assert np.all(ratio >= low - 1e-12 * np.maximum(np.abs(low), 1.0))
             checked += 1
     assert checked >= 500
 

@@ -197,20 +197,22 @@ def test_verify_cd_only_schema(capsys, petersen_file):
     assert doc["params"]["samples"] is None
 
 
-def test_schema_rejects_dim_below_two(capsys, petersen_file):
-    # verify rejects --dim below 2, so no valid report carries one
+def test_schema_rejects_dim_other_than_two(capsys, petersen_file):
+    # verify checks the bounds at n = 2 only, so no valid report carries
+    # another dimension
     code, out, _ = run(capsys, "verify", petersen_file, "--samples", "200")
     assert code == 0
     doc = json.loads(out)
     jsonschema.validate(doc, load_schema())
-    low = json.loads(out)
-    low["params"]["dim"] = 1.9
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(low, load_schema())
-    low = json.loads(out)
-    low["records"][3]["dim"] = 1.9
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(low, load_schema())
+    for dim in (1.9, 3.0):
+        other = json.loads(out)
+        other["params"]["dim"] = dim
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(other, load_schema())
+        other = json.loads(out)
+        other["records"][3]["dim"] = dim
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(other, load_schema())
 
 
 def test_verify_random_girth5_corpus_exit0(capsys, tmp_path):
@@ -335,36 +337,16 @@ def test_verify_verbose_logs_tight_margins(capsys, tmp_path):
     assert len(loud_err.splitlines()) == len(tight)
 
 
-def test_verify_non_finite_dim_is_usage_error(capsys, petersen_file, monkeypatch):
-    # rejected before any vertex is computed
-    import curvkit.cli as cli_mod
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("verify_theorems ran")
-
-    monkeypatch.setattr(cli_mod, "verify_theorems", unreachable)
-    code, out, err = run(capsys, "verify", petersen_file, "--dim", "inf")
-    assert code == 64
-    assert "dim" in err
-    assert out == ""
-
-
-@pytest.mark.parametrize("theorem, dim", [("cd", "1.9"), ("cde", "0.5")])
-def test_verify_dim_below_two_is_usage_error(capsys, tmp_path, theorem, dim):
-    # the paper states its bounds at n = 2 only; the file does not exist, so
-    # exit 64 (not 2) shows the dimension is rejected before the graph is read
+@pytest.mark.parametrize("dim", ["0.5", "1.9", "2", "3", "inf"])
+def test_verify_dim_is_usage_error(capsys, tmp_path, dim):
+    # verify checks the bounds at n = 2 only and takes no --dim; the file
+    # does not exist, so exit 64 (not 2) shows the option is refused before
+    # the graph is read
     missing = str(tmp_path / "missing.edges")
-    code, out, err = run(capsys, "verify", missing, "--theorem", theorem, "--dim", dim)
+    code, out, err = run(capsys, "verify", missing, "--dim", dim)
     assert code == 64
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("usage error:") and "dim" in err
-
-
-@pytest.mark.parametrize("dim", ["2", "3"])
-def test_verify_petersen_dim_two_and_above_exit0(capsys, petersen_file, dim):
-    code, out, _ = run(capsys, "verify", petersen_file, "--samples", "200", "--dim", dim)
-    assert code == 0
-    assert json.loads(out)["summary"]["pass"] == 10
+    assert len(err.splitlines()) == 1 and err.startswith("usage error:") and "--dim" in err
 
 
 def test_curvature_commands_accept_dim_below_two(capsys, petersen_file):
@@ -383,10 +365,10 @@ def test_verify_fail_exit_code_via_stub(capsys, petersen_file, monkeypatch):
     fake = CurvatureReport(
         records=(
             VertexReport(
-                vertex=0, girth=5, neighbor_degrees=(3,), cd_bound=0.0,
+                vertex=0, girth=5, cd_bound=0.0,
                 cd_computed=-1.0, cd_margin=-1.0, cde_bound=None,
                 cde_sampled_min=None, cde_margin=None, verdict="fail",
-                dim=2.0, seed=None, witness=None,
+                seed=None, witness=None,
             ),
         )
     )
@@ -443,9 +425,12 @@ def test_unaddressable_sample_count_is_out_of_memory(capsys, petersen_file, comm
 
 def test_commands_do_not_import_numpy_ma(petersen_file):
     # numpy.ma (imported by np.unique, among others) costs about a megabyte
-    # of resident memory; the four commands run in one fresh interpreter
+    # of resident memory; the four commands run in one fresh interpreter.
+    # Beyond the standard library they load numpy and curvkit alone: numpy
+    # is the only runtime dependency
     script = f"""
 import contextlib, io, sys
+before = set(sys.modules)
 from curvkit.cli import main
 path = {petersen_file!r}
 for argv in (["girth", path, "--per-vertex"], ["curvature-cd", path],
@@ -453,6 +438,8 @@ for argv in (["girth", path, "--per-vertex"], ["curvature-cd", path],
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
 print("numpy.ma" in sys.modules)
+loaded = {{name.partition(".")[0] for name in set(sys.modules) - before}}
+print(sorted(loaded - sys.stdlib_module_names - {{"numpy", "curvkit"}}))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -460,7 +447,7 @@ print("numpy.ma" in sys.modules)
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "False\n[]\n"
 
 
 # ---- the report writer ------------------------------------------------------
@@ -555,10 +542,10 @@ def test_verify_csv_leaves_out_the_witness(capsys, petersen_file, monkeypatch):
     fake = CurvatureReport(
         records=(
             VertexReport(
-                vertex=0, girth=5, neighbor_degrees=(3,), cd_bound=0.0,
+                vertex=0, girth=5, cd_bound=0.0,
                 cd_computed=-1.0, cd_margin=-1.0, cde_bound=None,
                 cde_sampled_min=None, cde_margin=None, verdict="fail",
-                dim=2.0, seed=None, witness=VertexFunction(np.arange(10.0) / 7),
+                seed=None, witness=VertexFunction(np.arange(10.0) / 7),
             ),
         )
     )

@@ -26,6 +26,7 @@ from curvkit import (
     verify_theorems,
     vertex_girth,
 )
+from curvkit.report import record_to_dict
 from curvkit.verify import VertexReport
 
 
@@ -75,7 +76,6 @@ def test_verify_cd_petersen_all_pass(petersen_graph):
         assert r.verdict == "pass"
         assert r.cd_computed >= -1.0 / 3.0 - 1e-8
         assert r.cd_bound == pytest.approx(-1.0 / 3.0, abs=1e-15)
-        assert r.neighbor_degrees == (3, 3, 3)
         assert r.witness is None
 
 
@@ -126,7 +126,7 @@ def test_verify_both_combines(petersen_graph):
     for r in report.records:
         assert r.verdict == "pass"
         assert r.cd_margin is not None and r.cde_margin is not None
-        assert r.dim == 2.0
+        assert record_to_dict(r)["dim"] == 2.0
 
 
 def test_mixed_girth_gating():
@@ -172,13 +172,6 @@ def test_min_girth_threshold_parameter():
 def test_invalid_theorem_name(petersen_graph):
     with pytest.raises(ValueError):
         verify_theorems(petersen_graph, theorem="cdx")
-
-
-@pytest.mark.parametrize("dim", [1.9, 0.5])
-def test_dim_below_two_is_rejected(petersen_graph, dim):
-    # the paper states both bounds at n = 2; below it a "violation" says nothing
-    with pytest.raises(ValueError, match="dim"):
-        verify_theorems(petersen_graph, "cd", dim=dim)
 
 
 def test_no_failure_without_reverified_witness(corpus_girth5):
@@ -237,9 +230,9 @@ def test_results_compare_and_hash_without_raising(petersen_graph):
     functions = [result.minimizing_function for result in cd]
     records = [
         VertexReport(
-            vertex=0, girth=5, neighbor_degrees=(3, 3, 3), cd_bound=0.0,
+            vertex=0, girth=5, cd_bound=0.0,
             cd_computed=-1.0, cd_margin=-1.0, cde_bound=None, cde_sampled_min=None,
-            cde_margin=None, verdict="fail", dim=2.0, seed=None, witness=f,
+            cde_margin=None, verdict="fail", seed=None, witness=f,
         )
         for f in functions
     ]
