@@ -126,7 +126,7 @@ def cde_ratio(g: Graph, x: int, n: float, f) -> float:
     n = _check_dimension(n)
     vals = check_function(g, f)
     _check_vertex(g, x)
-    b = ball(g, x, 2)
+    b = ball(g, x)
     for v in (x,) + b.coordinates:
         if not vals[v] > 0.0:
             raise InfeasibleFunctionError("positivity", f"f({v}) = {vals[v]}")

@@ -20,7 +20,7 @@ from math import isfinite
 from pathlib import Path
 
 from . import generators
-from .cd import cd_curvatures
+from .cd import DIM_FLOOR, cd_curvatures
 from .cde import NoFeasibleSampleError, cde_estimates
 from .generators import BadParameterError
 from .girth import all_vertex_girths
@@ -105,8 +105,8 @@ def _load_graph(path: str) -> Graph:
 
 
 def _check_dim(dim: float) -> None:
-    if not (dim > 0 and isfinite(dim)):
-        raise UsageError(f"--dim must be positive and finite, got {dim}")
+    if not (dim >= DIM_FLOOR and isfinite(dim)):
+        raise UsageError(f"--dim must be finite and at least {DIM_FLOOR}, got {dim}")
 
 
 def _vertices(g: Graph, vertex: int | None) -> list[int]:

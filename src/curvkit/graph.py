@@ -1,9 +1,10 @@
 """Finite simple undirected graphs, vertex functions, edge-list I/O, and
 the layout of their 2-balls.
 
-Graphs are connected, loop-free, multi-edge-free, and have no isolated
-vertices (the normalization 1/degree must be defined everywhere). Vertex
-ids are dense integers 0..n-1; instances are immutable after construction
+A graph is built from its edge list alone, so every vertex is an edge
+endpoint and has degree at least 1 (the normalization 1/degree is defined
+everywhere); it is connected, loop-free and multi-edge-free. Vertex ids
+are dense integers 0..n-1; instances are immutable after construction
 and safe to share across threads. ``Balls`` states the column, sphere and
 2-path layout of the 2-balls of many centres once; the local evaluator,
 the CDE search and both CD routes all read it.
@@ -36,12 +37,6 @@ class DisconnectedError(GraphError):
         self.components = components
 
 
-class IsolatedVertexError(GraphError):
-    def __init__(self, vertex: int):
-        super().__init__(f"vertex {vertex} has degree 0")
-        self.vertex = vertex
-
-
 class EdgeListParseError(GraphError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -56,16 +51,12 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_edges(
-        cls, edges: Iterable[tuple[int, int]], vertex_count: int | None = None
-    ) -> "Graph":
+    def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build and validate a graph from undirected edge pairs.
 
-        Duplicate edges collapse. Without an explicit `vertex_count` the
-        vertex set is the ids appearing in edges; gaps in the id range are
-        compacted to 0..n-1 with a warning. With an explicit
-        `vertex_count`, every id must be in range and ids of degree 0
-        raise IsolatedVertexError.
+        Duplicate edges collapse. The vertex set is the ids appearing in
+        edges, so no vertex is isolated; gaps in the id range are
+        compacted to 0..n-1 with a warning.
         """
         pairs: set[tuple[int, int]] = set()
         seen: set[int] = set()
@@ -81,30 +72,20 @@ class Graph:
         if not pairs:
             raise GraphError("a graph needs at least one edge")
 
-        if vertex_count is None:
-            ids = sorted(seen)
-            if ids[-1] != len(ids) - 1:
-                warnings.warn(
-                    "sparse vertex ids compacted to a dense 0..n-1 range",
-                    stacklevel=2,
-                )
-                relabel = {v: i for i, v in enumerate(ids)}
-                pairs = {(relabel[u], relabel[v]) for u, v in pairs}
-            n = len(ids)
-        else:
-            n = int(vertex_count)
-            if n <= 0:
-                raise GraphError("vertex_count must be positive")
-            if max(seen) >= n:
-                raise GraphError(f"edge endpoint {max(seen)} out of range 0..{n - 1}")
+        ids = sorted(seen)
+        if ids[-1] != len(ids) - 1:
+            warnings.warn(
+                "sparse vertex ids compacted to a dense 0..n-1 range",
+                stacklevel=2,
+            )
+            relabel = {v: i for i, v in enumerate(ids)}
+            pairs = {(relabel[u], relabel[v]) for u, v in pairs}
+        n = len(ids)
 
         neighbors: list[set[int]] = [set() for _ in range(n)]
         for u, v in pairs:
             neighbors[u].add(v)
             neighbors[v].add(u)
-        for v, nbrs in enumerate(neighbors):
-            if not nbrs:
-                raise IsolatedVertexError(v)
 
         adjacency = tuple(tuple(sorted(nbrs)) for nbrs in neighbors)
         g = cls(vertex_count=n, adjacency=adjacency)
@@ -170,11 +151,6 @@ class VertexFunction:
     def __getitem__(self, vertex: int) -> float:
         return float(self.values[vertex])
 
-    def with_value(self, vertex: int, value: float) -> "VertexFunction":
-        vals = self.values.copy()
-        vals[vertex] = value
-        return VertexFunction(vals)
-
     @classmethod
     def constant(cls, g: Graph, value: float) -> "VertexFunction":
         return cls(np.full(g.vertex_count, float(value)))
@@ -199,15 +175,15 @@ class VertexFunction:
 class LocalBall:
     """Radius-2 neighborhood of a center: first and second spheres.
 
-    `index` assigns contiguous coordinates to the sphere-1 vertices first,
-    then sphere-2; the center itself carries no coordinate (functions are
-    normalized to vanish there when the ball backs a quadratic form).
+    A vertex's coordinate is its position in `coordinates`: sphere 1
+    first, then sphere 2; the center itself carries no coordinate
+    (functions are normalized to vanish there when the ball backs a
+    quadratic form).
     """
 
     center: int
     sphere1: tuple[int, ...]
     sphere2: tuple[int, ...]
-    index: dict[int, int]
 
     @property
     def coordinates(self) -> tuple[int, ...]:
@@ -249,18 +225,11 @@ def serialize_edge_list(g: Graph) -> str:
     return "".join(f"{u} {v}\n" for u, v in g.edges)
 
 
-def degree(g: Graph, x: int) -> int:
-    """Number of neighbors of x."""
-    _check_vertex(g, x)
-    return g.degree(x)
+def ball(g: Graph, x: int) -> LocalBall:
+    """The 2-ball of x: its spheres at distance 1 and exactly 2.
 
-
-def ball(g: Graph, x: int, radius: int) -> LocalBall:
-    """Spheres at distance 1 and (for radius 2) exactly 2 around x."""
-    if radius not in (1, 2):
-        raise ValueError("radius must be 1 or 2")
-    b = Balls(g, [x]).local(0)
-    return b if radius == 2 else LocalBall(x, b.sphere1, (), {v: b.index[v] for v in b.sphere1})
+    Sphere 1 alone is ``g.adjacency[x]``."""
+    return Balls(g, [x]).local(0)
 
 
 class Balls:
@@ -324,8 +293,7 @@ class Balls:
         a, b = self.s1_first[i], self.s2_first[i]
         s1 = tuple(self.sphere1[a : a + self.degree[i]].tolist())
         s2 = tuple(self.sphere2[b : b + self.width[i] - 1 - self.degree[i]].tolist())
-        index = {v: k for k, v in enumerate(s1 + s2)}
-        return LocalBall(center=int(self.centres[i]), sphere1=s1, sphere2=s2, index=index)
+        return LocalBall(center=int(self.centres[i]), sphere1=s1, sphere2=s2)
 
 
 def _firsts(lengths: np.ndarray) -> np.ndarray:

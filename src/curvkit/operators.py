@@ -140,7 +140,7 @@ def gamma2_local(g: Graph, f: FunctionLike, x: int) -> float:
 
 
 def _require_positive_two_ball(g: Graph, vals: np.ndarray, x: int) -> None:
-    b = ball(g, x, 2)
+    b = ball(g, x)
     for v in (x,) + b.coordinates:
         if not vals[v] > 0.0:
             raise NonpositiveValueError(v, float(vals[v]))

@@ -26,7 +26,9 @@ from math import inf
 from operator import attrgetter
 
 # cd_curvature and cde_estimate are no longer called here, but stay
-# importable under this module's name, which perfbench/tracer.py wraps
+# importable under this module's name, which perfbench/tracer.py wraps:
+# without them a traced run reports verify.self_s, verify.vertex_ms_p50
+# and verify.vertex_ms_max (and the cd and cde metrics) as missing
 from .cd import cd_check, cd_curvature, cd_curvatures  # noqa: F401
 from .cde import cde_check, cde_estimate, cde_estimates  # noqa: F401
 from .girth import GirthValue, on_cycle, vertex_girth

@@ -25,6 +25,7 @@ from curvkit import (
     star,
     vertex_girth,
 )
+from curvkit.cd import DIM_FLOOR
 from oracles import cholesky_schur, rayleigh_cd_minimum
 
 
@@ -154,7 +155,7 @@ def test_witness_attains_equality_and_breaks_above(corpus_small):
 def test_witness_vanishes_at_center_and_outside_ball():
     g = path(7)
     res = cd_curvature(g, 0, 2.0)
-    b = ball(g, 0, 2)
+    b = ball(g, 0)
     inside = {0} | set(b.sphere1) | set(b.sphere2)
     assert res.minimizing_function[0] == 0.0
     for v in range(g.vertex_count):
@@ -197,6 +198,10 @@ def test_dimension_validation():
         cd_curvature(g, 0, 0.0)
     with pytest.raises(ValueError):
         cd_curvature(g, 0, -2.0)
+    # below the floor the 1/n terms overflow; at it K is finite
+    with pytest.raises(ValueError, match="at least 1e-300"):
+        cd_curvature(g, 0, DIM_FLOOR / 2)
+    assert math.isfinite(cd_curvature(g, 0, DIM_FLOOR).curvature_K)
     # infinity is a valid dimension: drops the (Df)^2 term
     k_inf = cd_curvature(g, 0, math.inf).curvature_K
     assert k_inf >= cd_curvature(g, 0, 2.0).curvature_K - 1e-9

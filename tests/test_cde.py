@@ -135,7 +135,7 @@ def test_structured_family_satisfies_bound_on_girth5(corpus_girth5):
             if vertex_girth(g, x) < 5:
                 continue
             bound = -g.degree(x) / 2.0 - 1.0
-            b = ball(g, x, 2)
+            b = ball(g, x)
             for t in (0.3, 0.7, 0.9):
                 vals = np.ones(g.vertex_count)
                 for y in b.sphere1:
@@ -181,7 +181,7 @@ def test_estimate_argmin_is_feasible_and_consistent(corpus_small):
         x = g.vertex_count // 2
         est = cde_estimate(g, x, 2.0, samples=1500, seed=4)
         f = est.argmin.function
-        b = ball(g, x, 2)
+        b = ball(g, x)
         for v in (x,) + b.sphere1 + b.sphere2:
             assert f[v] > 0.0
         assert f[x] == 1.0

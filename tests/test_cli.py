@@ -13,7 +13,8 @@ import pytest
 
 from conftest import girth5_corpus, tree_hub
 from curvkit import (
-    Graph, cd_curvature, parse_edge_list, petersen, random_tree, serialize_edge_list, star
+    Graph, cd_curvature, cycle, parse_edge_list, petersen, random_tree, random_with_girth,
+    serialize_edge_list, star,
 )
 from curvkit.cli import main
 from curvkit.report import dumps, load_schema
@@ -104,12 +105,19 @@ def test_curvature_cd_cycle_all_zero(capsys, tmp_path):
         assert rec["curvature"] == pytest.approx(0.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("dim", ["0", "inf"])
-def test_curvature_cd_dim_zero_is_usage_error(capsys, star3_file, dim):
-    code, out, err = run(capsys, "curvature-cd", star3_file, "--dim", dim)
-    assert code == 64
-    assert "dim" in err
-    assert out == ""
+@pytest.mark.parametrize("dim", ["0", "inf", "1e-308", "1e-310"])
+def test_curvature_cd_dim_zero_is_usage_error(capsys, tmp_path, dim):
+    # both curvature commands; below DIM_FLOOR the 1/n terms overflow. The
+    # file does not exist, so exit 64 (not 2) shows the option is refused
+    # before the graph is read
+    missing = str(tmp_path / "missing.edges")
+    for command in ("curvature-cd", "curvature-cde"):
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, command, missing, "--dim", dim, "--format", fmt)
+            assert code == 64
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+            assert "--dim" in err
 
 
 def test_curvature_cd_csv(capsys, star3_file):
@@ -216,8 +224,6 @@ def test_schema_rejects_dim_other_than_two(capsys, petersen_file):
 
 
 def test_verify_random_girth5_corpus_exit0(capsys, tmp_path):
-    from curvkit import random_with_girth
-
     for seed in (0, 1, 2):
         g = random_with_girth(30, 35, 5, seed)
         f = tmp_path / f"g{seed}.edges"
@@ -226,6 +232,29 @@ def test_verify_random_girth5_corpus_exit0(capsys, tmp_path):
         assert code == 0
         doc = json.loads(out)
         assert doc["summary"]["fail"] == 0
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [petersen(), random_with_girth(12, 14, 4, 51), cycle(3)],
+    ids=["petersen", "random-girth", "triangle"],
+)
+def test_verify_agrees_with_the_curvature_commands(capsys, tmp_path, graph):
+    # verify computes K(x, 2) and the CDE sampled minimum with the same
+    # samples and seed as curvature-cd and curvature-cde, to the bit
+    f = tmp_path / "g.edges"
+    f.write_text(serialize_edge_list(graph))
+    sample = ("--samples", "300", "--seed", "3")
+    _, out, _ = run(capsys, "verify", str(f), *sample)
+    records = json.loads(out)["records"]
+    _, out, _ = run(capsys, "curvature-cd", str(f), "--dim", "2")
+    cd = json.loads(out)["records"]
+    _, out, _ = run(capsys, "curvature-cde", str(f), "--dim", "2", *sample)
+    cde = json.loads(out)["records"]
+    for rows in (cd, cde):
+        assert [r["vertex"] for r in rows] == [r["vertex"] for r in records]
+    assert [r["cd_computed"] for r in records] == [r["curvature"] for r in cd]
+    assert [r["cde_sampled_min"] for r in records] == [r["sampled_min"] for r in cde]
 
 
 def test_verify_cde_only_schema(capsys, star3_file):
@@ -354,6 +383,15 @@ def test_curvature_commands_accept_dim_below_two(capsys, petersen_file):
     assert code == 0
     code, _, _ = run(capsys, "curvature-cde", petersen_file, "--dim", "0.5", "--samples", "50")
     assert code == 0
+    # down to DIM_FLOOR; RuntimeWarnings are errors here, so an overflow
+    # would fail the run
+    for key, argv in (
+        ("curvature", ("curvature-cd",)),
+        ("sampled_min", ("curvature-cde", "--samples", "50")),
+    ):
+        code, out, _ = run(capsys, *argv, petersen_file, "--dim", "1e-300")
+        assert code == 0
+        assert all(np.isfinite(r[key]) for r in json.loads(out)["records"])
 
 
 def test_verify_fail_exit_code_via_stub(capsys, petersen_file, monkeypatch):
