@@ -20,7 +20,6 @@ from .cd import (
 )
 from .cde import (
     CdeEstimate,
-    CdeSample,
     InfeasibleFunctionError,
     NoFeasibleSampleError,
     cde_check,
@@ -45,10 +44,8 @@ from .graph import (
     EdgeListParseError,
     Graph,
     GraphError,
-    LocalBall,
     SelfLoopError,
     VertexFunction,
-    ball,
     parse_edge_list,
     serialize_edge_list,
 )
@@ -79,7 +76,6 @@ __all__ = [
     "BadParameterError",
     "CdResult",
     "CdeEstimate",
-    "CdeSample",
     "CurvatureReport",
     "DisconnectedError",
     "EdgeListParseError",
@@ -88,7 +84,6 @@ __all__ = [
     "GraphError",
     "InfeasibleFunctionError",
     "IterationTooDeepError",
-    "LocalBall",
     "NoFeasibleSampleError",
     "NonFiniteError",
     "NonpositiveValueError",
@@ -100,7 +95,6 @@ __all__ = [
     "all_vertex_girths",
     "approx_equal",
     "assemble_cd_forms",
-    "ball",
     "cd_bound_girth5",
     "cd_check",
     "cd_curvature",

@@ -55,9 +55,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import (
-    Balls, Graph, LocalBall, VertexFunction, _check_vertex, _firsts, batches, check_function
-)
+from .graph import Balls, Graph, VertexFunction, _check_vertex, _firsts, batches, check_function
 from .localforms import cd_entries
 from .operators import gamma, gamma2, laplacian
 
@@ -231,10 +229,11 @@ def cd_check(g: Graph, x: int, n: float, K: float, f) -> bool:
 
 # ---- the dense reference route ---------------------------------------------
 
-def assemble_cd_forms(g: Graph, x: int, n: float) -> tuple[np.ndarray, np.ndarray, LocalBall]:
+def assemble_cd_forms(g: Graph, x: int, n: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadratic forms of the curvature problem at x with f(x) = 0.
 
-    Returns (A, B, ball) over the ball coordinates (sphere 1 first):
+    Returns (A, B, coordinates): coordinates holds the vertex behind each
+    row of A and B, sphere 1 first, then sphere 2 in vertex order;
     A represents f -> G_2(f)(x) - (1/n)(Df)^2(x) and B represents
     f -> G(f)(x). A is scattered from the entries of ``cd_entries``;
     B is diagonal: 1/(2 d_x) on sphere-1 coordinates, 0 on sphere-2.
@@ -250,7 +249,7 @@ def assemble_cd_forms(g: Graph, x: int, n: float) -> tuple[np.ndarray, np.ndarra
     np.add.at(a, (rows, cols), values)
     b_mat = np.zeros((width - 1, width - 1))
     b_mat[:p, :p] = np.eye(p) / (2.0 * p)
-    return a[1:, 1:], b_mat, balls.local(0)
+    return a[1:, 1:], b_mat, np.concatenate([balls.sphere1, balls.sphere2])
 
 
 def check_symmetric(m: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:

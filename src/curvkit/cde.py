@@ -45,9 +45,11 @@ from itertools import chain
 import numpy as np
 
 from .cd import _check_dimension
-from .graph import Graph, VertexFunction, ball, batches, check_function, _check_vertex
+from .graph import Graph, VertexFunction, batches, check_function, _check_vertex
 from .localforms import LocalEvaluator, MoveScorer, _ratio
-from .operators import gamma2, gamma_f_ratio, gamma_local, laplacian
+from .operators import (
+    NonpositiveValueError, _require_positive_two_ball, gamma2, gamma_f_ratio, gamma_local, laplacian
+)
 from .rng import counter_uniforms, derive_stream
 
 CDE_CHECK_TOL = 1e-12
@@ -84,16 +86,20 @@ class NoFeasibleSampleError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class CdeSample:
-    """A feasible test function together with its curvature ratio.
+class CdeEstimate:
+    """Sampled upper bound on the pointwise infimum of the ratio, with the
+    feasible function that attains it.
 
-    The sample holds only its values on the 2-ball (the ball columns of
-    ``graph.Balls``); the full-length function, 1.0 outside the ball
+    The estimate holds that function only on the 2-ball (the ball columns
+    of ``graph.Balls``); the full-length function, 1.0 outside the ball
     (positive, and irrelevant by locality), is built on first read.
     """
 
     vertex: int
-    ratio: float
+    dimension_n: float
+    sampled_min: float
+    samples_used: int
+    seed: int
     vertex_count: int
     ball_vertices: np.ndarray
     ball_values: np.ndarray
@@ -105,18 +111,6 @@ class CdeSample:
         )
 
 
-@dataclass(frozen=True)
-class CdeEstimate:
-    """Sampled upper bound on the pointwise infimum of the ratio."""
-
-    vertex: int
-    dimension_n: float
-    sampled_min: float
-    argmin: CdeSample
-    samples_used: int
-    seed: int
-
-
 def cde_ratio(g: Graph, x: int, n: float, f) -> float:
     """(G_2(f) - G(f, G(f)/f) - (1/n)(Df)^2)(x) / G(f)(x).
 
@@ -125,11 +119,10 @@ def cde_ratio(g: Graph, x: int, n: float, f) -> float:
     """
     n = _check_dimension(n)
     vals = check_function(g, f)
-    _check_vertex(g, x)
-    b = ball(g, x)
-    for v in (x,) + b.coordinates:
-        if not vals[v] > 0.0:
-            raise InfeasibleFunctionError("positivity", f"f({v}) = {vals[v]}")
+    try:
+        _require_positive_two_ball(g, vals, x)
+    except NonpositiveValueError as exc:
+        raise InfeasibleFunctionError("positivity", f"f({exc.vertex}) = {exc.value}") from None
     lap = laplacian(g, vals, x)
     if not lap < 0.0:
         raise InfeasibleFunctionError("laplacian_sign", f"Df(x) = {lap} is not < 0")
@@ -247,20 +240,15 @@ def _refine(batch: list[tuple], n: float, samples: int, seed: int) -> Iterator[C
         x = ev.center
         if best_row is None or not np.isfinite(best_value):
             raise NoFeasibleSampleError(f"no feasible candidate at vertex {x}")
-        sample = CdeSample(
-            vertex=x,
-            ratio=best_value,
-            vertex_count=ev.graph.vertex_count,
-            ball_vertices=ev.vertices,
-            ball_values=best_row,
-        )
         yield CdeEstimate(
             vertex=x,
             dimension_n=n,
             sampled_min=best_value,
-            argmin=sample,
             samples_used=samples,
             seed=seed,
+            vertex_count=ev.graph.vertex_count,
+            ball_vertices=ev.vertices,
+            ball_values=best_row,
         )
 
 

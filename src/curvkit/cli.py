@@ -109,12 +109,9 @@ def _check_dim(dim: float) -> None:
         raise UsageError(f"--dim must be finite and at least {DIM_FLOOR}, got {dim}")
 
 
-def _vertices(g: Graph, vertex: int | None) -> list[int]:
-    if vertex is None:
-        return list(range(g.vertex_count))
-    if not 0 <= vertex < g.vertex_count:
-        raise GraphError(f"vertex {vertex} out of range 0..{g.vertex_count - 1}")
-    return [vertex]
+def _vertices(g: Graph, vertex: int | None) -> range | list[int]:
+    """Every vertex, or the one asked for; the library checks its range."""
+    return range(g.vertex_count) if vertex is None else [vertex]
 
 
 def _emit(fmt: str, doc: dict, records: list[dict]) -> None:

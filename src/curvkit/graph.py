@@ -3,11 +3,13 @@ the layout of their 2-balls.
 
 A graph is built from its edge list alone, so every vertex is an edge
 endpoint and has degree at least 1 (the normalization 1/degree is defined
-everywhere); it is connected, loop-free and multi-edge-free. Vertex ids
+everywhere; a ``Graph`` made from adjacency rows directly rejects an empty
+row); it is connected, loop-free and multi-edge-free. Vertex ids
 are dense integers 0..n-1; instances are immutable after construction
 and safe to share across threads. ``Balls`` states the column, sphere and
 2-path layout of the 2-balls of many centres once; the local evaluator,
-the CDE search and both CD routes all read it.
+the CDE search, both CD routes and the 2-ball positivity check all read
+it.
 """
 
 from __future__ import annotations
@@ -45,10 +47,19 @@ class EdgeListParseError(GraphError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph with sorted adjacency lists."""
+    """Immutable simple undirected graph with sorted adjacency lists; every
+    vertex has at least one neighbour."""
 
-    vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        for v, nbrs in enumerate(self.adjacency):
+            if not nbrs:
+                raise GraphError(f"vertex {v} has no edge")
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.adjacency)
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -87,8 +98,7 @@ class Graph:
             neighbors[u].add(v)
             neighbors[v].add(u)
 
-        adjacency = tuple(tuple(sorted(nbrs)) for nbrs in neighbors)
-        g = cls(vertex_count=n, adjacency=adjacency)
+        g = cls(tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
         comp = g._component_count()
         if comp != 1:
             raise DisconnectedError(comp)
@@ -171,29 +181,6 @@ class VertexFunction:
         return cls(vals)
 
 
-@dataclass(frozen=True)
-class LocalBall:
-    """Radius-2 neighborhood of a center: first and second spheres.
-
-    A vertex's coordinate is its position in `coordinates`: sphere 1
-    first, then sphere 2; the center itself carries no coordinate
-    (functions are normalized to vanish there when the ball backs a
-    quadratic form).
-    """
-
-    center: int
-    sphere1: tuple[int, ...]
-    sphere2: tuple[int, ...]
-
-    @property
-    def coordinates(self) -> tuple[int, ...]:
-        return self.sphere1 + self.sphere2
-
-    @property
-    def size(self) -> int:
-        return len(self.sphere1) + len(self.sphere2)
-
-
 def parse_edge_list(text: str | bytes) -> Graph:
     """Parse '#'-commented "u v" edge lines into a validated Graph.
 
@@ -223,13 +210,6 @@ def parse_edge_list(text: str | bytes) -> Graph:
 def serialize_edge_list(g: Graph) -> str:
     """One "u v" line per edge, u < v, ascending, LF-terminated."""
     return "".join(f"{u} {v}\n" for u, v in g.edges)
-
-
-def ball(g: Graph, x: int) -> LocalBall:
-    """The 2-ball of x: its spheres at distance 1 and exactly 2.
-
-    Sphere 1 alone is ``g.adjacency[x]``."""
-    return Balls(g, [x]).local(0)
 
 
 class Balls:
@@ -287,13 +267,6 @@ class Balls:
         self.pair_z = zcol
         self.pair_w = 1.0 / (2.0 * dx[ball2] * dy[edge])
         self.pair_ball = ball2
-
-    def local(self, i: int) -> LocalBall:
-        """Ball i as a LocalBall."""
-        a, b = self.s1_first[i], self.s2_first[i]
-        s1 = tuple(self.sphere1[a : a + self.degree[i]].tolist())
-        s2 = tuple(self.sphere2[b : b + self.width[i] - 1 - self.degree[i]].tolist())
-        return LocalBall(center=int(self.centres[i]), sphere1=s1, sphere2=s2)
 
 
 def _firsts(lengths: np.ndarray) -> np.ndarray:

@@ -5,11 +5,12 @@ comes from ``graph.Balls``; whole batches of candidate functions are
 evaluated with numpy. The closed local G_2 formula is stated once: its
 per-pair summand in ``_pair_form``, the CD form's entries in
 ``cd_entries`` (the cd module scatters them, for one ball or many at
-once); ``operators.gamma2_local`` is a one-row call into this module.
-Both CDE evaluations, of full rows (``LocalEvaluator.cde_numerator``)
-and of the reduced ratio R (``MoveScorer``), sum the per-pair summand
-psi_w below. The definitional implementations in the operators module
-are the independent route; tests cross-check the two.
+once); ``operators.gamma_local`` and ``operators.gamma2_local`` are
+one-row calls into this module. Both CDE evaluations, of full rows
+(``LocalEvaluator.cde_numerator``) and of the reduced ratio R
+(``MoveScorer``), sum the per-pair summand psi_w below. The definitional
+implementations in the operators module are the independent route;
+tests cross-check the two.
 
 Batch layout: rows are candidate functions, columns are the ball columns
 of ``graph.Balls``: [center, sphere1..., sphere2...].

@@ -13,8 +13,8 @@ Conventions (fixed package-wide):
 
 Each form ships in two flavors, algebraically equal and cross-checked by
 the tests to 1e-12 relative: the definitional evaluation above and a
-closed local formula over the 2-ball (for G_2, the one in the localforms
-module). The definitional route is the G_i recursion alone
+closed local formula over the 2-ball (for G and G_2, the ones in the
+localforms module). The definitional route is the G_i recursion alone
 (``gamma_iterate``); G and G_2 are its i = 1, 2 cases. G(f, G(f)/f) keeps
 its definitional route (``gamma_f_ratio``), cross-checked by the split
 form ``tests/oracles.gamma_f_ratio_split``.
@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import Graph, VertexFunction, ball, check_function, _check_vertex
+from .graph import Balls, Graph, VertexFunction, check_function, _check_vertex
 from .localforms import LocalEvaluator
 
 FunctionLike = VertexFunction | Sequence[float] | np.ndarray
@@ -73,16 +73,12 @@ def gamma(g: Graph, f: FunctionLike, h: FunctionLike, x: int) -> float:
 
 
 def gamma_local(g: Graph, f: FunctionLike, x: int) -> float:
-    """Local formula G(f)(x) = (1/(2 d_x)) sum_{y ~ x} (f(y) - f(x))^2."""
+    """Local formula G(f)(x) = (1/(2 d_x)) sum_{y ~ x} (f(y) - f(x))^2,
+    evaluated as a one-row batch of ``LocalEvaluator.gamma`` (the formula is
+    stated there)."""
     vals = check_function(g, f)
-    _check_vertex(g, x)
-    nbrs = g.adjacency[x]
-    fx = vals[x]
-    acc = 0.0
-    for y in nbrs:
-        diff = vals[y] - fx
-        acc += diff * diff
-    return 0.5 * acc / len(nbrs)
+    ev = LocalEvaluator(g, x)
+    return float(ev.gamma(vals[ev.vertices][None, :])[0])
 
 
 def gamma_iterate(g: Graph, f: FunctionLike, h: FunctionLike, x: int, i: int) -> float:
@@ -140,8 +136,10 @@ def gamma2_local(g: Graph, f: FunctionLike, x: int) -> float:
 
 
 def _require_positive_two_ball(g: Graph, vals: np.ndarray, x: int) -> None:
-    b = ball(g, x)
-    for v in (x,) + b.coordinates:
+    """NonpositiveValueError at the first vertex of the 2-ball of x (centre,
+    sphere 1, then sphere 2) where vals is not positive."""
+    b = Balls(g, [x])
+    for v in np.concatenate([b.centres, b.sphere1, b.sphere2]).tolist():
         if not vals[v] > 0.0:
             raise NonpositiveValueError(v, float(vals[v]))
 
@@ -153,7 +151,6 @@ def gamma_f_ratio(g: Graph, f: FunctionLike, x: int) -> float:
     bilinear form. Requires f > 0 on the 2-ball of x.
     """
     vals = check_function(g, f)
-    _check_vertex(g, x)
     _require_positive_two_ball(g, vals, x)
     quotient = np.zeros(g.vertex_count)
     for v in (x,) + g.adjacency[x]:

@@ -132,7 +132,7 @@ def _run_cde(g: Graph, samples: int, seed: int):
 # where its margin is negative
 _THEOREMS = (
     ("cd", _run_cd, attrgetter("minimizing_function"), cd_check),
-    ("cde", _run_cde, attrgetter("argmin.function"), cde_check),
+    ("cde", _run_cde, attrgetter("function"), cde_check),
 )
 
 

@@ -8,7 +8,6 @@ from curvkit import (
     VertexFunction,
     approx_equal,
     assemble_cd_forms,
-    ball,
     cd_check,
     cd_curvature,
     cycle,
@@ -26,20 +25,19 @@ from curvkit import (
     vertex_girth,
 )
 from curvkit.cd import DIM_FLOOR
-from oracles import cholesky_schur, rayleigh_cd_minimum
+from oracles import cholesky_schur, rayleigh_cd_minimum, walked_two_ball
 
 
-def _embed(g, b, coords):
+def _embed(g, coordinates, coords):
     values = np.zeros(g.vertex_count)
-    for v, c in zip(b.sphere1 + b.sphere2, coords):
-        values[v] = c
+    values[coordinates] = coords
     return values
 
 
 def test_assemble_star_center():
     g = star(3)
-    a, b_mat, b = assemble_cd_forms(g, 0, 2.0)
-    assert b.sphere2 == ()
+    a, b_mat, coordinates = assemble_cd_forms(g, 0, 2.0)
+    assert coordinates.tolist() == [1, 2, 3]   # sphere 1; sphere 2 is empty
     assert np.allclose(a, np.eye(3) / 6.0, atol=1e-15)
     assert np.allclose(b_mat, np.eye(3) / 6.0, atol=1e-15)
 
@@ -49,10 +47,10 @@ def test_assembled_forms_match_operators(corpus_small):
     for g in corpus_small[:12]:
         for x in range(0, g.vertex_count, 3):
             for n in (1.0, 2.0, 3.5, math.inf):
-                a, b_mat, b = assemble_cd_forms(g, x, n)
+                a, b_mat, coordinates = assemble_cd_forms(g, x, n)
                 for _ in range(3):
-                    coords = rng.normal(size=b.size)
-                    f = _embed(g, b, coords)
+                    coords = rng.normal(size=len(coordinates))
+                    f = _embed(g, coordinates, coords)
                     quad_a = coords @ a @ coords
                     lap = laplacian(g, f, x)
                     expected = gamma2(g, f, x) - (0.0 if math.isinf(n) else lap * lap / n)
@@ -64,8 +62,8 @@ def test_assembled_forms_match_operators(corpus_small):
 def test_sphere2_block_diagonal_positive(corpus_small):
     for g in corpus_small:
         for x in range(g.vertex_count):
-            a, _, b = assemble_cd_forms(g, x, 2.0)
-            p = len(b.sphere1)
+            a, _, _ = assemble_cd_forms(g, x, 2.0)
+            p = g.degree(x)
             block = a[p:, p:]
             off = block - np.diag(np.diag(block))
             assert np.max(np.abs(off), initial=0.0) == 0.0
@@ -80,15 +78,15 @@ def test_schur_route_matches_cholesky_reference(corpus_small):
     for g in corpus_small:
         for x in range(g.vertex_count):
             for n in (1.0, 2.0, math.inf):
-                a, _, b = assemble_cd_forms(g, x, n)
-                keep = list(range(len(b.sphere1)))
+                a, _, coordinates = assemble_cd_forms(g, x, n)
+                keep = list(range(g.degree(x)))
                 ref_s, ref_w = cholesky_schur(a, keep)
                 s = schur_minimize(a, keep)
                 # relative to the scale of the form: S may vanish exactly
                 assert np.max(np.abs(s - ref_s)) <= 1e-12 * np.max(np.abs(a))
                 values = cd_curvature(g, x, n).minimizing_function.values
-                tail = values[list(b.sphere2)]
-                expected = ref_w @ values[list(b.sphere1)]
+                tail = values[coordinates[len(keep) :]]
+                expected = ref_w @ values[coordinates[keep]]
                 assert np.max(np.abs(tail - expected), initial=0.0) <= 1e-12 * np.max(
                     np.abs(expected), initial=0.0
                 )
@@ -99,22 +97,22 @@ def test_curvature_matches_the_validating_public_route(corpus_small):
     # each split and validate it again, and must give the same bits
     for g in corpus_small:
         for x in range(g.vertex_count):
-            a, _, b = assemble_cd_forms(g, x, 2.0)
-            keep = list(range(len(b.sphere1)))
+            a, _, coordinates = assemble_cd_forms(g, x, 2.0)
+            keep = list(range(g.degree(x)))
             lam, vec = smallest_eigenvalue(schur_minimize(a, keep))
             result = cd_curvature(g, x, 2.0)
             assert result.curvature_K == 2.0 * g.degree(x) * lam
             values = result.minimizing_function.values
-            assert np.array_equal(values[list(b.sphere1)], vec)
-            if b.sphere2:
+            assert np.array_equal(values[coordinates[keep]], vec)
+            if len(coordinates) > len(keep):
                 expected = schur_minimizer(a, keep, vec)
-                assert np.array_equal(values[list(b.sphere2)], expected)
+                assert np.array_equal(values[coordinates[len(keep) :]], expected)
 
 
 def test_b_form_structure():
     g = petersen()
-    _, b_mat, b = assemble_cd_forms(g, 0, 2.0)
-    p = len(b.sphere1)
+    _, b_mat, _ = assemble_cd_forms(g, 0, 2.0)
+    p = g.degree(0)
     expected = np.zeros_like(b_mat)
     expected[:p, :p] = np.eye(p) / (2.0 * g.degree(0))
     assert np.array_equal(b_mat, expected)
@@ -155,8 +153,8 @@ def test_witness_attains_equality_and_breaks_above(corpus_small):
 def test_witness_vanishes_at_center_and_outside_ball():
     g = path(7)
     res = cd_curvature(g, 0, 2.0)
-    b = ball(g, 0)
-    inside = {0} | set(b.sphere1) | set(b.sphere2)
+    s1, s2, _ = walked_two_ball(g, 0)
+    inside = {0} | set(s1) | set(s2)
     assert res.minimizing_function[0] == 0.0
     for v in range(g.vertex_count):
         if v not in inside:

@@ -7,7 +7,6 @@ from curvkit import (
     InfeasibleFunctionError,
     VertexFunction,
     approx_equal,
-    ball,
     cde_check,
     cde_estimate,
     cde_ratio,
@@ -50,6 +49,7 @@ from oracles import (
     listed_structured_rows,
     proposal_tensor_moves,
     walked_fill,
+    walked_two_ball,
 )
 
 
@@ -135,12 +135,12 @@ def test_structured_family_satisfies_bound_on_girth5(corpus_girth5):
             if vertex_girth(g, x) < 5:
                 continue
             bound = -g.degree(x) / 2.0 - 1.0
-            b = ball(g, x)
+            s1, s2, _ = walked_two_ball(g, x)
             for t in (0.3, 0.7, 0.9):
                 vals = np.ones(g.vertex_count)
-                for y in b.sphere1:
+                for y in s1:
                     vals[y] = t
-                for z in b.sphere2:
+                for z in s2:
                     vals[z] = t * t
                 assert cde_check(g, x, 2.0, bound, vals)
 
@@ -149,8 +149,7 @@ def test_estimate_deterministic(petersen_graph):
     a = cde_estimate(petersen_graph, 3, 2.0, samples=2000, seed=7)
     b = cde_estimate(petersen_graph, 3, 2.0, samples=2000, seed=7)
     assert a.sampled_min == b.sampled_min
-    assert a.argmin.ratio == b.argmin.ratio
-    assert (a.argmin.function.values == b.argmin.function.values).all()
+    assert (a.function.values == b.function.values).all()
     assert a.samples_used == 2000 and a.seed == 7
     # different seeds explore differently
     c = cde_estimate(petersen_graph, 3, 2.0, samples=2000, seed=8)
@@ -180,14 +179,13 @@ def test_estimate_argmin_is_feasible_and_consistent(corpus_small):
     for g in corpus_small[:6]:
         x = g.vertex_count // 2
         est = cde_estimate(g, x, 2.0, samples=1500, seed=4)
-        f = est.argmin.function
-        b = ball(g, x)
-        for v in (x,) + b.sphere1 + b.sphere2:
+        f = est.function
+        s1, s2, _ = walked_two_ball(g, x)
+        for v in (x,) + s1 + s2:
             assert f[v] > 0.0
         assert f[x] == 1.0
         assert laplacian(g, f, x) < 0.0
         assert gamma_local(g, f, x) > 0.0
-        assert est.sampled_min == est.argmin.ratio
         # scalar re-evaluation through the definitional operators agrees
         assert approx_equal(cde_ratio(g, x, 2.0, f), est.sampled_min, rel=1e-9)
 
@@ -506,7 +504,7 @@ def test_estimates_do_not_depend_on_the_batching(monkeypatch):
     for x, est in enumerate(together):
         alone = cde_estimate(g, x, 2.0, samples=2000, seed=3)
         assert alone.sampled_min == est.sampled_min
-        assert np.array_equal(alone.argmin.function.values, est.argmin.function.values)
+        assert np.array_equal(alone.function.values, est.function.values)
 
 
 def test_estimates_check_arguments_before_the_first_estimate(petersen_graph):
@@ -659,7 +657,7 @@ def test_high_degree_center_is_sampled_without_rejection():
     for samples in (50, 400, 2000):
         est = cde_estimate(g, 0, 2.0, samples=samples, seed=3)
         values.append(est.sampled_min)
-        f = est.argmin.function
+        f = est.function
         assert f[0] == 1.0
         assert all(f[v] > 0.0 for v in range(g.vertex_count))
         assert laplacian(g, f, 0) < 0.0

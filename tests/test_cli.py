@@ -699,5 +699,9 @@ def test_bad_theorem_choice_exit64(capsys, petersen_file):
 
 
 def test_vertex_out_of_range_exit2(capsys, star3_file):
-    code, _, _ = run(capsys, "curvature-cd", star3_file, "--vertex", "99")
-    assert code == 2
+    # the library rejects the vertex before the first result, so no record
+    # is written
+    for command in ("curvature-cd", "curvature-cde"):
+        code, out, err = run(capsys, command, star3_file, "--vertex", "99")
+        assert (code, out) == (2, "")
+        assert err == "input error: vertex 99 out of range 0..3\n"

@@ -11,7 +11,6 @@ from curvkit import (
     GraphError,
     SelfLoopError,
     VertexFunction,
-    ball,
     cycle,
     has_girth_at_least,
     parse_edge_list,
@@ -143,6 +142,16 @@ def test_from_edges_relabels_in_id_order_and_isolates_no_vertex():
     assert 100 <= built < 200
 
 
+def test_graph_rejects_a_vertex_without_edges():
+    # the degree >= 1 invariant holds however a Graph is made: without it,
+    # every 1/d_x of the curvature code divides by zero
+    with pytest.raises(GraphError, match="vertex 2 has no edge"):
+        Graph(((1,), (0,), ()))
+    with pytest.raises(TypeError):
+        Graph(vertex_count=5, adjacency=((1,), (0,)))
+    assert Graph(((1,), (0,))).vertex_count == 2
+
+
 def test_serialize_examples():
     assert serialize_edge_list(path(3)) == "0 1\n1 2\n"
     triangle = cycle(3)
@@ -196,28 +205,31 @@ def _bfs_spheres(g, x):
     return tuple(s1), tuple(s2)
 
 
+def _spheres(g, x):
+    """Sphere 1 and sphere 2 of the 2-ball of x, as laid out by Balls."""
+    b = Balls(g, [x])
+    return tuple(b.sphere1.tolist()), tuple(b.sphere2.tolist())
+
+
 def test_ball_examples():
-    s = star(3)
-    b = ball(s, 0)
-    assert b.sphere1 == (1, 2, 3) and b.sphere2 == ()
-    c = cycle(6)
-    b = ball(c, 0)
-    assert len(b.sphere1) == 2 and len(b.sphere2) == 2
+    assert _spheres(star(3), 0) == ((1, 2, 3), ())
+    s1, s2 = _spheres(cycle(6), 0)
+    assert len(s1) == 2 and len(s2) == 2
     p = petersen()
-    b = ball(p, 0)
-    assert (b.sphere1, b.sphere2) == _bfs_spheres(p, 0)
-    assert len(b.sphere1) == 3 and len(b.sphere2) == 6
+    s1, s2 = _spheres(p, 0)
+    assert (s1, s2) == _bfs_spheres(p, 0)
+    assert len(s1) == 3 and len(s2) == 6
 
 
 def test_ball_invariants(corpus_small):
     for g in corpus_small:
         for x in range(g.vertex_count):
-            b = ball(g, x)
-            assert x not in b.sphere1 and x not in b.sphere2
-            assert not set(b.sphere1) & set(b.sphere2)
-            assert (b.sphere1, b.sphere2) == _bfs_spheres(g, x)
-            for z in b.sphere2:
-                assert any(y in b.sphere1 for y in g.adjacency[z])
+            s1, s2 = _spheres(g, x)
+            assert x not in s1 and x not in s2
+            assert not set(s1) & set(s2)
+            assert (s1, s2) == _bfs_spheres(g, x)
+            for z in s2:
+                assert any(y in s1 for y in g.adjacency[z])
 
 
 def test_balls_match_the_walked_two_ball():
@@ -227,8 +239,7 @@ def test_balls_match_the_walked_two_ball():
         for x in range(g.vertex_count):
             b = Balls(g, [x])
             s1, s2, pairs = walked_two_ball(g, x)
-            local = b.local(0)
-            assert (local.sphere1, local.sphere2) == (s1, s2) == _bfs_spheres(g, x)
+            assert _spheres(g, x) == (s1, s2) == _bfs_spheres(g, x)
             assert np.all(np.diff(b.sphere2) > 0)
             col = {v: i for i, v in enumerate((x,) + s1 + s2)}
             assert b.width.tolist() == [len(col)]
@@ -263,13 +274,13 @@ def test_local_evaluator_checks_the_vertex():
 def test_two_ball_tree_property_iff_girth5(corpus_small):
     for g in corpus_small:
         for x in range(g.vertex_count):
-            b = ball(g, x)
-            s1 = set(b.sphere1)
+            sphere1, sphere2, _ = walked_two_ball(g, x)
+            s1 = set(sphere1)
             no_s1_edge = all(
-                w not in s1 for y in b.sphere1 for w in g.adjacency[y] if w != x
+                w not in s1 for y in sphere1 for w in g.adjacency[y] if w != x
             )
             unique_parent = all(
-                sum(1 for y in g.adjacency[z] if y in s1) == 1 for z in b.sphere2
+                sum(1 for y in g.adjacency[z] if y in s1) == 1 for z in sphere2
             )
             assert (vertex_girth(g, x) >= 5) == (no_s1_edge and unique_parent)
         assert has_girth_at_least(g, 5) == all(

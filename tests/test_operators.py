@@ -174,7 +174,8 @@ def test_gamma_iterate_reads_only_the_ball_it_needs():
                     queue.append(z)
         for i in range(MAX_GAMMA_ITERATE + 1):
             rows = _RecordingRows(g.adjacency)
-            watched = Graph(vertex_count=g.vertex_count, adjacency=rows)
+            watched = Graph(adjacency=rows)
+            rows.iterated = False   # construction checks every row
             assert gamma_iterate(watched, f, h, x, i) == gamma_iterate(g, f, h, x, i)
             assert not rows.iterated
             assert rows.read <= {v for v, d in dist.items() if d <= i - 1}

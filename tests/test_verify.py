@@ -236,7 +236,7 @@ def test_results_compare_and_hash_without_raising(petersen_graph):
         )
         for f in functions
     ]
-    for a, b in [functions, cd, [e.argmin for e in cde], cde, records]:
+    for a, b in [functions, cd, cde, records]:
         assert a == a and not a != a
         assert a != b and not a == b
         assert hash(a) == hash(a) and isinstance(hash(b), int)
