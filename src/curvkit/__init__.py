@@ -21,7 +21,6 @@ from .cd import (
 from .cde import (
     CdeEstimate,
     InfeasibleFunctionError,
-    NoFeasibleSampleError,
     cde_check,
     cde_estimate,
     cde_estimates,
@@ -84,7 +83,6 @@ __all__ = [
     "GraphError",
     "InfeasibleFunctionError",
     "IterationTooDeepError",
-    "NoFeasibleSampleError",
     "NonFiniteError",
     "NonpositiveValueError",
     "NotEliminableError",

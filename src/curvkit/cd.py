@@ -50,12 +50,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
-from .graph import Balls, Graph, VertexFunction, _check_vertex, _firsts, batches, check_function
+from .graph import Balls, Graph, _BallWitness, _check_vertex, _firsts, batches, check_function
 from .localforms import cd_entries
 from .operators import gamma, gamma2, laplacian
 
@@ -79,28 +78,16 @@ class NotEliminableError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class CdResult:
+class CdResult(_BallWitness):
     """Pointwise curvature with the minimizing function as a witness.
 
     The witness attains equality at K = curvature_K and violates the
     inequality at any strictly larger K (it spans the minimal eigenspace
     direction); it is normalized to vanish at the vertex and outside the
-    2-ball. The result holds only its values on the 2-ball (sphere 1, then
-    sphere 2); the full-length function is built on first read.
+    2-ball, and the result holds it on sphere 1, then sphere 2.
     """
 
-    vertex: int
-    dimension_n: float
     curvature_K: float
-    vertex_count: int
-    ball_vertices: np.ndarray
-    ball_values: np.ndarray
-
-    @cached_property
-    def minimizing_function(self) -> VertexFunction:
-        return VertexFunction.from_ball(
-            self.vertex_count, self.ball_vertices, self.ball_values, 0.0
-        )
 
 
 # the smallest dimension accepted: from about 1e-308 down, the 1/n terms

@@ -39,13 +39,12 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .cd import _check_dimension
-from .graph import Graph, VertexFunction, batches, check_function, _check_vertex
+from .graph import Graph, _BallWitness, batches, check_function, _check_vertex
 from .localforms import LocalEvaluator, MoveScorer, _ratio
 from .operators import (
     NonpositiveValueError, _require_positive_two_ball, gamma2, gamma_f_ratio, gamma_local, laplacian
@@ -81,34 +80,19 @@ class InfeasibleFunctionError(ValueError):
         self.precondition = precondition
 
 
-class NoFeasibleSampleError(RuntimeError):
-    """The search produced no candidate with a finite ratio."""
-
-
 @dataclass(frozen=True, eq=False)
-class CdeEstimate:
+class CdeEstimate(_BallWitness):
     """Sampled upper bound on the pointwise infimum of the ratio, with the
-    feasible function that attains it.
-
-    The estimate holds that function only on the 2-ball (the ball columns
-    of ``graph.Balls``); the full-length function, 1.0 outside the ball
-    (positive, and irrelevant by locality), is built on first read.
+    feasible function that attains it, held on the ball columns of
+    ``graph.Balls``; off the ball the function is 1.0 (positive, and
+    irrelevant by locality).
     """
 
-    vertex: int
-    dimension_n: float
+    OFF_BALL = 1.0
+
     sampled_min: float
     samples_used: int
     seed: int
-    vertex_count: int
-    ball_vertices: np.ndarray
-    ball_values: np.ndarray
-
-    @cached_property
-    def function(self) -> VertexFunction:
-        return VertexFunction.from_ball(
-            self.vertex_count, self.ball_vertices, self.ball_values, 1.0
-        )
 
 
 def cde_ratio(g: Graph, x: int, n: float, f) -> float:
@@ -187,8 +171,9 @@ def cde_estimates(
 
 def _search(g: Graph, x: int, n: float, samples: int, seed: int):
     """Sample and scan at x. Returns (evaluator, descent starts as sphere-1
-    rows, (best value, its full row) so far); the row is None while no
-    candidate is finite."""
+    rows, (best value, its full row) so far). The best is finite: the scan
+    holds the uniform rows f(y) = v < 1, f(z) = v^2, whose G(f)(x) =
+    (1 - v)^2 / 2 >= 0.005 is above the gradient floor."""
     ev = LocalEvaluator(g, x)
     stream = derive_stream(seed, x)
     sampled = _sampled_rows(ev, stream, samples)
@@ -237,11 +222,8 @@ def _refine(batch: list[tuple], n: float, samples: int, seed: int) -> Iterator[C
     evs, starts, bests = zip(*batch)
     for ev, best, (values, rows) in zip(evs, bests, _descend(list(evs), list(starts), n)):
         best_value, best_row = _better(best, values, rows, ev.fill)
-        x = ev.center
-        if best_row is None or not np.isfinite(best_value):
-            raise NoFeasibleSampleError(f"no feasible candidate at vertex {x}")
         yield CdeEstimate(
-            vertex=x,
+            vertex=ev.center,
             dimension_n=n,
             sampled_min=best_value,
             samples_used=samples,

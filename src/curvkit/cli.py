@@ -4,8 +4,7 @@ Subcommands: girth, curvature-cd, curvature-cde, verify, gen.
 
 Exit codes: 0 success (verify: no failing vertex), 1 a curvature bound was
 violated (witness embedded in the JSON report), 2 input parse/validation
-error, 3 every vertex failed the girth precondition, 4 the CDE search
-found no candidate with a finite ratio at some vertex, 5 out of memory,
+error, 3 every vertex failed the girth precondition, 5 out of memory,
 64 usage error.
 """
 
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from . import generators
 from .cd import DIM_FLOOR, cd_curvatures
-from .cde import NoFeasibleSampleError, cde_estimates
+from .cde import cde_estimates
 from .generators import BadParameterError
 from .girth import all_vertex_girths
 from .graph import Graph, GraphError, parse_edge_list, serialize_edge_list
@@ -32,7 +31,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_NO_ELIGIBLE_VERTEX = 3
-EXIT_NO_FEASIBLE_SAMPLE = 4
 EXIT_OUT_OF_MEMORY = 5
 EXIT_USAGE = 64
 
@@ -259,9 +257,6 @@ def main(argv=None) -> int:
     except (GraphError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NoFeasibleSampleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_FEASIBLE_SAMPLE
     except MemoryError as exc:
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_OUT_OF_MEMORY

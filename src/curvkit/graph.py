@@ -3,13 +3,13 @@ the layout of their 2-balls.
 
 A graph is built from its edge list alone, so every vertex is an edge
 endpoint and has degree at least 1 (the normalization 1/degree is defined
-everywhere; a ``Graph`` made from adjacency rows directly rejects an empty
-row); it is connected, loop-free and multi-edge-free. Vertex ids
-are dense integers 0..n-1; instances are immutable after construction
-and safe to share across threads. ``Balls`` states the column, sphere and
-2-path layout of the 2-balls of many centres once; the local evaluator,
-the CDE search, both CD routes and the 2-ball positivity check all read
-it.
+everywhere); it is connected, loop-free and multi-edge-free. Vertex ids
+are dense integers 0..n-1 and each adjacency row is strictly increasing;
+a ``Graph`` made from adjacency rows directly is checked for all of this.
+Instances are immutable after construction and safe to share across
+threads. ``Balls`` states the column, sphere and 2-path layout of the
+2-balls of many centres once; the local evaluator, the CDE search, both
+CD routes and the 2-ball positivity check all read it.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -47,15 +48,38 @@ class EdgeListParseError(GraphError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph with sorted adjacency lists; every
-    vertex has at least one neighbour."""
+    """Immutable connected simple undirected graph: row v lists the
+    neighbours of v in increasing order, and every vertex has one."""
 
     adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for v, nbrs in enumerate(self.adjacency):
-            if not nbrs:
-                raise GraphError(f"vertex {v} has no edge")
+        # the rows are read by one iteration, never by index: a test can
+        # then tell which rows a computation reads
+        rows = tuple(self.adjacency)
+        n = len(rows)
+        degree = np.fromiter(map(len, rows), np.intp, n)
+        w = np.fromiter(chain.from_iterable(rows), np.intp, degree.sum())
+        v = np.repeat(np.arange(n), degree)
+        if not degree.all():
+            raise GraphError(f"vertex {degree.argmin()} has no edge")
+        loop = v == w
+        if loop.any():
+            raise SelfLoopError(int(v[loop.argmax()]))
+        # with ids in 0..n-1, the arcs' keys ascend exactly when every row does
+        key = v * n + w
+        bad = (w < 0) | (w >= n)
+        bad[1:] |= key[1:] <= key[:-1]
+        if bad.any():
+            raise GraphError(f"row {v[bad.argmax()]} is not strictly increasing in 0..{n - 1}")
+        reverse = w * n + v
+        unmatched = key[np.minimum(np.searchsorted(key, reverse), len(key) - 1)] != reverse
+        if unmatched.any():
+            i = unmatched.argmax()
+            raise GraphError(f"row {v[i]} holds {w[i]} but row {w[i]} does not hold {v[i]}")
+        components = _component_count(rows)
+        if components != 1:
+            raise DisconnectedError(components)
 
     @property
     def vertex_count(self) -> int:
@@ -98,28 +122,7 @@ class Graph:
             neighbors[u].add(v)
             neighbors[v].add(u)
 
-        g = cls(tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
-        comp = g._component_count()
-        if comp != 1:
-            raise DisconnectedError(comp)
-        return g
-
-    def _component_count(self) -> int:
-        seen = [False] * self.vertex_count
-        components = 0
-        for start in range(self.vertex_count):
-            if seen[start]:
-                continue
-            components += 1
-            queue = deque([start])
-            seen[start] = True
-            while queue:
-                u = queue.popleft()
-                for w in self.adjacency[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-        return components
+        return cls(tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
 
     def degree(self, x: int) -> int:
         return len(self.adjacency[x])
@@ -137,6 +140,23 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
+
+
+def _component_count(rows: Sequence[Sequence[int]]) -> int:
+    seen = [False] * len(rows)
+    components = 0
+    for start in range(len(rows)):
+        if seen[start]:
+            continue
+        components += 1
+        queue = deque([start])
+        seen[start] = True
+        while queue:
+            for w in rows[queue.popleft()]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+    return components
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,14 +191,29 @@ class VertexFunction:
         vals[vertex] = 1.0
         return cls(vals)
 
-    @classmethod
-    def from_ball(
-        cls, vertex_count: int, vertices: np.ndarray, values: np.ndarray, fill: float
-    ) -> "VertexFunction":
-        """values on these vertices (a 2-ball's), fill everywhere else."""
-        vals = np.full(vertex_count, fill)
-        vals[vertices] = values
-        return cls(vals)
+
+@dataclass(frozen=True, eq=False)
+class _BallWitness:
+    """A result at a vertex with the function that attains it.
+
+    The result holds that function only on these vertices of the 2-ball of
+    the vertex; ``function``, at full length with ``OFF_BALL`` everywhere
+    else, is built on first read.
+    """
+
+    OFF_BALL = 0.0
+
+    vertex: int
+    dimension_n: float
+    vertex_count: int
+    ball_vertices: np.ndarray
+    ball_values: np.ndarray
+
+    @cached_property
+    def function(self) -> VertexFunction:
+        values = np.full(self.vertex_count, self.OFF_BALL)
+        values[self.ball_vertices] = self.ball_values
+        return VertexFunction(values)
 
 
 def parse_edge_list(text: str | bytes) -> Graph:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from math import inf
-from operator import attrgetter
 
 # cd_curvature and cde_estimate are no longer called here, but stay
 # importable under this module's name, which perfbench/tracer.py wraps:
@@ -127,13 +126,10 @@ def _run_cde(g: Graph, samples: int, seed: int):
         yield bound, estimate.sampled_min, estimate
 
 
-# (name, yields (bound, value, result) per vertex in order, the result's
-# candidate function, re-verifies a candidate); a candidate is built only
-# where its margin is negative
-_THEOREMS = (
-    ("cd", _run_cd, attrgetter("minimizing_function"), cd_check),
-    ("cde", _run_cde, attrgetter("function"), cde_check),
-)
+# (name, yields (bound, value, result) per vertex in order, re-verifies the
+# result's function); that function is built only where the margin is
+# negative
+_THEOREMS = (("cd", _run_cd, cd_check), ("cde", _run_cde, cde_check))
 
 
 def verify_theorems(
@@ -151,7 +147,7 @@ def verify_theorems(
     girths = [vertex_girth(g, x) if cyclic[x] else inf for x in range(g.vertex_count)]
     computed = {
         name: compute(g, samples, seed)
-        for name, compute, _, _ in _THEOREMS
+        for name, compute, _ in _THEOREMS
         if name in selected
     }
 
@@ -162,16 +158,15 @@ def verify_theorems(
         # name -> (bound, computed value, margin); all None when not run
         results = {}
         witness: VertexFunction | None = None
-        for name, _, candidate_of, check in _THEOREMS:
+        for name, _, check in _THEOREMS:
             if name not in selected:
                 results[name] = (None, None, None)
                 continue
             bound, value, result = next(computed[name])
             margin = value - bound
             if gate and margin < -MARGIN_TOL:
-                candidate = candidate_of(result)
-                if not check(g, x, DIM, bound, candidate):
-                    witness = candidate
+                if not check(g, x, DIM, bound, result.function):
+                    witness = result.function
                 else:
                     logger.warning(
                         "vertex %d: %s margin %.3e did not re-verify as a violation",

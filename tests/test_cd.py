@@ -84,7 +84,7 @@ def test_schur_route_matches_cholesky_reference(corpus_small):
                 s = schur_minimize(a, keep)
                 # relative to the scale of the form: S may vanish exactly
                 assert np.max(np.abs(s - ref_s)) <= 1e-12 * np.max(np.abs(a))
-                values = cd_curvature(g, x, n).minimizing_function.values
+                values = cd_curvature(g, x, n).function.values
                 tail = values[coordinates[len(keep) :]]
                 expected = ref_w @ values[coordinates[keep]]
                 assert np.max(np.abs(tail - expected), initial=0.0) <= 1e-12 * np.max(
@@ -102,7 +102,7 @@ def test_curvature_matches_the_validating_public_route(corpus_small):
             lam, vec = smallest_eigenvalue(schur_minimize(a, keep))
             result = cd_curvature(g, x, 2.0)
             assert result.curvature_K == 2.0 * g.degree(x) * lam
-            values = result.minimizing_function.values
+            values = result.function.values
             assert np.array_equal(values[coordinates[keep]], vec)
             if len(coordinates) > len(keep):
                 expected = schur_minimizer(a, keep, vec)
@@ -141,7 +141,7 @@ def test_witness_attains_equality_and_breaks_above(corpus_small):
     for g in corpus_small[:10]:
         for x in range(0, g.vertex_count, 2):
             res = cd_curvature(g, x, 2.0)
-            f = res.minimizing_function
+            f = res.function
             lhs = gamma2(g, f, x)
             lap = laplacian(g, f, x)
             rhs = lap * lap / 2.0 + res.curvature_K * gamma_local(g, f, x)
@@ -155,10 +155,10 @@ def test_witness_vanishes_at_center_and_outside_ball():
     res = cd_curvature(g, 0, 2.0)
     s1, s2, _ = walked_two_ball(g, 0)
     inside = {0} | set(s1) | set(s2)
-    assert res.minimizing_function[0] == 0.0
+    assert res.function[0] == 0.0
     for v in range(g.vertex_count):
         if v not in inside:
-            assert res.minimizing_function[v] == 0.0
+            assert res.function[v] == 0.0
 
 
 def test_cd_check_examples():

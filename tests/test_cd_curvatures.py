@@ -49,7 +49,7 @@ def test_curvatures_match_the_dense_route(corpus_small, corpus_girth5):
             results = list(cd_curvatures(g, range(g.vertex_count), n))
             assert [r.vertex for r in results] == list(range(g.vertex_count))
             for r in results:
-                x, f = r.vertex, r.minimizing_function
+                x, f = r.vertex, r.function
                 a, keep, coordinates, k, vec = _dense(g, x, n)
                 assert r.dimension_n == n
                 assert abs(r.curvature_K - k) <= 1e-12
@@ -95,7 +95,7 @@ def test_results_do_not_depend_on_the_batching(monkeypatch, corpus_small):
             for r in cd_curvatures(g, range(g.vertex_count), 3.5):
                 ref = alone[id(g), r.vertex]
                 assert r.curvature_K == ref.curvature_K
-                assert np.array_equal(r.minimizing_function.values, ref.minimizing_function.values)
+                assert np.array_equal(r.function.values, ref.function.values)
 
 
 def test_curvatures_check_arguments_before_the_first_result():

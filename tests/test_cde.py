@@ -10,6 +10,7 @@ from curvkit import (
     cde_check,
     cde_estimate,
     cde_ratio,
+    complete,
     cycle,
     gamma2,
     gamma_local,
@@ -22,6 +23,7 @@ from curvkit import (
 import curvkit.cde as cde_mod
 import curvkit.localforms as localforms
 from conftest import girth5_corpus, small_mixed_corpus, tree_hub
+from curvkit.cd import DIM_FLOOR
 from curvkit.cde import (
     FEASIBILITY_MARGIN,
     _REFINE_CAP,
@@ -200,6 +202,21 @@ def test_estimate_includes_structured_family(petersen_graph):
     assert est.sampled_min <= structured_min
 
 
+@pytest.mark.parametrize("n", [DIM_FLOOR, 0.5, 2.0, np.inf])
+def test_every_search_ends_with_a_finite_candidate(n):
+    # the structured scan holds the uniform rows f(y) = v < 1, whose
+    # G(f)(x) = (1 - v)^2 / 2 is above the gradient floor, so no search
+    # can end without a finite ratio, at any dimension or degree
+    graphs = girth5_corpus() + small_mixed_corpus() + [tree_hub(k) for k in (1, 2, 6, 50)]
+    for g in graphs + [star(1), path(2), complete(8)]:
+        for x in range(g.vertex_count):
+            ev = LocalEvaluator(g, x)
+            rows = _structured_rows(ev, derive_stream(0, x))
+            assert np.isfinite(np.min(_batch_ratios(ev, rows, n)))
+        estimates = cde_estimates(g, range(g.vertex_count), n, samples=1)
+        assert all(np.isfinite(est.sampled_min) for est in estimates)
+
+
 def _close(a, b, rel=1e-12):
     """Equal to rel relative, with an absolute floor of rel near 0, where
     both routes cancel terms of size O(1)."""
@@ -230,7 +247,8 @@ def test_batch_ratios_match_scalar_path():
         for n in (2.0, 3.5, np.inf):
             values = _batch_ratios(ev, rows, n)
             for i in np.flatnonzero(lap < 0.0):
-                full = VertexFunction.from_ball(g.vertex_count, ev.vertices, rows[i], 1.0)
+                full = np.ones(g.vertex_count)
+                full[ev.vertices] = rows[i]
                 assert approx_equal(values[i], cde_ratio(g, x, n, full), rel=1e-12)
                 checked += 1
     assert checked >= 7000

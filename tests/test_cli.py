@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -300,7 +301,7 @@ def test_verify_reverified_violation_exit1_with_witness(
     doc = json.loads(out)
     jsonschema.validate(doc, load_schema())
     assert [r["vertex"] for r in doc["records"] if "witness" in r] == [3]
-    minimizer = cd_curvature(petersen(), 3).minimizing_function
+    minimizer = cd_curvature(petersen(), 3).function
     assert doc["records"][3]["witness"] == minimizer.values.tolist()
 
 
@@ -418,23 +419,6 @@ def test_verify_fail_exit_code_via_stub(capsys, petersen_file, monkeypatch):
     assert doc["summary"]["fail"] == 1
 
 
-def test_verify_no_feasible_sample_exit_code(capsys, petersen_file, monkeypatch):
-    # a search that ends without a finite candidate is an error, not a
-    # violation; stubbed because every draw is feasible, so no real graph
-    # is known to reach it
-    import curvkit.verify as verify_mod
-    from curvkit import NoFeasibleSampleError
-
-    def exhausted(*args, **kwargs):
-        raise NoFeasibleSampleError("only 4004/10000 feasible samples")
-
-    monkeypatch.setattr(verify_mod, "cde_estimates", exhausted)
-    code, out, err = run(capsys, "verify", petersen_file, "--theorem", "cde")
-    assert code == 4
-    assert out == ""
-    assert err.splitlines() == ["error: only 4004/10000 feasible samples"]
-
-
 def test_out_of_memory_exit_code(capsys, petersen_file, monkeypatch):
     # exit 1 is kept for a re-verified violation; stubbed so nothing
     # allocates for real
@@ -448,6 +432,19 @@ def test_out_of_memory_exit_code(capsys, petersen_file, monkeypatch):
     assert code == 5
     assert out == ""
     assert err.splitlines() == ["error: out of memory: Unable to allocate 1.49 GiB for an array"]
+
+
+def test_documented_exit_codes_are_the_cli_constants():
+    # the README's "Exit codes:" paragraph and the cli docstring name
+    # exactly the codes main can return
+    import curvkit.cli as cli_mod
+
+    codes = {v for k, v in vars(cli_mod).items() if k.startswith("EXIT_")}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    paragraph = readme[readme.index("Exit codes:") :].split("\n\n")[0]
+    assert {int(c) for c in re.findall(r"`(\d+)`", paragraph)} == codes
+    doc = " ".join(cli_mod.__doc__[cli_mod.__doc__.index("Exit codes:") :].split())
+    assert {int(c) for c in re.findall(r"(?:codes:|,) (\d+) ", doc)} == codes
 
 
 @pytest.mark.parametrize("command", ["verify", "curvature-cde"])

@@ -128,4 +128,3 @@ def test_generator_outputs_pass_graph_invariants():
             for v in g.adjacency[u]:
                 assert u != v
                 assert u in g.adjacency[v]
-        assert g._component_count() == 1

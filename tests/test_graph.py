@@ -11,6 +11,8 @@ from curvkit import (
     GraphError,
     SelfLoopError,
     VertexFunction,
+    cd_curvature,
+    complete,
     cycle,
     has_girth_at_least,
     parse_edge_list,
@@ -150,6 +152,27 @@ def test_graph_rejects_a_vertex_without_edges():
     with pytest.raises(TypeError):
         Graph(vertex_count=5, adjacency=((1,), (0,)))
     assert Graph(((1,), (0,))).vertex_count == 2
+
+
+def test_graph_rejects_rows_that_break_an_invariant():
+    # Balls binary-searches the rows, so on reversed rows K(x, 2) of K5 read
+    # -0.5 instead of -0.125; an id past n ended in an IndexError
+    k5 = complete(5)
+    cases = [
+        (tuple(row[::-1] for row in k5.adjacency), GraphError, "strictly increasing"),
+        (((1, 1), (0,)), GraphError, "strictly increasing"),
+        (((5,), (0,)), GraphError, r"in 0\.\.1"),
+        (((-1,), (0,)), GraphError, r"in 0\.\.1"),
+        (((1,), (0,), (0,)), GraphError, "row 2 holds 0 but row 0 does not hold 2"),
+        (((1, 2), (0,), (1,)), GraphError, "row 0 holds 2 but row 2 does not hold 0"),
+        (((0, 1), (0,)), SelfLoopError, "self-loop at vertex 0"),
+        (((1,), (0,), (3,), (2,)), DisconnectedError, "2 components"),
+    ]
+    for rows, error, message in cases:
+        with pytest.raises(error, match=message):
+            Graph(rows)
+    assert Graph(k5.adjacency) == k5
+    assert cd_curvature(k5, 0).curvature_K == pytest.approx(-0.125)
 
 
 def test_serialize_examples():

@@ -196,7 +196,7 @@ def test_reverified_violation_fails_with_the_minimizer_as_witness(
     report = verify_theorems(petersen_graph, "cd")
     assert [r.vertex for r in report.records if r.verdict == "fail"] == [3]
     record = report.records[3]
-    minimizer = cd_curvature(petersen_graph, 3).minimizing_function
+    minimizer = cd_curvature(petersen_graph, 3).function
     assert record.witness.values.tobytes() == minimizer.values.tobytes()
     assert not cd_check(petersen_graph, 3, 2.0, record.cd_bound, record.witness)
 
@@ -227,7 +227,7 @@ def test_results_compare_and_hash_without_raising(petersen_graph):
     g = petersen_graph
     cd = [cd_curvature(g, 0) for _ in range(2)]
     cde = [cde_estimate(g, 0, samples=50) for _ in range(2)]
-    functions = [result.minimizing_function for result in cd]
+    functions = [result.function for result in cd]
     records = [
         VertexReport(
             vertex=0, girth=5, cd_bound=0.0,
