@@ -3,33 +3,49 @@
 The girth at x is the length of the shortest cycle through x (math.inf if
 x lies on no cycle); the graph girth is the minimum over vertices.
 
-All-vertex girth takes one O(n + m) bridge pass and then one search per
-cycle vertex. A vertex lies on a cycle exactly when one of its edges is
-not a bridge, so every other vertex has girth inf without a search. Each
-search stops at the BFS level that first closes a cycle through x, so it
-explores only the ball of radius about half the girth at x.
+All-vertex girth takes one O(n + m) bridge pass and then one batched
+search from the cycle vertices. A vertex lies on a cycle exactly when one
+of its edges is not a bridge, so every other vertex has girth inf without
+a search. The search is a BFS from many sources at once, level by level
+in numpy; each source stops at the level that first closes a cycle
+through it, so it explores only the ball of radius about half its girth.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import inf
+
+import numpy as np
 
 from .graph import Graph, _check_vertex
 
 # A girth is an int >= 3 or math.inf.
 GirthValue = int | float
 
+# cells of the search's (source, vertex) label buffer, and the edges it
+# expands at once: its memory bound whatever the degree
+_CELLS = 1 << 18
+
 
 def vertex_girth(g: Graph, x: int) -> GirthValue:
-    """Shortest cycle length through x, or math.inf.
+    """Shortest cycle length through x, or math.inf: the search of
+    `all_vertex_girths` from x alone (O(n + m) to set up)."""
+    _check_vertex(g, x)
+    return _search(g, [x])[0]
 
-    Level-synchronous BFS from x labelling every vertex with its distance
-    and its root branch (the first-hop neighbor its BFS tree path uses).
-    Tree paths from x to two vertices in different branches are internally
-    disjoint, so every edge {u, w} (u, w != x) joining different branches
-    closes a simple cycle through x of length dist(u) + dist(w) + 1, and
-    the shortest cycle through x always contains such an edge at its far
-    end. The minimum over these candidates is therefore exact.
+
+def _search(g: Graph, sources: list[int]) -> list[GirthValue]:
+    """Shortest cycle length through each source, or math.inf.
+
+    Level-synchronous BFS from each source x labelling every vertex with
+    its distance and its root branch (the first-hop neighbor its BFS tree
+    path uses). Tree paths from x to two vertices in different branches
+    are internally disjoint, so every edge {u, w} (u, w != x) joining
+    different branches closes a simple cycle through x of length
+    dist(u) + dist(w) + 1, and the shortest cycle through x always
+    contains such an edge at its far end. The minimum over these
+    candidates is therefore exact.
 
     Scanning the edges of level L (the vertices at distance L) finds the
     candidates of every edge with an endpoint at distance <= L: an edge
@@ -39,34 +55,71 @@ def vertex_girth(g: Graph, x: int) -> GirthValue:
     distance >= L + 1, so its candidate is >= 2L + 3. The search therefore
     stops after the first level that finds a candidate, but not at the
     first candidate: a 2L + 2 candidate can precede a 2L + 1 one within
-    the level. Storage is two dicts over the explored ball, not O(n).
+    the level.
+
+    The sources run in batches of _CELLS // n, a level at a time, in
+    chunks of about _CELLS edges, over a CSR adjacency. Cell (source, v)
+    of one int32 label buffer holds dist(v) << shift | branch, the branch
+    numbered by its place in the source's row; 0 is unvisited, -1 the
+    source. Of several edges reaching an unlabelled vertex in one chunk,
+    one labels it: a BFS tree all the same. A batch resets only the cells
+    it labelled, so it costs in proportion to the cells it touches.
     """
-    _check_vertex(g, x)
-    adjacency = g.adjacency
-    dist = {y: 1 for y in adjacency[x]}
-    branch = {y: y for y in adjacency[x]}
-    frontier = list(adjacency[x])
-    best: GirthValue = inf
-    level = 1
-    while frontier and best == inf:
-        deeper = []
-        for u in frontier:
-            own = branch[u]
-            for w in adjacency[u]:
-                if w == x:
-                    continue
-                other = branch.get(w)
-                if other is None:
-                    dist[w] = level + 1
-                    branch[w] = own
-                    deeper.append(w)
-                elif other != own:
-                    length = level + dist[w] + 1
-                    if length < best:
-                        best = length
-        frontier = deeper
-        level += 1
-    return best
+    n = g.vertex_count
+    degree = np.fromiter(map(len, g.adjacency), np.intp, n)
+    indptr = np.concatenate(([0], np.cumsum(degree)))
+    indices = np.fromiter(chain.from_iterable(g.adjacency), np.intp, indptr[-1])
+    shift = int(degree.max() - 1).bit_length()
+    branch = (1 << shift) - 1
+    rows = max(1, min(len(sources), _CELLS // n))
+    label = np.zeros(rows * n, np.int32 if (n + 1) << shift < 2**31 else np.int64)
+    girths: list[GirthValue] = []
+    for first in range(0, len(sources), rows):
+        batch = np.asarray(sources[first:first + rows], np.intp)
+        best = np.full(batch.size, inf)
+        frontier = np.arange(batch.size) * n + batch
+        label[frontier] = -1
+        labelled = [frontier]
+        level = 0
+        while frontier.size:
+            reached = []
+            vertex = frontier % n
+            for part in _chunks(degree[vertex]):
+                cells, u = frontier[part], vertex[part]
+                deg = degree[u]
+                head = np.repeat(np.arange(u.size), deg)  # arc -> its cell in `cells`
+                arc = np.arange(head.size) + (indptr[u] - np.cumsum(deg) + deg)[head]
+                tail = (cells - u)[head] + indices[arc]
+                own = label[cells][head] if level else arc - indptr[u][head]
+                fresh = np.flatnonzero(label[tail] == 0)
+                cell, value = tail[fresh], own[fresh] + (1 << shift)
+                tag = -2 - np.arange(cell.size)  # one winner per cell, without np.unique
+                label[cell] = tag
+                won = np.flatnonzero(label[cell] == tag)
+                cell = cell[won]
+                label[cell] = value[won]
+                reached.append(cell)
+                seen = label[tail]
+                hit = np.flatnonzero((seen ^ own) & branch)
+                hit = hit[seen[hit] > 0]  # not the source
+                np.minimum.at(best, tail[hit] // n, level + 1 + (seen[hit] >> shift))
+            reached = np.concatenate(reached)
+            labelled.append(reached)
+            frontier = reached[best[reached // n] == inf]
+            level += 1
+        label[np.concatenate(labelled)] = 0
+        girths += [int(b) if b < inf else inf for b in best]
+    return girths
+
+
+def _chunks(weights: np.ndarray):
+    """Consecutive slices of weights, each of sum <= _CELLS or one entry."""
+    ends, start = np.cumsum(weights), 0
+    while start < ends.size:
+        end = np.searchsorted(ends, ends[start] - weights[start] + _CELLS, "right")
+        stop = max(start + 1, int(end))
+        yield slice(start, stop)
+        start = stop
 
 
 def on_cycle(g: Graph) -> list[bool]:
@@ -113,9 +166,10 @@ def on_cycle(g: Graph) -> list[bool]:
 
 
 def all_vertex_girths(g: Graph) -> list[GirthValue]:
-    """Girth at every vertex: a search only where the vertex is on a cycle."""
+    """Girth at every vertex: one search from the vertices on a cycle."""
     cyclic = on_cycle(g)
-    return [vertex_girth(g, x) if cyclic[x] else inf for x in range(g.vertex_count)]
+    found = iter(_search(g, [x for x, on in enumerate(cyclic) if on]))
+    return [next(found) if on else inf for on in cyclic]
 
 
 def graph_girth(g: Graph) -> GirthValue:

@@ -40,6 +40,9 @@ O(1).
 
 from __future__ import annotations
 
+from functools import cached_property
+from types import SimpleNamespace
+
 import numpy as np
 
 from .graph import Balls, Graph, _firsts
@@ -73,24 +76,31 @@ class LocalEvaluator:
         self.vertices = np.concatenate([b.centres, b.sphere1, b.sphere2])
         self.pair_y, self.pair_z, self.pair_w = b.pair_y, b.pair_z, b.pair_w
         self.s1_degree = b.s1_degree
-        # the reduced ratio's terms (see the module docstring), by the
-        # sphere-1 index of a pair's y (its owner): each owner's weight and
-        # count of distance-2 vertices it is the only parent of; the
-        # triangle pairs; and the pairs to the distance-2 vertices with
-        # several parents, which are numbered
+
+    @cached_property
+    def reduced(self) -> SimpleNamespace:
+        """The reduced ratio's terms (see the module docstring), built on
+        first read, as only ``MoveScorer`` and ``fill`` read them. By the
+        sphere-1 index of a pair's y (its owner): each owner's weight and
+        count of distance-2 vertices it is the only parent of; the triangle
+        pairs; and the pairs to the distance-2 vertices with several
+        parents, which are numbered."""
+        d, width = self.degree, self.width
         owner = self.pair_y - 1
         z, w = self.pair_z, self.pair_w
         in_s2 = z > d
         parents = np.bincount(z[in_s2], minlength=width)
         shared = in_s2 & (parents[z] > 1)
         tri = (z > 0) & ~in_s2
-        self.s1_w = w[_firsts(self.s1_degree)]
-        self.s1_single = np.bincount(owner[in_s2 & ~shared], minlength=d).astype(np.float64)
-        self.tri_y, self.tri_z, self.tri_w = owner[tri], z[tri] - 1, w[tri]
         number = np.cumsum(parents > 1) - 1
-        self.shared_y, self.shared_z, self.shared_w = owner[shared], number[z[shared]], w[shared]
-        self.shared_count = int(np.count_nonzero(parents > 1))
-        self.s2_y, self.s2_z, self.s2_w = owner[in_s2], z[in_s2] - 1 - d, w[in_s2]
+        return SimpleNamespace(
+            s1_w=w[_firsts(self.s1_degree)],
+            s1_single=np.bincount(owner[in_s2 & ~shared], minlength=d).astype(np.float64),
+            tri_y=owner[tri], tri_z=z[tri] - 1, tri_w=w[tri],
+            shared_y=owner[shared], shared_z=number[z[shared]], shared_w=w[shared],
+            shared_count=int(np.count_nonzero(parents > 1)),
+            s2_y=owner[in_s2], s2_z=z[in_s2] - 1 - d, s2_w=w[in_s2],
+        )
 
     def laplacian(self, rows: np.ndarray) -> np.ndarray:
         return rows[:, self.s1_cols].sum(axis=1) / self.degree - rows[:, 0]
@@ -124,14 +134,14 @@ class LocalEvaluator:
     def fill(self, t: np.ndarray) -> np.ndarray:
         """Rows with f(x) = 1, sphere 1 from the rows of t and each
         distance-2 value at its minimizer f(z)* = B_z / A_z."""
-        count, nz = len(t), len(self.s2_cols)
+        count, nz, r = len(t), len(self.s2_cols), self.reduced
         rows = np.empty((count, self.width))
         rows[:, 0] = 1.0
         rows[:, self.s1_cols] = t
-        key = (np.arange(count)[:, None] * nz + self.s2_z).ravel()
-        ty = t[:, self.s2_y]
-        b = np.bincount(key, (self.s2_w * ty).ravel(), count * nz)
-        a = np.bincount(key, (self.s2_w / ty).ravel(), count * nz)
+        key = (np.arange(count)[:, None] * nz + r.s2_z).ravel()
+        ty = t[:, r.s2_y]
+        b = np.bincount(key, (r.s2_w * ty).ravel(), count * nz)
+        a = np.bincount(key, (r.s2_w / ty).ravel(), count * nz)
         rows[:, self.s2_cols] = (b / a).reshape(count, nz)
         return rows
 
@@ -196,8 +206,8 @@ class MoveScorer:
             _firsts(self.degrees), self.degrees, of
         )
         self.row_degree = self.degrees[of].astype(np.float64)
-        self.w = np.concatenate([ev.s1_w for ev in evs])[entry]
-        self.single = np.concatenate([ev.s1_single for ev in evs])[entry]
+        self.w = np.concatenate([ev.reduced.s1_w for ev in evs])[entry]
+        self.single = np.concatenate([ev.reduced.s1_single for ev in evs])[entry]
         # the coupling lists of every row, their sphere-1 ends as entries;
         # the shared distance-2 vertices are numbered row after row
         row, tpl = _ragged_list(evs, of, "tri_y")
@@ -207,7 +217,7 @@ class MoveScorer:
         row, tpl = _ragged_list(evs, of, "shared_y")
         self.shared_row, self.shared_w = row, _gather(evs, "shared_w", tpl)
         self.shared_y = self.first[row] + _gather(evs, "shared_y", tpl)
-        groups = np.array([ev.shared_count for ev in evs], dtype=np.intp)[of]
+        groups = np.array([ev.reduced.shared_count for ev in evs], dtype=np.intp)[of]
         self.shared_z = _firsts(groups)[row] + _gather(evs, "shared_z", tpl)
         self.group_row = np.repeat(np.arange(len(of)), groups)
 
@@ -352,7 +362,7 @@ def _ratio(num: np.ndarray, gx: np.ndarray) -> np.ndarray:
 def _ragged_list(evs, of, name: str):
     """The entries of each evaluator's list `name`, for the rows of `of`:
     (row, index into the evaluators' lists concatenated) per entry."""
-    lengths = np.array([len(getattr(ev, name)) for ev in evs], dtype=np.intp)
+    lengths = np.array([len(getattr(ev.reduced, name)) for ev in evs], dtype=np.intp)
     if not lengths.any():   # the usual case: spares a pass over every row
         return np.zeros((2, 0), dtype=np.intp)
     tpl, row, _, _ = _ragged(_firsts(lengths), lengths, of)
@@ -360,7 +370,7 @@ def _ragged_list(evs, of, name: str):
 
 
 def _gather(evs, name: str, tpl: np.ndarray) -> np.ndarray:
-    return np.concatenate([getattr(ev, name) for ev in evs])[tpl]
+    return np.concatenate([getattr(ev.reduced, name) for ev in evs])[tpl]
 
 
 def _ragged(first: np.ndarray, length: np.ndarray, of: np.ndarray):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import inf
 
 # cd_curvature and cde_estimate are no longer called here, but stay
 # importable under this module's name, which perfbench/tracer.py wraps:
@@ -30,7 +29,7 @@ from math import inf
 # and verify.vertex_ms_max (and the cd and cde metrics) as missing
 from .cd import cd_check, cd_curvature, cd_curvatures  # noqa: F401
 from .cde import cde_check, cde_estimate, cde_estimates  # noqa: F401
-from .girth import GirthValue, on_cycle, vertex_girth
+from .girth import GirthValue, all_vertex_girths, vertex_girth
 from .graph import Graph, VertexFunction, _check_vertex
 
 MARGIN_TOL = 1e-8
@@ -142,9 +141,7 @@ def verify_theorems(
     if theorem not in ("cd", "cde", "both"):
         raise ValueError(f"theorem must be cd, cde or both, got {theorem!r}")
     selected = ("cd", "cde") if theorem == "both" else (theorem,)
-    # searched through this module's name so tracing can wrap each search
-    cyclic = on_cycle(g)
-    girths = [vertex_girth(g, x) if cyclic[x] else inf for x in range(g.vertex_count)]
+    girths = all_vertex_girths(g)
     computed = {
         name: compute(g, samples, seed)
         for name, compute, _ in _THEOREMS

@@ -1,8 +1,10 @@
 import time
+import tracemalloc
 from math import inf
 
 import pytest
 
+import curvkit.girth as girth_mod
 from curvkit import (
     Graph,
     all_vertex_girths,
@@ -149,3 +151,70 @@ def test_pendant_path_girth_is_linear_time():
     assert all_vertex_girths(g) == [3, 3, 3] + [inf] * tail
     elapsed = time.perf_counter() - start
     assert elapsed < 3.0, f"{elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_girths_do_not_depend_on_the_batching(monkeypatch, case):
+    # the smallest budget makes batches of one source and level chunks of
+    # one frontier vertex; _late_triangle's 4-cycle candidate then comes a
+    # chunk before its triangle
+    sizes = []
+    chunks = girth_mod._chunks
+
+    def counting(weights):
+        for part in chunks(weights):
+            sizes.append(part.stop - part.start)
+            yield part
+
+    graphs = _ORACLE_CASES[case]()
+    default = [all_vertex_girths(g) for g in graphs]
+    monkeypatch.setattr(girth_mod, "_CELLS", 1)
+    monkeypatch.setattr(girth_mod, "_chunks", counting)
+    for g, girths in zip(graphs, default):
+        assert all_vertex_girths(g) == girths
+        assert girths == [full_scan_vertex_girth(g, x) for x in range(g.vertex_count)]
+    assert set(sizes) == {1}
+
+
+def test_dense_levels_are_chunked():
+    # every vertex of complete(300) stops at level 1, whose 300 x 299 cells
+    # expand 300 x 299 x 299 = 2.7e7 edges: about 214 MB for each array
+    # of them unchunked, and about 20 MB in all chunked by _CELLS = 2^18
+    g = complete(300)
+    tracemalloc.start()
+    try:
+        assert all_vertex_girths(g) == [3] * 300
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_high_degree_non_tree_girths_within_budget():
+    # the chorded degree-100 hub of test_cli.py's verify budget test: the
+    # centre and its neighbours lie on triangles, the 300 leaves on no cycle
+    hub = tree_hub(100)
+    g = Graph.from_edges(hub.edges + [(y, y + 1) for y in range(1, 100)])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        girths = all_vertex_girths(g)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert girths == [3] * 101 + [inf] * 300
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+    assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_large_sparse_girths_within_budget():
+    # 2.1-4.4 s on a shared 2-core VM, against 7.4-12.3 s for one Python
+    # BFS per cycle vertex; the oracle checks every 300th vertex
+    g = random_with_girth(30000, 45000, 5, 1)
+    start = time.perf_counter()
+    girths = all_vertex_girths(g)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 9.0, f"{elapsed:.2f} s over the 9 s budget"
+    for x in range(0, g.vertex_count, 300):
+        assert girths[x] == full_scan_vertex_girth(g, x)

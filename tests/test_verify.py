@@ -142,25 +142,31 @@ def test_mixed_girth_gating():
 
 
 def test_gate_computes_each_vertex_girth_once(monkeypatch):
-    # the gate reads the per-vertex girths computed for the report, each
-    # searched once; the bridge pass leaves the tail 3-4-5 (girth inf)
+    # the gate reads the per-vertex girths computed for the report: one
+    # all_vertex_girths call, whose batched search runs from the cycle
+    # vertices only; the bridge pass leaves the tail 3-4-5 (girth inf)
     # unsearched
     import curvkit.girth
 
     g = Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])
-    calls = []
+    calls, searched = [], []
 
-    def counted(graph, x):
-        calls.append(x)
-        return original(graph, x)
+    def counted(graph):
+        calls.append(graph)
+        return all_girths(graph)
 
-    original = curvkit.girth.vertex_girth
-    monkeypatch.setattr(curvkit.verify, "vertex_girth", counted)
-    monkeypatch.setattr(curvkit.girth, "vertex_girth", counted)
+    def search(graph, sources):
+        searched.append(list(sources))
+        return original(graph, sources)
+
+    all_girths = curvkit.girth.all_vertex_girths
+    original = curvkit.girth._search
+    monkeypatch.setattr(curvkit.verify, "all_vertex_girths", counted)
+    monkeypatch.setattr(curvkit.girth, "_search", search)
     report = verify_theorems(g, "cd")
     assert [r.verdict for r in report.records] == ["precondition_not_met"] * 3 + ["pass"] * 3
-    assert len(calls) == len(set(calls))
-    assert set(calls) == {0, 1, 2}
+    assert len(calls) == 1 and calls[0] is g
+    assert searched == [[0, 1, 2]]
 
 
 def test_min_girth_threshold_parameter():
