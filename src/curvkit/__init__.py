@@ -36,8 +36,7 @@ from .generators import (
     random_with_girth,
     star,
 )
-from .girth import GirthValue, all_vertex_girths, graph_girth, has_girth_at_least
-from .girth import vertex_girth
+from .girth import GirthValue, all_vertex_girths, graph_girth, vertex_girth
 from .graph import (
     DisconnectedError,
     EdgeListParseError,
@@ -111,7 +110,6 @@ __all__ = [
     "gamma_iterate",
     "gamma_local",
     "graph_girth",
-    "has_girth_at_least",
     "laplacian",
     "parse_edge_list",
     "path",

@@ -54,7 +54,9 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import Balls, Graph, _BallWitness, _check_vertex, _firsts, batches, check_function
+from .graph import (
+    Balls, Graph, _BallWitness, _check_vertex, _firsts, _ranges, batches, check_function,
+)
 from .localforms import cd_entries
 from .operators import gamma, gamma2, laplacian
 
@@ -154,9 +156,7 @@ def _batch(g: Graph, xs: list[int], n: float) -> Iterator[CdResult]:
     i, m = cols[at] - 1, values[at]
     # every pair (a, b) of couplings of one sphere-2 vertex, in vertex order
     per_vertex = np.bincount(e, minlength=len(pivot))
-    parents = per_vertex[e]
-    a = np.repeat(np.arange(len(e)), parents)
-    b = _firsts(per_vertex)[e[a]] + np.arange(len(a)) - _firsts(parents)[a]
+    b, a = _ranges(_firsts(per_vertex)[e], per_vertex[e])
     np.add.at(s, s_first[slot[at[a]]] + i[a] * p[at[a]] + i[b], -(m[a] * m[b]) / pivot[e[a]])
 
     lam = np.empty(len(xs))

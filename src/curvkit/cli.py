@@ -25,6 +25,7 @@ from .generators import BadParameterError
 from .girth import all_vertex_girths
 from .graph import Graph, GraphError, parse_edge_list, serialize_edge_list
 from .report import dumps, girth_json, report_document
+from .rng import MASK64
 from .verify import DIM, verify_theorems
 
 EXIT_OK = 0
@@ -69,7 +70,7 @@ def build_parser() -> _Parser:
     p_cde.add_argument("file")
     p_cde.add_argument("--dim", type=float, default=2.0)
     p_cde.add_argument("--samples", type=int, default=10000)
-    p_cde.add_argument("--seed", type=int, default=0)
+    p_cde.add_argument("--seed", type=seed, default=0)
     p_cde.add_argument("--vertex", type=int, default=None)
     p_cde.add_argument("--format", choices=["json", "csv"], default="json")
     p_cde.set_defaults(handler=cmd_curvature_cde)
@@ -78,7 +79,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("file")
     p_verify.add_argument("--theorem", choices=["cd", "cde", "both"], default="both")
     p_verify.add_argument("--samples", type=int, default=10000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=seed, default=0)
     p_verify.add_argument("--format", choices=["json", "csv"], default="json")
     p_verify.add_argument(
         "-v",
@@ -92,10 +93,19 @@ def build_parser() -> _Parser:
     p_gen.add_argument("family", choices=list(_GEN_FAMILIES))
     p_gen.add_argument("params", type=int, nargs="*")
     p_gen.add_argument("--min-girth", type=int, default=5)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=seed, default=0)
     p_gen.add_argument("-o", "--output", default=None)
     p_gen.set_defaults(handler=cmd_gen)
     return parser
+
+
+def seed(text: str) -> int:
+    """A --seed in 0..2^64 - 1: the random streams read a seed modulo 2^64,
+    so another value would draw what one of these draws under its own name."""
+    value = int(text)
+    if not 0 <= value <= MASK64:
+        raise argparse.ArgumentTypeError(f"seed must be in 0..{MASK64}, got {value}")
+    return value
 
 
 def _load_graph(path: str) -> Graph:

@@ -3,22 +3,22 @@
 The girth at x is the length of the shortest cycle through x (math.inf if
 x lies on no cycle); the graph girth is the minimum over vertices.
 
-All-vertex girth takes one O(n + m) bridge pass and then one batched
-search from the cycle vertices. A vertex lies on a cycle exactly when one
-of its edges is not a bridge, so every other vertex has girth inf without
-a search. The search is a BFS from many sources at once, level by level
-in numpy; each source stops at the level that first closes a cycle
+The graph's own validation marks the vertices on a cycle
+(``Graph.on_cycle``, by one bridge pass), so every other vertex has girth
+inf without a search, in ``vertex_girth`` as in ``all_vertex_girths``.
+All-vertex girth is then one batched search from the cycle vertices: a
+BFS from many sources at once, level by level in numpy over the graph's
+CSR arrays; each source stops at the level that first closes a cycle
 through it, so it explores only the ball of radius about half its girth.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import inf
 
 import numpy as np
 
-from .graph import Graph, _check_vertex
+from .graph import Graph, _check_vertex, _ranges
 
 # A girth is an int >= 3 or math.inf.
 GirthValue = int | float
@@ -30,9 +30,9 @@ _CELLS = 1 << 18
 
 def vertex_girth(g: Graph, x: int) -> GirthValue:
     """Shortest cycle length through x, or math.inf: the search of
-    `all_vertex_girths` from x alone (O(n + m) to set up)."""
+    `all_vertex_girths` from x alone, run only if x lies on a cycle."""
     _check_vertex(g, x)
-    return _search(g, [x])[0]
+    return _search(g, [x])[0] if g.on_cycle[x] else inf
 
 
 def _search(g: Graph, sources: list[int]) -> list[GirthValue]:
@@ -58,17 +58,14 @@ def _search(g: Graph, sources: list[int]) -> list[GirthValue]:
     the level.
 
     The sources run in batches of _CELLS // n, a level at a time, in
-    chunks of about _CELLS edges, over a CSR adjacency. Cell (source, v)
-    of one int32 label buffer holds dist(v) << shift | branch, the branch
-    numbered by its place in the source's row; 0 is unvisited, -1 the
-    source. Of several edges reaching an unlabelled vertex in one chunk,
-    one labels it: a BFS tree all the same. A batch resets only the cells
-    it labelled, so it costs in proportion to the cells it touches.
+    chunks of about _CELLS edges, over the graph's CSR arrays. Cell
+    (source, v) of one int32 label buffer holds dist(v) << shift | branch,
+    the branch numbered by its place in the source's row; 0 is unvisited,
+    -1 the source. Of several edges reaching an unlabelled vertex in one
+    chunk, one labels it: a BFS tree all the same. A batch resets only the
+    cells it labelled, so it costs in proportion to the cells it touches.
     """
-    n = g.vertex_count
-    degree = np.fromiter(map(len, g.adjacency), np.intp, n)
-    indptr = np.concatenate(([0], np.cumsum(degree)))
-    indices = np.fromiter(chain.from_iterable(g.adjacency), np.intp, indptr[-1])
+    n, degree, indptr, indices = g.vertex_count, g.degrees, g.indptr, g.indices
     shift = int(degree.max() - 1).bit_length()
     branch = (1 << shift) - 1
     rows = max(1, min(len(sources), _CELLS // n))
@@ -86,9 +83,7 @@ def _search(g: Graph, sources: list[int]) -> list[GirthValue]:
             vertex = frontier % n
             for part in _chunks(degree[vertex]):
                 cells, u = frontier[part], vertex[part]
-                deg = degree[u]
-                head = np.repeat(np.arange(u.size), deg)  # arc -> its cell in `cells`
-                arc = np.arange(head.size) + (indptr[u] - np.cumsum(deg) + deg)[head]
+                arc, head = _ranges(indptr[u], degree[u])  # head: the arc's cell in `cells`
                 tail = (cells - u)[head] + indices[arc]
                 own = label[cells][head] if level else arc - indptr[u][head]
                 fresh = np.flatnonzero(label[tail] == 0)
@@ -122,52 +117,9 @@ def _chunks(weights: np.ndarray):
         start = stop
 
 
-def on_cycle(g: Graph) -> list[bool]:
-    """True at every vertex that lies on some cycle, by one bridge pass.
-
-    Iterative DFS with lowlink values (Tarjan 1974), so deep graphs need no
-    recursion: the tree edge {p, v} is a bridge exactly when no back edge
-    from v's subtree reaches p or above (low(v) > disc(p)). A vertex on a
-    cycle has an incident non-bridge tree edge (its parent edge, or the
-    child edge towards the back edge's far end), so marking the two ends of
-    every non-bridge tree edge marks exactly the cycle vertices.
-    """
-    n = g.vertex_count
-    adjacency = g.adjacency
-    disc = [0] * n  # discovery time, from 1; 0 marks unvisited
-    low = [0] * n
-    marked = [False] * n
-    clock = 0
-    for root in range(n):
-        if disc[root]:
-            continue
-        clock += 1
-        disc[root] = low[root] = clock
-        stack = [(root, -1, iter(adjacency[root]))]
-        while stack:
-            v, parent, edges = stack[-1]
-            for w in edges:
-                if disc[w]:
-                    if w != parent and disc[w] < low[v]:
-                        low[v] = disc[w]
-                    continue
-                clock += 1
-                disc[w] = low[w] = clock
-                stack.append((w, v, iter(adjacency[w])))
-                break
-            else:
-                stack.pop()
-                if parent >= 0:
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if low[v] <= disc[parent]:
-                        marked[v] = marked[parent] = True
-    return marked
-
-
 def all_vertex_girths(g: Graph) -> list[GirthValue]:
     """Girth at every vertex: one search from the vertices on a cycle."""
-    cyclic = on_cycle(g)
+    cyclic = g.on_cycle.tolist()
     found = iter(_search(g, [x for x, on in enumerate(cyclic) if on]))
     return [next(found) if on else inf for on in cyclic]
 
@@ -176,9 +128,3 @@ def graph_girth(g: Graph) -> GirthValue:
     """Minimum vertex girth over all vertices."""
     return min(all_vertex_girths(g))
 
-
-def has_girth_at_least(g: Graph, lower: int) -> bool:
-    """True when no cycle is shorter than `lower` (infinite girth passes)."""
-    if lower < 3:
-        raise ValueError("girth lower bounds below 3 are vacuous")
-    return graph_girth(g) >= lower

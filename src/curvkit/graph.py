@@ -6,16 +6,18 @@ endpoint and has degree at least 1 (the normalization 1/degree is defined
 everywhere); it is connected, loop-free and multi-edge-free. Vertex ids
 are dense integers 0..n-1 and each adjacency row is strictly increasing;
 a ``Graph`` made from adjacency rows directly is checked for all of this.
-Instances are immutable after construction and safe to share across
-threads. ``Balls`` states the column, sphere and 2-path layout of the
-2-balls of many centres once; the local evaluator, the CDE search, both
-CD routes and the 2-ball positivity check all read it.
+The checks walk the graph once, and the graph keeps what they build: its
+CSR arrays, and its cycle vertices from the bridge pass that counts its
+components. Instances are immutable after construction and safe to share
+across threads. ``Balls`` states the column, sphere and 2-path layout of
+the 2-balls of many centres once, by CSR gathers (``_ranges``); the local
+evaluator, the CDE search, both CD routes and the 2-ball positivity check
+all read it.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -49,7 +51,10 @@ class EdgeListParseError(GraphError):
 @dataclass(frozen=True)
 class Graph:
     """Immutable connected simple undirected graph: row v lists the
-    neighbours of v in increasing order, and every vertex has one."""
+    neighbours of v in increasing order, and every vertex has one. Kept as
+    read-only arrays: ``degrees``, the rows in CSR form (row v is
+    ``indices[indptr[v]:indptr[v + 1]]``) and ``on_cycle``, true at each
+    vertex on a cycle."""
 
     adjacency: tuple[tuple[int, ...], ...]
 
@@ -58,11 +63,12 @@ class Graph:
         # then tell which rows a computation reads
         rows = tuple(self.adjacency)
         n = len(rows)
-        degree = np.fromiter(map(len, rows), np.intp, n)
-        w = np.fromiter(chain.from_iterable(rows), np.intp, degree.sum())
-        v = np.repeat(np.arange(n), degree)
-        if not degree.all():
-            raise GraphError(f"vertex {degree.argmin()} has no edge")
+        degrees = np.fromiter(map(len, rows), np.intp, n)
+        indptr = np.concatenate(([0], np.cumsum(degrees)))
+        w = np.fromiter(chain.from_iterable(rows), np.intp, indptr[-1])
+        v = np.repeat(np.arange(n), degrees)
+        if not degrees.all():
+            raise GraphError(f"vertex {degrees.argmin()} has no edge")
         loop = v == w
         if loop.any():
             raise SelfLoopError(int(v[loop.argmax()]))
@@ -77,9 +83,13 @@ class Graph:
         if unmatched.any():
             i = unmatched.argmax()
             raise GraphError(f"row {v[i]} holds {w[i]} but row {w[i]} does not hold {v[i]}")
-        components = _component_count(rows)
+        components, on_cycle = _bridge_pass(rows)
         if components != 1:
             raise DisconnectedError(components)
+        for name, array in (("degrees", degrees), ("indptr", indptr), ("indices", w),
+                            ("on_cycle", np.array(on_cycle))):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def vertex_count(self) -> int:
@@ -139,24 +149,51 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return len(self.indices) // 2
 
 
-def _component_count(rows: Sequence[Sequence[int]]) -> int:
-    seen = [False] * len(rows)
-    components = 0
-    for start in range(len(rows)):
-        if seen[start]:
+def _bridge_pass(rows: Sequence[Sequence[int]]) -> tuple[int, list[bool]]:
+    """The number of components, and True at every vertex on some cycle.
+
+    Iterative DFS with lowlink values (Tarjan, Inf. Process. Lett. 2, 1974),
+    so deep graphs need no recursion: the tree edge {p, v} is a bridge
+    exactly when no back edge from v's subtree reaches p or above
+    (low(v) > disc(p)). A vertex on a cycle has an incident non-bridge tree
+    edge (its parent edge, or the child edge towards the back edge's far
+    end), so marking the ends of every non-bridge tree edge marks exactly
+    the cycle vertices.
+    """
+    n = len(rows)
+    disc = [0] * n  # discovery time, from 1; 0 marks unvisited
+    low = [0] * n
+    marked = [False] * n
+    clock = components = 0
+    for root in range(n):
+        if disc[root]:
             continue
         components += 1
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            for w in rows[queue.popleft()]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    return components
+        clock += 1
+        disc[root] = low[root] = clock
+        stack = [(root, -1, iter(rows[root]))]
+        while stack:
+            v, parent, edges = stack[-1]
+            for w in edges:
+                if disc[w]:
+                    if w != parent and disc[w] < low[v]:
+                        low[v] = disc[w]
+                    continue
+                clock += 1
+                disc[w] = low[w] = clock
+                stack.append((w, v, iter(rows[w])))
+                break
+            else:
+                stack.pop()
+                if parent >= 0:
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] <= disc[parent]:
+                        marked[v] = marked[parent] = True
+    return components, marked
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,18 +297,18 @@ class Balls:
     """
 
     def __init__(self, g: Graph, centres: Sequence[int]):
-        adj, nv = g.adjacency, g.vertex_count
+        nv = g.vertex_count
         for x in centres:
             _check_vertex(g, x)
         self.centres = np.array(centres, dtype=np.intp)
-        dx = np.array([len(adj[x]) for x in centres], dtype=np.intp)
-        y = np.fromiter(chain.from_iterable(adj[x] for x in centres), np.intp, dx.sum())
-        dy = np.array([len(adj[v]) for v in y], dtype=np.intp)
-        z = np.fromiter(chain.from_iterable(adj[v] for v in y), np.intp, dy.sum())
         # per 1-path x ~ y and per 2-path x ~ y ~ z: the ball of x
+        dx = g.degrees[self.centres]
+        arc, ball1 = _ranges(g.indptr[self.centres], dx)
+        y = g.indices[arc]
+        dy = g.degrees[y]
+        arc, edge = _ranges(g.indptr[y], dy)
+        z = g.indices[arc]
         s1_first = _firsts(dx)
-        ball1 = np.repeat(np.arange(len(centres)), dx)
-        edge = np.repeat(np.arange(len(y)), dy)
         ball2 = ball1[edge]
 
         key1 = ball1 * nv + y   # ascending
@@ -307,6 +344,13 @@ class Balls:
 def _firsts(lengths: np.ndarray) -> np.ndarray:
     """Where each of consecutive segments of these lengths begins."""
     return np.cumsum(lengths) - lengths
+
+
+def _ranges(first: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges first[i] .. first[i] + length[i] - 1, concatenated in
+    order: (index, segment) per entry, segment the i of its range."""
+    segment = np.repeat(np.arange(len(length)), length)
+    return np.arange(len(segment)) + (first - _firsts(length))[segment], segment
 
 
 def batches(sized: Iterable[tuple], budget: int) -> Iterator[list]:

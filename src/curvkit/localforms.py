@@ -45,7 +45,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .graph import Balls, Graph, _firsts
+from .graph import Balls, Graph, _firsts, _ranges
 
 # MoveScorer evaluates a move in full where the row's terms outweigh the
 # moved ratio's numerator and denominator by more than this factor: a delta
@@ -202,10 +202,11 @@ class MoveScorer:
         self.counts = np.asarray(counts, dtype=np.intp)
         self.degrees = np.array([ev.degree for ev in evs], dtype=np.intp)
         of = self.vertex_of = np.repeat(np.arange(len(evs)), self.counts)
-        entry, self.row_of, self.first, self.local = _ragged(
-            _firsts(self.degrees), self.degrees, of
-        )
-        self.row_degree = self.degrees[of].astype(np.float64)
+        row_degree = self.degrees[of]
+        entry, self.row_of = _ranges(_firsts(self.degrees)[of], row_degree)
+        self.first = _firsts(row_degree)
+        self.local = np.arange(len(entry)) - self.first[self.row_of]
+        self.row_degree = row_degree.astype(np.float64)
         self.w = np.concatenate([ev.reduced.s1_w for ev in evs])[entry]
         self.single = np.concatenate([ev.reduced.s1_single for ev in evs])[entry]
         # the coupling lists of every row, their sphere-1 ends as entries;
@@ -270,7 +271,7 @@ class MoveScorer:
             k, m = np.nonzero(redo)
             rows = row[m]
             sub = MoveScorer([self.evs[v] for v in self.vertex_of[rows]], np.ones_like(rows))
-            entry, _, _, _ = _ragged(self.first, self.degrees[self.vertex_of], rows)
+            entry, _ = _ranges(self.first[rows], self.degrees[self.vertex_of[rows]])
             moved = flat[entry]
             moved[sub.first + self.local[m]] = values[k, m]
             ratio[k, m] = sub.ratios(moved, n)
@@ -365,21 +366,10 @@ def _ragged_list(evs, of, name: str):
     lengths = np.array([len(getattr(ev.reduced, name)) for ev in evs], dtype=np.intp)
     if not lengths.any():   # the usual case: spares a pass over every row
         return np.zeros((2, 0), dtype=np.intp)
-    tpl, row, _, _ = _ragged(_firsts(lengths), lengths, of)
+    tpl, row = _ranges(_firsts(lengths)[of], lengths[of])
     return row, tpl
 
 
 def _gather(evs, name: str, tpl: np.ndarray) -> np.ndarray:
     return np.concatenate([getattr(ev.reduced, name) for ev in evs])[tpl]
 
-
-def _ragged(first: np.ndarray, length: np.ndarray, of: np.ndarray):
-    """The entries first[i] .. first[i] + length[i] - 1 of each i in `of`,
-    concatenated in that order. Returns (entry, segment, segment start,
-    offset in segment) per output entry, except segment start, which is
-    per segment."""
-    lengths = length[of]
-    seg = np.repeat(np.arange(len(of)), lengths)
-    starts = _firsts(lengths)
-    local = np.arange(len(seg)) - np.repeat(starts, lengths)
-    return np.repeat(first[of], lengths) + local, seg, starts, local

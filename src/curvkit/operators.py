@@ -9,7 +9,10 @@ Conventions (fixed package-wide):
 * Gradient form:  G(f,h)(x) = (D(fh) - f*Dh - h*Df)(x) / 2, with
   G(f) = G(f,f); iterates G_0(f,h) = f*h and
   G_{i+1}(f,h) = (D(G_i(f,h)) - G_i(f,Dh) - G_i(Df,h)) / 2, so that
-  G_2(f) = D(G(f))/2 - G(f,Df).
+  G_2(f) = D(G(f))/2 - G(f,Df). The recursion's first step is evaluated
+  in the equal difference form
+  G_1(f,h)(x) = sum_{y ~ x} (f(y) - f(x))(h(y) - h(x)) / (2 d_x),
+  which keeps its digits where f or h is near constant.
 
 Each form ships in two flavors, algebraically equal and cross-checked by
 the tests to 1e-12 relative: the definitional evaluation above and a
@@ -110,7 +113,13 @@ def gamma_iterate(g: Graph, f: FunctionLike, h: FunctionLike, x: int, i: int) ->
         """G_j(D^a f, D^b h)(v)."""
         if j == 0:
             return float(power(0, a, v) * power(h_index, b, v))
-        if (a, b, j, v) not in terms:
+        if (a, b, j, v) not in terms and j == 1:
+            # the equal difference form keeps the digits that
+            # D(PQ) - P DQ - Q DP cancels where P and Q are near constant
+            p, q, nbrs = power(0, a, v), power(h_index, b, v), g.adjacency[v]
+            acc = sum((power(0, a, y) - p) * (power(h_index, b, y) - q) for y in nbrs)
+            terms[a, b, j, v] = float(acc / (2 * len(nbrs)))
+        elif (a, b, j, v) not in terms:
             terms[a, b, j, v] = 0.5 * (
                 _laplacian_at(g, lambda y: term(a, b, j - 1, y), v)
                 - term(a, b + 1, j - 1, v)

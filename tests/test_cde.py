@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,6 +113,36 @@ def test_star_hand_value_and_dual_path():
     lap = laplacian(g, f, 0)
     num = gamma2(g, f, 0) - gamma_f_ratio_split(g, f, 0) - lap * lap / 2.0
     assert approx_equal(value, num / gamma_local(g, f, 0), rel=1e-10)
+
+
+def _exact_cde_ratio(g, f, x, n):
+    """The CDE ratio at x in exact rational arithmetic, every gradient form
+    in its product form (D(uw) - u Dw - w Du) / 2."""
+    adj, vs = g.adjacency, range(g.vertex_count)
+
+    def lap(u):
+        return {v: sum(u[y] - u[v] for y in adj[v]) / len(adj[v]) for v in vs}
+
+    def gam(u, w):
+        du, dw, duw = lap(u), lap(w), lap({v: u[v] * w[v] for v in vs})
+        return {v: (duw[v] - u[v] * dw[v] - w[v] * du[v]) / 2 for v in vs}
+
+    gf, df = gam(f, f), lap(f)
+    g2 = lap(gf)[x] / 2 - gam(f, df)[x]
+    num = g2 - gam(f, {v: gf[v] / f[v] for v in vs})[x] - df[x] * df[x] / n
+    return num / gf[x]
+
+
+@pytest.mark.parametrize("eps", [1e-4, 3e-5])
+def test_ratio_keeps_its_digits_near_a_constant(eps):
+    # a filled row a little below the constant 1: the product form of G
+    # lost 3e-4 (eps = 1e-4) and 1e-2 (eps = 3e-5) of the ratio
+    g, x = cycle(6), 3
+    ev = LocalEvaluator(g, x)
+    f = np.ones(g.vertex_count)
+    f[ev.vertices] = ev.fill(np.array([[1.0 - eps, 1.0 - eps / 3.0]]))[0]
+    exact = _exact_cde_ratio(g, [Fraction(v) for v in f], x, Fraction(2))
+    assert abs(cde_ratio(g, x, 2.0, f) - float(exact)) <= 1e-9 * abs(float(exact))
 
 
 def test_ratio_locality():

@@ -641,6 +641,29 @@ def test_gen_bad_params_exit64(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("command", ["verify", "curvature-cde", "gen"])
+def test_seed_outside_64_bits_is_usage_error(capsys, star3_file, command):
+    # the random streams read a seed modulo 2^64, so -1 would draw what
+    # 2^64 - 1 draws and 2^64 what 0 draws, under another recorded seed
+    if command == "gen":
+        head = ("gen", "random-girth", "10", "12")
+    else:
+        head = (command, star3_file, "--samples", "50")
+    for seed in ("-1", str(2**64)):
+        code, out, err = run(capsys, *head, "--seed", seed)
+        assert code == 64 and out == ""
+        assert err.startswith("usage error:") and "--seed" in err
+    drawn = {}
+    for seed in (0, 2**64 - 1):
+        code, out, _ = run(capsys, *head, "--seed", str(seed))
+        assert code == 0
+        drawn[seed] = out
+        if command != "gen":
+            assert {rec["seed"] for rec in json.loads(out)["records"]} == {seed}
+    if command == "gen":
+        assert drawn[0] != drawn[2**64 - 1]
+
+
 # ---- error handling ---------------------------------------------------------
 
 def test_missing_file_exit2(capsys):

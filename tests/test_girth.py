@@ -11,7 +11,6 @@ from curvkit import (
     cycle,
     complete,
     graph_girth,
-    has_girth_at_least,
     path,
     petersen,
     random_tree,
@@ -20,7 +19,6 @@ from curvkit import (
     vertex_girth,
 )
 from conftest import girth5_corpus, small_mixed_corpus, tree_hub
-from curvkit.girth import on_cycle
 from oracles import (
     brute_force_graph_girth,
     brute_force_vertex_girth,
@@ -77,15 +75,13 @@ def test_mixed_girth_vertices():
     assert graph_girth(g) == 3
 
 
-def test_has_girth_at_least():
-    assert has_girth_at_least(cycle(5), 5)
-    assert not has_girth_at_least(cycle(3), 5)
-    assert has_girth_at_least(petersen(), 5)
-    assert not has_girth_at_least(petersen(), 6)
-    assert has_girth_at_least(random_tree(7, 0), 100)
-    assert not has_girth_at_least(complete(4), 4)
-    with pytest.raises(ValueError):
-        has_girth_at_least(cycle(5), 2)
+def test_graph_girth_lower_bounds():
+    assert graph_girth(cycle(5)) >= 5
+    assert not graph_girth(cycle(3)) >= 5
+    assert graph_girth(petersen()) >= 5
+    assert not graph_girth(petersen()) >= 6
+    assert graph_girth(random_tree(7, 0)) >= 100
+    assert not graph_girth(complete(4)) >= 4
 
 
 def _dumbbell() -> Graph:
@@ -124,8 +120,29 @@ def test_girths_match_full_scan_oracle(case):
         expected = [full_scan_vertex_girth(g, x) for x in range(g.vertex_count)]
         assert [vertex_girth(g, x) for x in range(g.vertex_count)] == expected
         assert all_vertex_girths(g) == expected
-        assert on_cycle(g) == [value != inf for value in expected]
+        assert g.on_cycle.tolist() == [value != inf for value in expected]
         assert graph_girth(g) == min(expected)
+
+
+def test_vertex_girth_off_every_cycle_runs_no_search(monkeypatch):
+    # the graph marks its cycle vertices as it is built; at any other
+    # vertex the girth is inf without a search of its component
+    searched = []
+    search = girth_mod._search
+
+    def recording(g, sources):
+        searched.extend(sources)
+        return search(g, sources)
+
+    monkeypatch.setattr(girth_mod, "_search", recording)
+    g = _dumbbell()
+    for x in (3, 4):
+        assert vertex_girth(g, x) == inf
+    for g in (path(6), random_tree(30, 2)):
+        assert all(vertex_girth(g, x) == inf for x in range(g.vertex_count))
+    assert searched == []
+    assert vertex_girth(_dumbbell(), 5) == 4
+    assert searched == [5]
 
 
 def test_search_does_not_stop_at_the_first_candidate():
@@ -143,10 +160,11 @@ def test_dumbbell_path_vertices_have_infinite_girth():
 def test_pendant_path_girth_is_linear_time():
     # triangle with a 5000-vertex pendant path: one bridge pass (no
     # recursion, the DFS is 5000 deep) and three searches, where a search
-    # of the whole graph from every vertex makes ~5000 O(n) searches
+    # of the whole graph from every vertex makes ~5000 O(n) searches; the
+    # bridge pass runs as the graph is built, so the timing starts first
     tail = 5000
-    g = Graph.from_edges([(0, 1), (1, 2), (2, 0)] + [(v, v + 1) for v in range(2, tail + 2)])
     start = time.perf_counter()
+    g = Graph.from_edges([(0, 1), (1, 2), (2, 0)] + [(v, v + 1) for v in range(2, tail + 2)])
     assert graph_girth(g) == 3
     assert all_vertex_girths(g) == [3, 3, 3] + [inf] * tail
     elapsed = time.perf_counter() - start
@@ -213,7 +231,7 @@ def test_large_sparse_girths_within_budget():
     # BFS per cycle vertex; the oracle checks every 300th vertex
     g = random_with_girth(30000, 45000, 5, 1)
     start = time.perf_counter()
-    girths = all_vertex_girths(g)
+    girths = all_vertex_girths(Graph(g.adjacency))   # the bridge pass included
     elapsed = time.perf_counter() - start
     assert elapsed < 9.0, f"{elapsed:.2f} s over the 9 s budget"
     for x in range(0, g.vertex_count, 300):

@@ -14,7 +14,7 @@ from curvkit import (
     cd_curvature,
     complete,
     cycle,
-    has_girth_at_least,
+    graph_girth,
     parse_edge_list,
     path,
     petersen,
@@ -24,7 +24,7 @@ from curvkit import (
     star,
     vertex_girth,
 )
-from curvkit.graph import Balls
+from curvkit.graph import Balls, _ranges
 from curvkit.localforms import LocalEvaluator
 from oracles import walked_two_ball
 
@@ -175,6 +175,31 @@ def test_graph_rejects_rows_that_break_an_invariant():
     assert cd_curvature(k5, 0).curvature_K == pytest.approx(-0.125)
 
 
+def test_graph_keeps_its_csr_arrays_read_only():
+    for g in small_mixed_corpus() + girth5_corpus():
+        n = g.vertex_count
+        assert g.degrees.tolist() == [len(row) for row in g.adjacency]
+        assert g.indptr.tolist() == [0] + np.cumsum(g.degrees).tolist()
+        assert [tuple(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()) for v in range(n)] == list(
+            g.adjacency
+        )
+        assert g.on_cycle.shape == (n,) and g.on_cycle.dtype == bool
+        for array in (g.degrees, g.indptr, g.indices, g.on_cycle):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+
+def test_ranges_match_a_loop():
+    rng = np.random.default_rng(24)
+    for size in (0, 1, 2, 7, 50):
+        length = rng.integers(0, 4, size=size)
+        first = rng.integers(0, 100, size=size)
+        index, segment = _ranges(first, length)
+        want = [(f + k, i) for i, (f, n) in enumerate(zip(first, length)) for k in range(n)]
+        assert list(zip(index.tolist(), segment.tolist())) == want
+    assert 0 in length   # the lengths drawn include empty ranges
+
+
 def test_serialize_examples():
     assert serialize_edge_list(path(3)) == "0 1\n1 2\n"
     triangle = cycle(3)
@@ -306,7 +331,7 @@ def test_two_ball_tree_property_iff_girth5(corpus_small):
                 sum(1 for y in g.adjacency[z] if y in s1) == 1 for z in sphere2
             )
             assert (vertex_girth(g, x) >= 5) == (no_s1_edge and unique_parent)
-        assert has_girth_at_least(g, 5) == all(
+        assert (graph_girth(g) >= 5) == all(
             vertex_girth(g, x) >= 5 for x in range(g.vertex_count)
         )
 
