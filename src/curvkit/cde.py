@@ -21,8 +21,9 @@ sphere-1 value, so it is scored by delta in O(1) on a girth-5 ball
 (localforms.MoveScorer) rather than by re-evaluating a whole row.
 Sampling and the scans run per vertex; the refinement runs over the
 candidates of many consecutive vertices at once, in one lockstep descent
-per batch of rows of mixed widths, so its numpy call count does not grow
-with the number of vertices. The result is an upper bound on the true
+per batch of rows of mixed widths, scored over one ``graph.Balls`` of the
+batch's vertices as the CD batches are, so its numpy call count does not
+grow with the number of vertices. The result is an upper bound on the true
 pointwise infimum; "no violation found" is the acceptance outcome, a
 found violation is re-verified definitionally before being reported; the
 witness is the best candidate with sphere 2 filled by f(z)*, built at
@@ -44,7 +45,7 @@ from itertools import chain
 import numpy as np
 
 from .cd import _check_dimension
-from .graph import Graph, _BallWitness, batches, check_function, _check_vertex
+from .graph import Balls, Graph, _BallWitness, batches, check_function, _check_vertex
 from .localforms import LocalEvaluator, MoveScorer, _ratio
 from .operators import (
     NonpositiveValueError, _require_positive_two_ball, gamma2, gamma_f_ratio, gamma_local, laplacian
@@ -290,7 +291,7 @@ def _reduced_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarra
     for i in range(0, len(rows), chunk):
         block = rows[i : i + chunk]
         if scorer is None or len(scorer.first) != len(block):   # the last block may be short
-            scorer = MoveScorer([ev], [len(block)])
+            scorer = MoveScorer(ev.balls, [len(block)])
         out[i : i + chunk] = scorer.ratios(np.ravel(block), n)
     return out
 
@@ -344,8 +345,9 @@ def _descend(
     evs: list[LocalEvaluator], starts: list[np.ndarray], n: float
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Projected pattern search over sphere 1, for the candidates of many
-    vertices in lockstep: starts[i] holds the start rows at evs[i], each
-    the sphere-1 values of a function with f(x) = 1 and sphere 2 at f(z)*.
+    vertices of one graph in lockstep: starts[i] holds the start rows at
+    evs[i], each the sphere-1 values of a function with f(x) = 1 and
+    sphere 2 at f(z)*.
 
     Each sweep proposes a multiplicative up/down move of every sphere-1
     coordinate of every candidate, takes a candidate's best move (the
@@ -363,7 +365,7 @@ def _descend(
     starts. Deterministic; a candidate's path depends only on its own
     start.
     """
-    scorer = MoveScorer(evs, [len(s) for s in starts])
+    scorer = MoveScorer(Balls(evs[0].graph, [ev.center for ev in evs]), [len(s) for s in starts])
     current = np.concatenate([np.ravel(s) for s in starts]).astype(np.float64)
     step = np.full(len(scorer.first), 0.5)
     for _ in range(_DESCENT_SWEEPS):

@@ -15,7 +15,6 @@ import contextlib
 import csv
 import logging
 import sys
-from math import isfinite
 from pathlib import Path
 
 from . import generators
@@ -59,7 +58,7 @@ def build_parser() -> _Parser:
 
     p_cd = sub.add_parser("curvature-cd", help="pointwise curvature K(x, dim)")
     p_cd.add_argument("file")
-    p_cd.add_argument("--dim", type=float, default=2.0)
+    p_cd.add_argument("--dim", type=dim, default=2.0)
     p_cd.add_argument("--vertex", type=int, default=None)
     p_cd.add_argument("--format", choices=["json", "csv"], default="json")
     p_cd.set_defaults(handler=cmd_curvature_cd)
@@ -68,8 +67,8 @@ def build_parser() -> _Parser:
         "curvature-cde", help="sampled minima of the exponential-type ratio"
     )
     p_cde.add_argument("file")
-    p_cde.add_argument("--dim", type=float, default=2.0)
-    p_cde.add_argument("--samples", type=int, default=10000)
+    p_cde.add_argument("--dim", type=dim, default=2.0)
+    p_cde.add_argument("--samples", type=samples, default=10000)
     p_cde.add_argument("--seed", type=seed, default=0)
     p_cde.add_argument("--vertex", type=int, default=None)
     p_cde.add_argument("--format", choices=["json", "csv"], default="json")
@@ -78,7 +77,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="verify the girth-5 curvature bounds")
     p_verify.add_argument("file")
     p_verify.add_argument("--theorem", choices=["cd", "cde", "both"], default="both")
-    p_verify.add_argument("--samples", type=int, default=10000)
+    p_verify.add_argument("--samples", type=samples, default=10000)
     p_verify.add_argument("--seed", type=seed, default=0)
     p_verify.add_argument("--format", choices=["json", "csv"], default="json")
     p_verify.add_argument(
@@ -99,22 +98,29 @@ def build_parser() -> _Parser:
     return parser
 
 
-def seed(text: str) -> int:
-    """A --seed in 0..2^64 - 1: the random streams read a seed modulo 2^64,
-    so another value would draw what one of these draws under its own name."""
-    value = int(text)
-    if not 0 <= value <= MASK64:
-        raise argparse.ArgumentTypeError(f"seed must be in 0..{MASK64}, got {value}")
-    return value
+def _ranged(convert, low, high=None):
+    """An argparse type: the text converted, refused outside low..high (no
+    upper end where high is None)."""
+    def parse(text: str):
+        value = convert(text)
+        if not (low <= value and (high is None or value <= high)):
+            span = f"at least {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__   # argparse names it in "invalid int value"
+    return parse
+
+
+# the random streams read a seed modulo 2^64, so another value would draw
+# what one of these draws under its own name
+seed = _ranged(int, 0, MASK64)
+samples = _ranged(int, 1)
+dim = _ranged(float, DIM_FLOOR, sys.float_info.max)   # finite: NaN and inf are refused
 
 
 def _load_graph(path: str) -> Graph:
     return parse_edge_list(Path(path).read_bytes())
-
-
-def _check_dim(dim: float) -> None:
-    if not (dim >= DIM_FLOOR and isfinite(dim)):
-        raise UsageError(f"--dim must be finite and at least {DIM_FLOOR}, got {dim}")
 
 
 def _vertices(g: Graph, vertex: int | None) -> range | list[int]:
@@ -152,7 +158,6 @@ def cmd_girth(args) -> int:
 
 
 def cmd_curvature_cd(args) -> int:
-    _check_dim(args.dim)
     g = _load_graph(args.file)
     records = [
         {"vertex": result.vertex, "dim": args.dim, "curvature": result.curvature_K}
@@ -163,9 +168,6 @@ def cmd_curvature_cd(args) -> int:
 
 
 def cmd_curvature_cde(args) -> int:
-    _check_dim(args.dim)
-    if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     g = _load_graph(args.file)
     estimates = cde_estimates(g, _vertices(g, args.vertex), args.dim, args.samples, args.seed)
     records = [
@@ -203,8 +205,6 @@ def _log_to_stderr(enabled: bool):
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     g = _load_graph(args.file)
     with _log_to_stderr(args.verbose):
         report = verify_theorems(g, theorem=args.theorem, samples=args.samples, seed=args.seed)

@@ -11,12 +11,14 @@ CSR arrays, and its cycle vertices from the bridge pass that counts its
 components. Instances are immutable after construction and safe to share
 across threads. ``Balls`` states the column, sphere and 2-path layout of
 the 2-balls of many centres once, by CSR gathers (``_ranges``); the local
-evaluator, the CDE search, both CD routes and the 2-ball positivity check
-all read it.
+evaluator, both CD routes, the CDE move scorer (one ``Balls`` per batch
+of centres, as the CD batches) and the 2-ball positivity check all read
+it.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,7 +99,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build and validate a graph from undirected edge pairs.
+        """Build and validate a graph from undirected edge pairs of integer
+        ids (Python's or numpy's; another id is a ``GraphError``).
 
         Duplicate edges collapse. The vertex set is the ids appearing in
         edges, so no vertex is isolated; gaps in the id range are
@@ -105,8 +108,11 @@ class Graph:
         """
         pairs: set[tuple[int, int]] = set()
         seen: set[int] = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
+        for edge in edges:
+            try:   # int() would truncate 0.5 and parse "1"
+                u, v = map(operator.index, edge)
+            except TypeError:
+                raise GraphError(f"vertex ids must be integers, got edge {edge!r}") from None
             if u == v:
                 raise SelfLoopError(u)
             if u < 0 or v < 0:

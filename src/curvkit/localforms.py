@@ -35,13 +35,11 @@ The reduced ratio R(t) is the ratio of the filled row, where G(f)(x) is
 at least ``GRADIENT_FLOOR``, and +inf elsewhere. At a z with one
 parent, f(z)* = t_y^2, and on a girth-5 ball every term of R belongs to
 one sphere-1 value, so ``MoveScorer`` scores a one-coordinate move in
-O(1).
+O(1). It reads every term from the pairs of one ``graph.Balls`` over the
+centres of its rows.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,10 +60,10 @@ GRADIENT_FLOOR = 1e-3
 
 class LocalEvaluator:
     """Vectorized Laplacian / gradient-form evaluation on a 2-ball, over
-    its ``graph.Balls`` columns: the center, sphere 1, then sphere 2."""
+    the columns of its ``graph.Balls`` (``balls``): center, sphere 1, sphere 2."""
 
     def __init__(self, g: Graph, x: int):
-        b = Balls(g, [x])
+        b = self.balls = Balls(g, [x])
         self.graph = g
         self.center = x
         d, width = int(b.degree[0]), int(b.width[0])
@@ -75,32 +73,6 @@ class LocalEvaluator:
         # the vertex behind each column
         self.vertices = np.concatenate([b.centres, b.sphere1, b.sphere2])
         self.pair_y, self.pair_z, self.pair_w = b.pair_y, b.pair_z, b.pair_w
-        self.s1_degree = b.s1_degree
-
-    @cached_property
-    def reduced(self) -> SimpleNamespace:
-        """The reduced ratio's terms (see the module docstring), built on
-        first read, as only ``MoveScorer`` and ``fill`` read them. By the
-        sphere-1 index of a pair's y (its owner): each owner's weight and
-        count of distance-2 vertices it is the only parent of; the triangle
-        pairs; and the pairs to the distance-2 vertices with several
-        parents, which are numbered."""
-        d, width = self.degree, self.width
-        owner = self.pair_y - 1
-        z, w = self.pair_z, self.pair_w
-        in_s2 = z > d
-        parents = np.bincount(z[in_s2], minlength=width)
-        shared = in_s2 & (parents[z] > 1)
-        tri = (z > 0) & ~in_s2
-        number = np.cumsum(parents > 1) - 1
-        return SimpleNamespace(
-            s1_w=w[_firsts(self.s1_degree)],
-            s1_single=np.bincount(owner[in_s2 & ~shared], minlength=d).astype(np.float64),
-            tri_y=owner[tri], tri_z=z[tri] - 1, tri_w=w[tri],
-            shared_y=owner[shared], shared_z=number[z[shared]], shared_w=w[shared],
-            shared_count=int(np.count_nonzero(parents > 1)),
-            s2_y=owner[in_s2], s2_z=z[in_s2] - 1 - d, s2_w=w[in_s2],
-        )
 
     def laplacian(self, rows: np.ndarray) -> np.ndarray:
         return rows[:, self.s1_cols].sum(axis=1) / self.degree - rows[:, 0]
@@ -134,14 +106,16 @@ class LocalEvaluator:
     def fill(self, t: np.ndarray) -> np.ndarray:
         """Rows with f(x) = 1, sphere 1 from the rows of t and each
         distance-2 value at its minimizer f(z)* = B_z / A_z."""
-        count, nz, r = len(t), len(self.s2_cols), self.reduced
+        count, d, nz = len(t), self.degree, len(self.s2_cols)
         rows = np.empty((count, self.width))
         rows[:, 0] = 1.0
         rows[:, self.s1_cols] = t
-        key = (np.arange(count)[:, None] * nz + r.s2_z).ravel()
-        ty = t[:, r.s2_y]
-        b = np.bincount(key, (r.s2_w * ty).ravel(), count * nz)
-        a = np.bincount(key, (r.s2_w / ty).ravel(), count * nz)
+        s2 = self.pair_z > d
+        w = self.pair_w[s2]
+        key = (np.arange(count)[:, None] * nz + (self.pair_z[s2] - 1 - d)).ravel()
+        ty = rows[:, self.pair_y[s2]]
+        b = np.bincount(key, (w * ty).ravel(), count * nz)
+        a = np.bincount(key, (w / ty).ravel(), count * nz)
         rows[:, self.s2_cols] = (b / a).reshape(count, nz)
         return rows
 
@@ -188,42 +162,69 @@ class MoveScorer:
     Df(x) and G(f)(x); on a girth-5 ball there are no coupling terms, so a
     move costs O(1).
 
-    Ragged layout: the rows of the i-th evaluator are counts[i] rows of its
-    degree, and all rows lie one after another in one flat array of
-    entries, the evaluators in order (``first`` holds where each row
-    begins). Every per-row sum is a segment or bin sum over that row's own
-    entries and no row is padded, so a row's values do not depend on the
-    rows beside it. A move array holds the K new values of each entry as
-    (K, M), M the entries.
+    Ragged layout: ``balls`` holds the 2-balls of the rows' vertices (see
+    ``graph.Balls``), and the rows of its i-th ball are counts[i] rows of
+    that ball's degree; all rows lie one after another in one flat array of
+    entries, the balls in order (``first`` holds where each row begins).
+    Every term is read from the pairs of ``balls``. Every per-row sum is a
+    segment or bin sum over that row's own entries and no row is padded,
+    so a row's values do not depend on the rows beside it. A move array
+    holds the K new values of each entry as (K, M), M the entries.
     """
 
-    def __init__(self, evs: list[LocalEvaluator], counts):
-        self.evs = evs
+    def __init__(self, balls: Balls, counts):
+        self.balls = balls
         self.counts = np.asarray(counts, dtype=np.intp)
-        self.degrees = np.array([ev.degree for ev in evs], dtype=np.intp)
-        of = self.vertex_of = np.repeat(np.arange(len(evs)), self.counts)
+        self.degrees = balls.degree
+        of = self.vertex_of = np.repeat(np.arange(len(self.counts)), self.counts)
         row_degree = self.degrees[of]
-        entry, self.row_of = _ranges(_firsts(self.degrees)[of], row_degree)
+        entry, self.row_of = _ranges(balls.s1_first[of], row_degree)
         self.first = _firsts(row_degree)
-        self.local = np.arange(len(entry)) - self.first[self.row_of]
         self.row_degree = row_degree.astype(np.float64)
-        self.w = np.concatenate([ev.reduced.s1_w for ev in evs])[entry]
-        self.single = np.concatenate([ev.reduced.s1_single for ev in evs])[entry]
+        # by pair: its ball, and its distance-2 end as an index into sphere 2
+        ball, y, z = balls.pair_ball, balls.pair_y, balls.pair_z
+        d = balls.degree[ball]
+        s2 = np.flatnonzero(z > d)
+        col = balls.s2_first[ball[s2]] + z[s2] - 1 - d[s2]
+        parents = np.bincount(col, minlength=len(balls.sphere2))
+        several = parents[col] > 1
+        # each sphere-1 value's weight and count of distance-2 vertices it
+        # is the only parent of
+        only = s2[~several]
+        single = np.bincount(balls.s1_first[ball[only]] + y[only] - 1, minlength=len(balls.sphere1))
+        self.w = balls.pair_w[_firsts(balls.s1_degree)][entry]
+        self.single = single[entry].astype(np.float64)
         # the coupling lists of every row, their sphere-1 ends as entries;
         # the shared distance-2 vertices are numbered row after row
-        row, tpl = _ragged_list(evs, of, "tri_y")
-        self.tri_row, self.tri_w = row, _gather(evs, "tri_w", tpl)
-        self.tri_y = self.first[row] + _gather(evs, "tri_y", tpl)
-        self.tri_z = self.first[row] + _gather(evs, "tri_z", tpl)
-        row, tpl = _ragged_list(evs, of, "shared_y")
-        self.shared_row, self.shared_w = row, _gather(evs, "shared_w", tpl)
-        self.shared_y = self.first[row] + _gather(evs, "shared_y", tpl)
-        groups = np.array([ev.reduced.shared_count for ev in evs], dtype=np.intp)[of]
-        self.shared_z = _firsts(groups)[row] + _gather(evs, "shared_z", tpl)
+        tri = np.flatnonzero((z > 0) & (z <= d))
+        self.tri_row, at = self._per_row(ball[tri])
+        tri = tri[at]
+        self.tri_w = balls.pair_w[tri]
+        self.tri_y = self.first[self.tri_row] + y[tri] - 1
+        self.tri_z = self.first[self.tri_row] + z[tri] - 1
+        # before[i]: the shared distance-2 vertices before sphere-2 index i
+        before = np.concatenate(([0], np.cumsum(parents > 1)))
+        shared = s2[several]
+        number = before[col[several]] - before[balls.s2_first[ball[shared]]]
+        self.shared_row, at = self._per_row(ball[shared])
+        shared = shared[at]
+        self.shared_w = balls.pair_w[shared]
+        self.shared_y = self.first[self.shared_row] + y[shared] - 1
+        groups = np.diff(before[np.append(balls.s2_first, len(balls.sphere2))])[of]
+        self.shared_z = _firsts(groups)[self.shared_row] + number[at]
         self.group_row = np.repeat(np.arange(len(of)), groups)
 
+    def _per_row(self, ball: np.ndarray):
+        """A list of pairs, ball after ball (ball holds the ball of each),
+        once for every row of its ball: (row, index into the list) per copy."""
+        if not len(ball):   # the usual case: spares a pass over every row
+            return np.zeros((2, 0), dtype=np.intp)
+        count = np.bincount(ball, minlength=len(self.counts))
+        at, row = _ranges(_firsts(count)[self.vertex_of], count[self.vertex_of])
+        return row, at
+
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        """The rows of each evaluator, (count, degree) views into flat."""
+        """The rows of each ball, (count, degree) views into flat."""
         sizes = self.counts * self.degrees
         return [
             flat[a : a + size].reshape(count, degree)
@@ -268,12 +269,12 @@ class MoveScorer:
         # the floor the ratio is +inf either way
         redo = (gx >= GRADIENT_FLOOR) & ~(size[row] <= _DELTA_CANCEL * np.maximum(gx, np.abs(num)))
         if redo.any():   # rare: each such move in full, on a row of its own
-            k, m = np.nonzero(redo)
-            rows = row[m]
-            sub = MoveScorer([self.evs[v] for v in self.vertex_of[rows]], np.ones_like(rows))
-            entry, _ = _ranges(self.first[rows], self.degrees[self.vertex_of[rows]])
+            m, k = np.nonzero(redo.T)   # by entry, so ball after ball
+            rows, of = row[m], self.vertex_of[row[m]]
+            sub = MoveScorer(self.balls, np.bincount(of, minlength=len(self.counts)))
+            entry, _ = _ranges(self.first[rows], self.degrees[of])
             moved = flat[entry]
-            moved[sub.first + self.local[m]] = values[k, m]
+            moved[sub.first + m - self.first[rows]] = values[k, m]
             ratio[k, m] = sub.ratios(moved, n)
         return ratio, lap, _ratio(_numerator(terms0, lap0, gx0, n), gx0)
 
@@ -358,18 +359,3 @@ def _numerator(terms, lap, gx, n: float):
 
 def _ratio(num: np.ndarray, gx: np.ndarray) -> np.ndarray:
     return np.divide(num, gx, out=np.full_like(num, np.inf), where=gx >= GRADIENT_FLOOR)
-
-
-def _ragged_list(evs, of, name: str):
-    """The entries of each evaluator's list `name`, for the rows of `of`:
-    (row, index into the evaluators' lists concatenated) per entry."""
-    lengths = np.array([len(getattr(ev.reduced, name)) for ev in evs], dtype=np.intp)
-    if not lengths.any():   # the usual case: spares a pass over every row
-        return np.zeros((2, 0), dtype=np.intp)
-    tpl, row = _ranges(_firsts(lengths)[of], lengths[of])
-    return row, tpl
-
-
-def _gather(evs, name: str, tpl: np.ndarray) -> np.ndarray:
-    return np.concatenate([getattr(ev.reduced, name) for ev in evs])[tpl]
-

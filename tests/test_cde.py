@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from curvkit import (
+    Graph,
     InfeasibleFunctionError,
     VertexFunction,
     approx_equal,
@@ -37,6 +38,7 @@ from curvkit.cde import (
     _trigger_rows,
     cde_estimates,
 )
+from curvkit.graph import Balls
 from curvkit.localforms import (
     GRADIENT_FLOOR,
     LocalEvaluator,
@@ -314,7 +316,7 @@ def test_full_rows_below_the_gradient_floor_score_inf():
         assert np.all((0.0 < gx) & (gx < GRADIENT_FLOOR))
         for n in (2.0, np.inf):
             assert np.all(np.isposinf(_batch_ratios(ev, filled, n)))
-            assert np.all(np.isposinf(MoveScorer([ev], [len(t)]).ratios(t.ravel(), n)))
+            assert np.all(np.isposinf(MoveScorer(ev.balls, [len(t)]).ratios(t.ravel(), n)))
 
 
 def test_fill_matches_walked_fill():
@@ -397,21 +399,26 @@ def _move_rows(ev, rng):
     return rows
 
 
-def _mixed_width_batch():
-    """(graph, vertex) pairs of very different 2-ball widths: a degree-1
-    center, a triangle, a hub center and corpus vertices."""
-    corpus = girth5_corpus()[1]
-    return [(path(5), 0), (cycle(3), 0), (tree_hub(14), 0)] + [
-        (corpus, x) for x in range(0, corpus.vertex_count, 2)
-    ]
+def _mixed_graph():
+    """One graph whose 2-balls hold every kind of term, at widths from 4 to
+    57: the tree-hub-14 centre (girth >= 5), a triangle and a 4-cycle hung
+    on leaves of the hub, and a girth-5 corpus graph hung on a third leaf.
+    Returns (graph, vertices to batch): the hub centre, a degree-1 leaf,
+    triangle and 4-cycle vertices and every other corpus vertex."""
+    hub, corpus = tree_hub(14), girth5_corpus()[1]
+    n = hub.vertex_count
+    edges = hub.edges + [(15, n), (n, n + 1), (n + 1, 15)]
+    edges += [(16, n + 2), (n + 2, n + 3), (n + 3, n + 4), (n + 4, 16)]
+    edges += [(17, n + 5)] + [(n + 5 + u, n + 5 + v) for u, v in corpus.edges]
+    vertices = [0, 18, 15, n, 16, n + 3] + list(range(n + 5, n + 5 + corpus.vertex_count, 2))
+    return Graph.from_edges(edges), vertices
 
 
 def _move_batches(corpus_small):
-    """Batches of (graph, vertex) scored in one table: every vertex of each
-    graph, then one mixed-width batch across graphs."""
+    """Batches (graph, vertices) scored in one table: every vertex of each
+    graph, then the mixed-width batch."""
     graphs = list(corpus_small) + girth5_corpus()[::3]
-    batches = [[(g, x) for x in range(g.vertex_count)] for g in graphs]
-    return batches + [_mixed_width_batch()]
+    return [(g, range(g.vertex_count)) for g in graphs] + [_mixed_graph()]
 
 
 def _per_vertex(scorer, moves):
@@ -424,6 +431,22 @@ def _per_vertex(scorer, moves):
     ]
 
 
+def _force_full_moves(monkeypatch):
+    """Make every move with G(f)(x) above the floor go to the full
+    re-evaluation; returns the list of the row counts it scores."""
+    redone = []
+    ratios = MoveScorer.ratios
+
+    def counted(self, flat, n):
+        out = ratios(self, flat, n)
+        redone.append(len(out))
+        return out
+
+    monkeypatch.setattr(localforms, "_DELTA_CANCEL", 0.0)
+    monkeypatch.setattr(MoveScorer, "ratios", counted)
+    return redone
+
+
 @pytest.mark.parametrize("route", ["delta", "full"])
 def test_delta_moves_match_proposal_tensor(corpus_small, monkeypatch, route):
     # every descent move scored by delta, over the ragged rows of many
@@ -432,24 +455,14 @@ def test_delta_moves_match_proposal_tensor(corpus_small, monkeypatch, route):
     # terms) come from the small corpus. The "full" route forces the
     # fallback: every move with G(f)(x) above the floor is scored in full
     # on a row of its own, and must give the same scores
-    redone = []   # the rows scored in full by the fallback
-    if route == "full":
-        ratios = MoveScorer.ratios
-
-        def counted(self, flat, n):
-            out = ratios(self, flat, n)
-            redone.append(len(out))
-            return out
-
-        monkeypatch.setattr(localforms, "_DELTA_CANCEL", 0.0)
-        monkeypatch.setattr(MoveScorer, "ratios", counted)
+    redone = _force_full_moves(monkeypatch) if route == "full" else []
     steps = np.array([0.5, 0.25, 1e-3, 3.0, 0.7, 0.01, 0.125, 0.9])
     rng = np.random.default_rng(41)
     excluded = finite_moves = 0
-    for batch in _move_batches(corpus_small):
-        evs = [LocalEvaluator(g, x) for g, x in batch]
+    for g, xs in _move_batches(corpus_small):
+        evs = [LocalEvaluator(g, x) for x in xs]
         rows = [_move_rows(ev, rng) for ev in evs]
-        scorer = MoveScorer(evs, [len(r) for r in rows])
+        scorer = MoveScorer(Balls(g, xs), [len(r) for r in rows])
         current = np.concatenate([r.ravel() for r in rows])
         step = np.tile(steps, len(evs))
         for n in (2.0, 3.5, np.inf):
@@ -482,29 +495,59 @@ def test_scored_moves_do_not_depend_on_the_rows_beside_them():
     # the same vertex's rows, scored alone and inside a mixed-width batch,
     # give bit-identical moves and scores
     rng = np.random.default_rng(7)
-    batch = _mixed_width_batch()
-    evs = [LocalEvaluator(g, x) for g, x in batch]
+    g, xs = _mixed_graph()
+    evs = [LocalEvaluator(g, x) for x in xs]
     rows = [_move_rows(ev, rng)[[0, 1, 4, 5]] for ev in evs]
     steps = np.array([0.5, 0.03, 0.25, 2.0])
-    scorer = MoveScorer(evs, [4] * len(evs))
+    scorer = MoveScorer(Balls(g, xs), [4] * len(evs))
     current = np.concatenate([r.ravel() for r in rows])
     together = _score_moves(scorer, current, np.tile(steps, len(evs)), 2.0)
     together = [_per_vertex(scorer, a) for a in together[:4]] + [together[4].reshape(-1, 4)]
     for i, (ev, r) in enumerate(zip(evs, rows)):
-        alone_scorer = MoveScorer([ev], [4])
+        alone_scorer = MoveScorer(ev.balls, [4])
         alone = _score_moves(alone_scorer, r.ravel().copy(), steps, 2.0)
         alone = [_per_vertex(alone_scorer, a)[0] for a in alone[:4]] + [alone[4]]
         for a, b in zip(alone, together):
             assert np.array_equal(a, b[i])
 
 
+@pytest.mark.parametrize("route", ["delta", "full"])
+def test_one_graph_batch_of_every_term_kind_matches_one_vertex_scorers(monkeypatch, route):
+    # a triangle vertex, a 4-cycle vertex (a distance-2 vertex with two
+    # parents) and girth >= 5 vertices, their rows in one scorer: ratios
+    # and moves equal those of each vertex's own scorer bit for bit, on
+    # the delta route and on the full re-evaluation of every move
+    redone = _force_full_moves(monkeypatch) if route == "full" else []
+    g, xs = _mixed_graph()
+    kinds = [MoveScorer(LocalEvaluator(g, x).balls, [1]) for x in xs]
+    assert any(len(s.tri_y) for s in kinds) and any(len(s.shared_y) for s in kinds)
+    assert any(not len(s.tri_y) and not len(s.shared_y) for s in kinds)
+    rng = np.random.default_rng(11)
+    counts = [3, 1, 2, 3, 2, 1] + [2] * (len(xs) - 6)
+    rows = [0.9 * np.exp(rng.uniform(-2.0, 0.0, size=(c, d))) for c, d in
+            zip(counts, Balls(g, xs).degree)]
+    scorer = MoveScorer(Balls(g, xs), counts)
+    current = np.concatenate([r.ravel() for r in rows])
+    values = np.stack([current * 1.3, current / 1.7])
+    together = scorer.ratios(current, 2.0), *scorer.moves(current, values, 2.0)
+    cuts, at = np.cumsum(counts)[:-1], np.cumsum(scorer.counts * scorer.degrees)[:-1]
+    for i, x in enumerate(xs):
+        alone = MoveScorer(LocalEvaluator(g, x).balls, [counts[i]])
+        flat = rows[i].ravel()
+        mine = np.split(values, at, axis=1)[i]
+        assert np.array_equal(alone.ratios(flat, 2.0), np.split(together[0], cuts)[i])
+        for a, b in zip(alone.moves(flat, mine, 2.0), together[1:]):
+            part = np.split(b, cuts)[i] if b.ndim == 1 else np.split(b, at, axis=1)[i]
+            assert np.array_equal(a, part)
+    if route == "full":
+        assert redone
+
+
 def test_descend_returns_full_values_not_above_the_starts(corpus_small):
     rng = np.random.default_rng(5)
-    batches = [
-        [(g, x) for x in range(0, g.vertex_count, 3)] for g in corpus_small[::3]
-    ] + [_mixed_width_batch()]
-    for batch in batches:
-        evs = [LocalEvaluator(g, x) for g, x in batch]
+    batches = [(g, range(0, g.vertex_count, 3)) for g in corpus_small[::3]] + [_mixed_graph()]
+    for g, xs in batches:
+        evs = [LocalEvaluator(g, x) for x in xs]
         starts = [_move_rows(ev, rng)[[0, 1, 2, 4, 5, 6, 7]] for ev in evs]   # Df(x) < 0
         refined = _descend(evs, starts, 2.0)
         assert len(refined) == len(evs)
@@ -578,7 +621,7 @@ def test_chunked_ratios_equal_one_call_on_a_wide_vertex(monkeypatch):
     monkeypatch.setattr(cde_mod, "_RATIO_CHUNK", len(sampled) * len(ev.pair_y))
     assert np.array_equal(blocks[0], _batch_ratios(ev, full, 2.0))
     assert np.array_equal(blocks[1], _reduced_ratios(ev, sampled, 2.0))
-    assert np.array_equal(blocks[1], MoveScorer([ev], [len(sampled)]).ratios(sampled.ravel(), 2.0))
+    assert np.array_equal(blocks[1], MoveScorer(ev.balls, [len(sampled)]).ratios(sampled.ravel(), 2.0))
 
 
 def _trigger_cases():

@@ -110,6 +110,12 @@ def test_from_edges_rejects_bad_ids_and_counts():
         Graph.from_edges([(0, -1)])
     with pytest.raises(GraphError, match="at least one edge"):
         Graph.from_edges([])
+    # ids are integers, not numbers that int() would truncate or parse
+    with pytest.raises(GraphError, match=r"integers, got edge \(0\.5, 1\.7\)"):
+        Graph.from_edges([(0.5, 1.7), (1, 2), (2, 0)])
+    with pytest.raises(GraphError, match=r"integers, got edge \('0', '1'\)"):
+        Graph.from_edges([("0", "1")])
+    assert Graph.from_edges(np.array([(0, 1), (1, 2)])).edges == [(0, 1), (1, 2)]
 
 
 def test_from_edges_relabels_in_id_order_and_isolates_no_vertex():
