@@ -16,7 +16,8 @@ localforms.GRADIENT_FLOOR, where G(f)(x) is too small to re-verify the
 ratio definitionally): seeded random sampling of t (every draw is mapped
 to a feasible function, so none is rejected), pattern-search refinement
 of the best candidates, plus a structured scan of the family
-f(z) = f(y)^2 over the whole 2-ball. A refinement move changes one
+f(z) = f(y)^2 over the whole 2-ball, whose full rows are scored by
+localforms.LocalEvaluator.ratios. A refinement move changes one
 sphere-1 value, so it is scored by delta in O(1) on a girth-5 ball
 (localforms.MoveScorer) rather than by re-evaluating a whole row.
 Sampling and the scans run per vertex; the refinement runs over the
@@ -25,7 +26,8 @@ per batch of rows of mixed widths, scored over one ``graph.Balls`` of the
 batch's vertices as the CD batches are, so its numpy call count does not
 grow with the number of vertices. The result is an upper bound on the true
 pointwise infimum; "no violation found" is the acceptance outcome, a
-found violation is re-verified definitionally before being reported; the
+found violation is re-verified definitionally (``cde_ratio``, which reads
+none of the closed local formulas) before being reported; the
 witness is the best candidate with sphere 2 filled by f(z)*, built at
 full length on first read.
 
@@ -46,9 +48,9 @@ import numpy as np
 
 from .cd import _check_dimension
 from .graph import Balls, Graph, _BallWitness, batches, check_function, _check_vertex
-from .localforms import LocalEvaluator, MoveScorer, _ratio
+from .localforms import LocalEvaluator, MoveScorer
 from .operators import (
-    NonpositiveValueError, _require_positive_two_ball, gamma2, gamma_f_ratio, gamma_local, laplacian
+    NonpositiveValueError, _require_positive_two_ball, gamma, gamma2, gamma_f_ratio, laplacian
 )
 from .rng import counter_uniforms, derive_stream
 
@@ -100,7 +102,8 @@ def cde_ratio(g: Graph, x: int, n: float, f) -> float:
     """(G_2(f) - G(f, G(f)/f) - (1/n)(Df)^2)(x) / G(f)(x).
 
     Feasibility: f > 0 on the 2-ball of x, Df(x) < 0, G(f)(x) > 0.
-    Computed from the scalar operator primitives.
+    Computed from the definitional operators alone, none of the closed
+    local formulas the search scores candidates with.
     """
     n = _check_dimension(n)
     vals = check_function(g, f)
@@ -111,7 +114,7 @@ def cde_ratio(g: Graph, x: int, n: float, f) -> float:
     lap = laplacian(g, vals, x)
     if not lap < 0.0:
         raise InfeasibleFunctionError("laplacian_sign", f"Df(x) = {lap} is not < 0")
-    den = gamma_local(g, vals, x)
+    den = gamma(g, vals, vals, x)
     if not den > 0.0:
         raise InfeasibleFunctionError("zero_gradient", "G(f)(x) = 0")
     num = gamma2(g, vals, x) - gamma_f_ratio(g, vals, x) - lap * lap / n
@@ -267,17 +270,13 @@ def _trigger_rows(ratios: np.ndarray) -> list[int]:
 
 
 def _batch_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
-    """Ratio for each strictly positive full row, +inf where G(f)(x) is
-    below the gradient floor (the rule of R, localforms._ratio), scored at
-    f(x) = 1: each row is divided by its centre value (the ratio is
-    scale-invariant; dividing by 1.0 is exact). Blocks of
-    _RATIO_CHUNK rows, fewer (at least one) above _RATIO_PAIRS / 2 pairs;
-    rows are independent, so the blocks change no bit."""
+    """``LocalEvaluator.ratios`` of each strictly positive full row, in
+    blocks of _RATIO_CHUNK rows, fewer (at least one) above _RATIO_PAIRS / 2
+    pairs; rows are independent, so the blocks change no bit."""
     chunk = max(1, _RATIO_CHUNK * _RATIO_PAIRS // max(2 * len(ev.pair_y), _RATIO_PAIRS))
     out = np.empty(len(rows))
     for i in range(0, len(rows), chunk):
-        block = rows[i : i + chunk] / rows[i : i + chunk, :1]
-        out[i : i + chunk] = _ratio(ev.cde_numerator(block, n), ev.gamma(block))
+        out[i : i + chunk] = ev.ratios(rows[i : i + chunk], n)
     return out
 
 

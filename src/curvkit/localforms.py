@@ -6,11 +6,12 @@ evaluated with numpy. The closed local G_2 formula is stated once: its
 per-pair summand in ``_pair_form``, the CD form's entries in
 ``cd_entries`` (the cd module scatters them, for one ball or many at
 once); ``operators.gamma_local`` and ``operators.gamma2_local`` are
-one-row calls into this module. Both CDE evaluations, of full rows
-(``LocalEvaluator.cde_numerator``) and of the reduced ratio R
-(``MoveScorer``), sum the per-pair summand psi_w below. The definitional
-implementations in the operators module are the independent route;
-tests cross-check the two.
+one-row calls into this module. Both CDE evaluations, the ratio of full
+rows (``LocalEvaluator.ratios``) and the reduced ratio R of sphere-1 rows
+(``MoveScorer.ratios``), sum the per-pair summand psi_w below. The
+definitional implementations in the operators module are the independent
+route, and the only one the re-checks of a reported violation read
+(``cd.cd_check``, ``cde.cde_ratio``); tests cross-check the two.
 
 Batch layout: rows are candidate functions, columns are the ball columns
 of ``graph.Balls``: [center, sphere1..., sphere2...].
@@ -95,13 +96,17 @@ class LocalEvaluator:
         acc = _pair_form(dyz, dxz, self.pair_w).sum(axis=1)
         return 0.5 * lap * lap + acc
 
-    def cde_numerator(self, rows: np.ndarray, n: float) -> np.ndarray:
-        """G_2(f) - G(f, G(f)/f) - (1/n)(Df)^2 at the center, for strictly
-        positive rows with f(x) = 1: the psi_w sum over the pairs plus the
-        Df(x) terms (see the module docstring)."""
-        t, fz = rows[:, self.pair_y], rows[:, self.pair_z]
+    def ratios(self, rows: np.ndarray, n: float) -> np.ndarray:
+        """The CDE ratio of each strictly positive full row, +inf where
+        G(f)(x) is below the gradient floor (the rule of R), scored at
+        f(x) = 1: each row is divided by its centre value (the ratio is
+        scale-invariant; dividing by 1.0 is exact), its numerator is the
+        psi_w sum over the pairs plus the Df(x) terms (see the module
+        docstring)."""
+        rows = rows / rows[:, :1]
+        t, fz, gx = rows[:, self.pair_y], rows[:, self.pair_z], self.gamma(rows)
         terms = _reduced_pair(t, fz - t, fz - 1.0, self.pair_w).sum(axis=1)
-        return _numerator(terms, self.laplacian(rows), self.gamma(rows), n)
+        return _ratio(_numerator(terms, self.laplacian(rows), gx, n), gx)
 
     def fill(self, t: np.ndarray) -> np.ndarray:
         """Rows with f(x) = 1, sphere 1 from the rows of t and each

@@ -31,21 +31,14 @@ def girth_json(value: float) -> int | str:
 
 
 def record_to_dict(record: VertexReport) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "vertex": record.vertex,
-        "girth": girth_json(record.girth),
-        "cd_bound": record.cd_bound,
-        "cd_computed": record.cd_computed,
-        "cd_margin": record.cd_margin,
-        "cde_bound": record.cde_bound,
-        "cde_sampled_min": record.cde_sampled_min,
-        "cde_margin": record.cde_margin,
-        "verdict": record.verdict,
-        "seed": record.seed,
-        "dim": DIM,
-    }
-    if record.witness is not None:
-        out["witness"] = record.witness.values.tolist()
+    """The record's fields in declaration order, girth through ``girth_json``,
+    then ``dim``; ``witness`` (its values) only on a fail."""
+    out = vars(record).copy()
+    witness = out.pop("witness")
+    out["girth"] = girth_json(record.girth)
+    out["dim"] = DIM
+    if witness is not None:
+        out["witness"] = witness.values.tolist()
     return out
 
 

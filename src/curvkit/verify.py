@@ -16,12 +16,16 @@ tight.
 
 The paper states both bounds at dimension n = 2, and both are checked
 there only: both curvatures only grow with n, so a larger n is implied.
+``cd_witness_value`` scores, with the definitional operators, the paper's
+construction that attains the CD bound.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+
+import numpy as np
 
 # cd_curvature and cde_estimate are no longer called here, but stay
 # importable under this module's name, which perfbench/tracer.py wraps:
@@ -31,6 +35,7 @@ from .cd import cd_check, cd_curvature, cd_curvatures  # noqa: F401
 from .cde import cde_check, cde_estimate, cde_estimates  # noqa: F401
 from .girth import GirthValue, all_vertex_girths, vertex_girth
 from .graph import Graph, VertexFunction, _check_vertex
+from .operators import gamma, gamma2, laplacian
 
 MARGIN_TOL = 1e-8
 GIRTH_GATE = 5   # the bounds' hypothesis: no cycle shorter than 5 through x
@@ -83,15 +88,13 @@ def cd_bound_girth5(g: Graph, x: int) -> float:
 
 
 def cd_witness_value(g: Graph, x: int, i: int) -> float:
-    """Per-neighbor block value of the extremal construction.
+    """The CD ratio (G_2(f) - (1/n)(Df)^2)(x) / G(f)(x) at n = DIM of the
+    paper's extremal construction at the i-th neighbor y_i of x: f(x) = 0,
+    f(y_i) = 1, f = 2 on the other neighbors of y_i and 0 elsewhere.
 
-    With f(x) = 0, f(y_i) = 1, f = 2 on the other neighbors of y_i and 0
-    elsewhere, returns
-
-        (1/k_i) * sum_{z ~ y_i} [ (f(z) - f(y_i))^2 - f(z)^2 / 2 ]
-
-    which equals -(k_i - 2)/k_i exactly when the girth at x is >= 5 (the
-    distance-2 assignment f(z) = 2 f(y_i) minimizes the block).
+    Evaluated with the definitional operators. It equals -(k_i - 2)/k_i,
+    the CD bound's term of y_i, k_i = d_{y_i}, when the girth at x is >= 5
+    (the distance-2 assignment f(z) = 2 f(y_i) minimizes the form).
     """
     _check_vertex(g, x)
     if vertex_girth(g, x) < GIRTH_GATE:
@@ -100,35 +103,11 @@ def cd_witness_value(g: Graph, x: int, i: int) -> float:
     if not 0 <= i < len(nbrs):
         raise ValueError(f"neighbor index {i} out of range 0..{len(nbrs) - 1}")
     y = nbrs[i]
-    k = g.degree(y)
-    f = {v: 0.0 for v in (x,) + g.adjacency[y]}
-    f[y] = 1.0
-    for z in g.adjacency[y]:
-        if z != x:
-            f[z] = 2.0
-    acc = 0.0
-    for z in g.adjacency[y]:
-        diff = f[z] - f[y]
-        acc += diff * diff - 0.5 * f[z] * f[z]
-    return acc / k
-
-
-def _run_cd(g: Graph, samples: int, seed: int):
-    for result in cd_curvatures(g, range(g.vertex_count), DIM):
-        bound = cd_bound_girth5(g, result.vertex)
-        yield bound, result.curvature_K, result
-
-
-def _run_cde(g: Graph, samples: int, seed: int):
-    for estimate in cde_estimates(g, range(g.vertex_count), DIM, samples, seed):
-        bound = -g.degree(estimate.vertex) / 2.0 - 1.0
-        yield bound, estimate.sampled_min, estimate
-
-
-# (name, yields (bound, value, result) per vertex in order, re-verifies the
-# result's function); that function is built only where the margin is
-# negative
-_THEOREMS = (("cd", _run_cd, cd_check), ("cde", _run_cde, cde_check))
+    f = np.zeros(g.vertex_count)
+    f[list(g.adjacency[y])] = 2.0
+    f[x], f[y] = 0.0, 1.0
+    lap = laplacian(g, f, x)
+    return float((gamma2(g, f, x) - lap * lap / DIM) / gamma(g, f, f, x))
 
 
 def verify_theorems(
@@ -140,58 +119,42 @@ def verify_theorems(
     """Verify the selected bound(s) at every vertex of g, at n = DIM."""
     if theorem not in ("cd", "cde", "both"):
         raise ValueError(f"theorem must be cd, cde or both, got {theorem!r}")
-    selected = ("cd", "cde") if theorem == "both" else (theorem,)
     girths = all_vertex_girths(g)
-    computed = {
-        name: compute(g, samples, seed)
-        for name, compute, _ in _THEOREMS
-        if name in selected
-    }
+    vertices = range(g.vertex_count)
+    # name -> (yields (bound, value, result) per vertex in order, re-verifies
+    # the result's function); that function is built only where the margin
+    # is negative
+    runs = {}
+    if theorem != "cde":
+        cd = cd_curvatures(g, vertices, DIM)
+        runs["cd"] = ((cd_bound_girth5(g, r.vertex), r.curvature_K, r) for r in cd), cd_check
+    if theorem != "cd":
+        cde = cde_estimates(g, vertices, DIM, samples, seed)
+        runs["cde"] = ((-g.degree(e.vertex) / 2.0 - 1.0, e.sampled_min, e) for e in cde), cde_check
 
     records = []
     for x, girth_here in enumerate(girths):
         gate = girth_here >= GIRTH_GATE
 
         # name -> (bound, computed value, margin); all None when not run
-        results = {}
+        results = {"cd": (None,) * 3, "cde": (None,) * 3}
         witness: VertexFunction | None = None
-        for name, _, check in _THEOREMS:
-            if name not in selected:
-                results[name] = (None, None, None)
-                continue
-            bound, value, result = next(computed[name])
+        for name, (computed, check) in runs.items():
+            bound, value, result = next(computed)
             margin = value - bound
             if gate and margin < -MARGIN_TOL:
                 if not check(g, x, DIM, bound, result.function):
                     witness = result.function
                 else:
-                    logger.warning(
-                        "vertex %d: %s margin %.3e did not re-verify as a violation",
-                        x,
-                        name,
-                        margin,
-                    )
+                    logger.warning("vertex %d: %s margin %.3e did not re-verify as a violation",
+                                   x, name, margin)
             elif gate and margin < 0:
                 logger.info("vertex %d: tight %s margin %.3e", x, name, margin)
             results[name] = (bound, value, margin)
 
         verdict = ("pass" if witness is None else "fail") if gate else "precondition_not_met"
-        cd_bound, cd_computed, cd_margin = results["cd"]
-        cde_bound, cde_sampled, cde_margin = results["cde"]
-        records.append(
-            VertexReport(
-                vertex=x,
-                girth=girth_here,
-                cd_bound=cd_bound,
-                cd_computed=cd_computed,
-                cd_margin=cd_margin,
-                cde_bound=cde_bound,
-                cde_sampled_min=cde_sampled,
-                cde_margin=cde_margin,
-                verdict=verdict,
-                seed=seed if "cde" in selected else None,
-                witness=witness,
-            )
-        )
+        records.append(VertexReport(
+            x, girth_here, *results["cd"], *results["cde"], verdict,
+            seed if "cde" in runs else None, witness,
+        ))
     return CurvatureReport(records=tuple(records))
-

@@ -132,7 +132,7 @@ def test_criterion_06_witness_reproduction(corpus_girth5):
                 k = g.degree(y)
                 if abs(cd_witness_value(g, x, i) - (-(k - 2.0) / k)) > 1e-12:
                     ok = False
-    _announce(6, ok, "per-neighbor witness block equals -(k-2)/k to 1e-12 on the corpus")
+    _announce(6, ok, "CD ratio of the witness construction equals -(k-2)/k to 1e-12 on the corpus")
 
 
 def test_criterion_07_eigen_vs_oracle():

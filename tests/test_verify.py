@@ -3,12 +3,14 @@ import tracemalloc
 from dataclasses import replace
 from math import inf
 
+import numpy as np
 import pytest
 
 import curvkit.verify
 from curvkit import (
     Graph,
     PreconditionFailedError,
+    all_vertex_girths,
     cd_bound_girth5,
     cd_check,
     cd_curvature,
@@ -17,7 +19,10 @@ from curvkit import (
     cde_check,
     cde_estimate,
     cde_estimates,
+    cde_ratio,
     cycle,
+    gamma_local,
+    graph_girth,
     petersen,
     path,
     random_tree,
@@ -42,6 +47,7 @@ def test_witness_value_examples():
     assert cd_witness_value(star(3), 0, 0) == pytest.approx(1.0, abs=1e-15)
     assert cd_witness_value(cycle(6), 0, 0) == pytest.approx(0.0, abs=1e-15)
     assert cd_witness_value(petersen(), 0, 1) == pytest.approx(-1.0 / 3.0, abs=1e-15)
+    assert type(cd_witness_value(petersen(), 0, 1)) is float
 
 
 def test_witness_value_requires_girth5():
@@ -60,6 +66,39 @@ def test_witness_value_formula_on_corpus(corpus_girth5):
                 k = g.degree(y)
                 expected = -(k - 2.0) / k
                 assert abs(cd_witness_value(g, x, i) - expected) <= 1e-12
+
+
+def test_rechecks_and_the_construction_read_no_closed_local_code(corpus_small, monkeypatch):
+    # the re-checks behind a fail and the CD construction are the
+    # definitional route: with the closed local formulas returning nonsense
+    # they return what they return unpatched, at a girth-5 vertex and at a
+    # vertex on a 4-cycle
+    import curvkit.localforms as localforms
+
+    four = next(g for g in corpus_small if graph_girth(g) == 4 and g.vertex_count > 4)
+    x4 = next(x for x, girth in enumerate(all_vertex_girths(four)) if girth == 4)
+    cases = []
+    for g, x in ((petersen(), 0), (four, x4)):
+        cd = cd_curvature(g, x)
+        cases.append((g, x, cd.curvature_K, cd.function, cde_estimate(g, x, samples=200).function))
+
+    def evaluate():
+        out = []
+        for g, x, k, cd_function, cde_function in cases:
+            out.append(cde_ratio(g, x, 2.0, cde_function))
+            out += [cd_check(g, x, 2.0, k + shift, cd_function) for shift in (-1e-3, 1e-3)]
+        return out + [cd_witness_value(petersen(), 0, i) for i in range(3)]
+
+    def nonsense(self, rows):
+        return np.full(len(rows), 12345.0)
+
+    expected = evaluate()
+    monkeypatch.setattr(localforms.LocalEvaluator, "gamma", nonsense)
+    monkeypatch.setattr(localforms.LocalEvaluator, "gamma2", nonsense)
+    monkeypatch.setattr(localforms, "_pair_form", lambda yz, xz, w: 0.0 * yz + 12345.0)
+    assert gamma_local(petersen(), cases[0][4], 0) == 12345.0   # the patch is in force
+    assert evaluate() == expected
+    assert expected[1:3] == [True, False] and expected[4:6] == [True, False]
 
 
 def test_verify_cd_tree_all_pass():

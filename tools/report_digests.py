@@ -1,0 +1,95 @@
+"""Digest the output of a fixed set of curvkit command runs, one line each.
+
+    PYTHONPATH=src python3 tools/report_digests.py
+
+Each line is ``<label> <exit code> <sha256 of stdout + NUL + stderr>``.
+Every run goes in process through ``curvkit.cli.main``, and ``curvkit`` is
+imported from ``PYTHONPATH``, so one copy of this script digests any tree:
+run it once with each tree's ``src/`` and compare the lines, and two trees
+agree exactly where their reports, log lines and exit codes are
+byte-identical. No digests are kept in the repository, because the CD bits
+depend on the numpy and LAPACK build.
+
+The 110 runs:
+
+* the benchmark's workload cases (``perfbench/workloads.py``) at seed 1,
+  each with its own ``verify`` options;
+* ``verify --theorem both --samples 1000 --seed 1`` on every graph of
+  ``girth5_corpus()`` and ``small_mixed_corpus()`` (``tests/conftest.py``);
+* ``curvature-cde --samples 1000 --seed 1`` on every graph of
+  ``small_mixed_corpus()``;
+* ``verify --theorem cd -v`` on the README's generated ``g.edges``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+from curvkit import cli, serialize_edge_list
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(path: Path):
+    """The module at path, imported under its file name."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = sys.modules[path.stem] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and digest of one command run in process; each run shows
+    its warnings afresh, as a new interpreter would."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        code = cli.main(argv)
+    data = out.getvalue().encode() + b"\0" + err.getvalue().encode()
+    return code, hashlib.sha256(data).hexdigest()
+
+
+def runs():
+    """(label, command line) of every run, its edge-list file written to the
+    working directory first."""
+    workloads = _load(ROOT / "perfbench" / "workloads.py")
+    corpora = _load(ROOT / "tests" / "conftest.py")
+
+    def written(name: str, graph) -> str:
+        Path(name).write_text(serialize_edge_list(graph))
+        return name
+
+    for cases in workloads.WORKLOADS.values():
+        for case in cases(1):
+            yield case.label, ["verify", written(f"{case.label}.edges", case.graph), *case.options]
+    both = ["--theorem", "both", "--samples", "1000", "--seed", "1"]
+    for i, g in enumerate(corpora.girth5_corpus()):
+        yield f"girth5-{i}", ["verify", written(f"girth5-{i}.edges", g), *both]
+    mixed = [written(f"mixed-{i}.edges", g) for i, g in enumerate(corpora.small_mixed_corpus())]
+    for i, file in enumerate(mixed):
+        yield f"mixed-{i}", ["verify", file, *both]
+    for i, file in enumerate(mixed):
+        yield f"mixed-{i}-cde", ["curvature-cde", file, "--samples", "1000", "--seed", "1"]
+    gen = ["gen", "random-girth", "30", "36", "--min-girth", "5", "--seed", "7", "-o", "g.edges"]
+    if cli.main(gen) != 0:
+        raise SystemExit("could not write the README's g.edges")
+    yield "readme-g", ["verify", "g.edges", "--theorem", "cd", "-v"]
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for label, argv in runs():
+            code, digest = _run(argv)
+            print(label, code, digest, flush=True)
+
+
+if __name__ == "__main__":
+    main()
