@@ -30,8 +30,12 @@ sphere-2/sphere-1 couplings; each sphere-2 vertex then subtracts the
 products of its couplings over its pivot from its ball's Schur complement
 (several parents where the ball has 4-cycles). One stacked eigensolve per
 sphere-1 size finishes the batch. Each eigenvector's sign is fixed so its
-largest-magnitude component is positive. Results are deterministic for a
-given numpy/LAPACK build.
+largest-magnitude component is positive. The batch's results are built
+together: one expression gives every K, and one gather lays out every
+ball's witness, sphere 1 then sphere 2, so each result holds two slices of
+the batch's arrays. The vertex list is checked and the batches are sized
+from the graph's CSR arrays, all vertices at once. Results are
+deterministic for a given numpy/LAPACK build.
 
 The dense route, ``assemble_cd_forms`` with ``schur_minimize``,
 ``schur_minimizer`` and ``smallest_eigenvalue``, lives here only as the
@@ -55,7 +59,7 @@ from itertools import chain
 import numpy as np
 
 from .graph import (
-    Balls, Graph, _BallWitness, _check_vertex, _firsts, _ranges, batches, check_function,
+    Balls, Graph, _BallWitness, _check_vertices, _firsts, _ranges, batches, check_function,
 )
 from .localforms import cd_entries
 from .operators import gamma, gamma2, laplacian
@@ -126,10 +130,12 @@ def cd_curvatures(g: Graph, vertices: Iterable[int], n: float = 2.0) -> Iterator
     """
     n = _check_dimension(n)
     vertices = list(vertices)
-    for x in vertices:
-        _check_vertex(g, x)
-    adj = g.adjacency
-    sized = ((x, len(adj[x]) ** 2 + sum(len(adj[y]) for y in adj[x])) for x in vertices)
+    v = _check_vertices(g, vertices)
+    # each ball's sphere-1 entries plus 2-paths, d_x^2 + the sum of its d_y
+    dx = g.degrees[v]
+    arc, ball = _ranges(g.indptr[v], dx)
+    paths = np.bincount(ball, g.degrees[g.indices[arc]], len(v)).astype(np.intp)
+    sized = zip(vertices, (dx * dx + paths).tolist())
     return chain.from_iterable(_batch(g, xs, n) for xs in batches(sized, _CD_BATCH))
 
 
@@ -169,16 +175,23 @@ def _batch(g: Graph, xs: list[int], n: float) -> Iterator[CdResult]:
     np.add.at(acc, e, m * u[s1_first[slot[at]] + i])
     w_star = -acc / pivot
 
-    for k, x in enumerate(xs):
-        s1 = slice(s1_first[k], s1_first[k] + dx[k])
-        s2 = slice(s2_first[k], s2_first[k] + balls.width[k] - 1 - dx[k])
+    # every ball's sphere 1, then its sphere 2, ball after ball: result k
+    # holds its slice
+    entry, _ = _ranges(
+        np.column_stack((s1_first, len(u) + s2_first)).ravel(),
+        np.column_stack((dx, balls.width - 1 - dx)).ravel(),
+    )
+    ball_vertices = np.concatenate((balls.sphere1, balls.sphere2))[entry]
+    ball_values = np.concatenate((u, w_star))[entry]
+    ends = np.cumsum(balls.width - 1).tolist()
+    for x, curvature, a, b in zip(xs, (2.0 * dx * lam).tolist(), [0] + ends, ends):
         yield CdResult(
             vertex=x,
             dimension_n=n,
-            curvature_K=float(2.0 * dx[k] * lam[k]),
+            curvature_K=curvature,
             vertex_count=g.vertex_count,
-            ball_vertices=np.concatenate((balls.sphere1[s1], balls.sphere2[s2])),
-            ball_values=np.concatenate((u[s1], w_star[s2])),
+            ball_vertices=ball_vertices[a:b],
+            ball_values=ball_values[a:b],
         )
 
 

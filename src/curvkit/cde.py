@@ -47,7 +47,7 @@ from itertools import chain
 import numpy as np
 
 from .cd import _check_dimension
-from .graph import Balls, Graph, _BallWitness, batches, check_function, _check_vertex
+from .graph import Balls, Graph, _BallWitness, batches, check_function, _check_vertices
 from .localforms import LocalEvaluator, MoveScorer
 from .operators import (
     NonpositiveValueError, _require_positive_two_ball, gamma, gamma2, gamma_f_ratio, laplacian
@@ -165,8 +165,7 @@ def cde_estimates(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     vertices = list(vertices)
-    for x in vertices:
-        _check_vertex(g, x)
+    _check_vertices(g, vertices)
     searched = (_search(g, x, n, samples, seed) for x in vertices)
     # a vertex's size is its descent coordinates: starts x d_x
     sized = ((s, s[1].size) for s in searched)

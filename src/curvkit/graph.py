@@ -304,9 +304,7 @@ class Balls:
 
     def __init__(self, g: Graph, centres: Sequence[int]):
         nv = g.vertex_count
-        for x in centres:
-            _check_vertex(g, x)
-        self.centres = np.array(centres, dtype=np.intp)
+        self.centres = _check_vertices(g, centres)
         # per 1-path x ~ y and per 2-path x ~ y ~ z: the ball of x
         dx = g.degrees[self.centres]
         arc, ball1 = _ranges(g.indptr[self.centres], dx)
@@ -377,6 +375,21 @@ def batches(sized: Iterable[tuple], budget: int) -> Iterator[list]:
 def _check_vertex(g: Graph, x: int) -> None:
     if not 0 <= x < g.vertex_count:
         raise ValueError(f"vertex {x} out of range 0..{g.vertex_count - 1}")
+
+
+def _check_vertices(g: Graph, vertices: Sequence[int]) -> np.ndarray:
+    """The vertices as an intp array, checked at once when they are
+    integers; otherwise, or where one is out of range, one by one, so the
+    first that is not an integer (a ``TypeError``) or that ``_check_vertex``
+    refuses raises its error."""
+    v = np.array(vertices)
+    if v.ndim != 1 or v.dtype.kind not in "iu" or (
+        v.size and not (0 <= v.min() and v.max() < g.vertex_count)
+    ):
+        for x in vertices:
+            _check_vertex(g, operator.index(x))
+        return np.array(vertices, dtype=np.intp)
+    return v.astype(np.intp, copy=False)
 
 
 def check_function(g: Graph, f: VertexFunction | Sequence[float]) -> np.ndarray:

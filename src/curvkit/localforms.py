@@ -238,7 +238,7 @@ class MoveScorer:
 
     def ratios(self, flat: np.ndarray, n: float) -> np.ndarray:
         """R of each row of flat (strictly positive)."""
-        _, terms, _ = self._terms(flat)
+        _, _, terms = self._terms(flat)
         lap, gx = self._gradients(flat)
         return _ratio(_numerator(terms, lap, gx, n), gx)
 
@@ -256,8 +256,12 @@ class MoveScorer:
         unless G(f)(x) is below the floor.
         """
         row, degree = self.row_of, self.row_degree[self.row_of]
-        own, terms0, size = self._terms(flat)
+        own, coupling, terms0 = self._terms(flat)
         lap0, gx0 = self._gradients(flat)
+        # the scale of a delta's rounding error: the row's terms and G(f)(x)
+        size = np.add.reduceat(np.abs(own), self.first)
+        for at, value in coupling:
+            size += np.bincount(at, np.abs(value), len(size))
         size += gx0
 
         terms = terms0[row] + (_own_terms(values, self.w, self.single) - own)
@@ -284,16 +288,14 @@ class MoveScorer:
         return ratio, lap, _ratio(_numerator(terms0, lap0, gx0, n), gx0)
 
     def _terms(self, t: np.ndarray):
-        """(own terms, the numerator of each row but for its Df(x) terms,
-        and the sum of their absolute values, the scale of a delta's
-        rounding error)."""
+        """(own terms, coupling terms as ``_coupling`` yields them, and the
+        numerator of each row but for its Df(x) terms, their sum)."""
         own = _own_terms(t, self.w, self.single)
+        coupling = list(self._coupling(t))
         terms = np.add.reduceat(own, self.first)
-        size = np.add.reduceat(np.abs(own), self.first)
-        for at, coupling in self._coupling(t):
-            terms += np.bincount(at, coupling, len(terms))
-            size += np.bincount(at, np.abs(coupling), len(terms))
-        return own, terms, size
+        for at, value in coupling:
+            terms += np.bincount(at, value, len(terms))
+        return own, coupling, terms
 
     def _gradients(self, t: np.ndarray):
         """Df(x) and G(f)(x) of each row, at f(x) = 1."""

@@ -113,7 +113,8 @@ def cd_bound_raised_at_vertex_3(monkeypatch):
     curvature meets the bound, a violation that re-verifies."""
     import curvkit.verify
 
-    bound = curvkit.verify.cd_bound_girth5
+    bounds = curvkit.verify._cd_bounds
     monkeypatch.setattr(
-        curvkit.verify, "cd_bound_girth5", lambda g, x: bound(g, x) + (0.5 if x == 3 else 0.0)
+        curvkit.verify, "_cd_bounds",
+        lambda g: [b + (0.5 if x == 3 else 0.0) for x, b in enumerate(bounds(g))],
     )

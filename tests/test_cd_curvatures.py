@@ -100,10 +100,26 @@ def test_results_do_not_depend_on_the_batching(monkeypatch, corpus_small):
 
 def test_curvatures_check_arguments_before_the_first_result():
     g = petersen()
+    # the first bad vertex is named, wherever it stands; nothing is yielded
+    for vertices, bad in (
+        ([10, 0, 1], 10), ([0, 10, 1, -1], 10), ([0, 1, 2, 11], 11), ([3, -1, 4], -1),
+        ([np.int64(2), np.int64(12)], 12), (np.array([1, 2, 10**9]), 10**9),
+        ([0, 10**30], 10**30),
+    ):
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range 0\.\.9$"):
+            cd_curvatures(g, vertices, 2.0)
     with pytest.raises(ValueError):
         cd_curvatures(g, [0, 10], 2.0)
+    with pytest.raises(TypeError):   # not truncated to vertex 1
+        cd_curvatures(g, [0, 1.5], 2.0)
     with pytest.raises(ValueError):
         cd_curvatures(g, [0], 0.0)
+    # numpy integers are vertices, and each result names its vertex as given
+    for vertices in ([np.int64(4), 1], np.arange(3, 6, dtype=np.uint8), np.array([9, 0])):
+        results = list(cd_curvatures(g, vertices, 2.0))
+        assert [r.vertex for r in results] == list(vertices)
+        assert [r.curvature_K for r in results] == [cd_curvature(g, int(x)).curvature_K
+                                                    for x in vertices]
     assert list(cd_curvatures(g, [], 2.0)) == []
     # any order, repeats included
     order = [3, 0, 3, 9]

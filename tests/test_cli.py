@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from math import inf
 from pathlib import Path
 
 import jsonschema
@@ -513,7 +514,17 @@ def test_dumps_layout():
     )
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("nan"), [1.0, -float("inf")]])
+@pytest.mark.parametrize(
+    "value",
+    [
+        float("inf"), float("nan"), [1.0, -float("inf")],
+        # in a record list, a witness, a nested dict and a nested list
+        [{"a": 1.0, "b": float("nan")}, {"a": 2.0, "b": 0.0}],
+        {"records": [{"a": 1.0}, {"a": 1.0, "witness": [0.0, float("inf")]}]},
+        {"k": {"x": -float("inf")}, "l": []},
+        [1.0, [float("nan")]],
+    ],
+)
 def test_dumps_rejects_non_finite_floats(value):
     with pytest.raises(ValueError):
         dumps(value)
@@ -522,6 +533,75 @@ def test_dumps_rejects_non_finite_floats(value):
 def test_dumps_rejects_unknown_types():
     with pytest.raises(TypeError):
         dumps({"f": np.arange(2.0)})
+
+
+def _standard(doc) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _failing_report():
+    """A verify report of the Petersen graph's first four vertices: two
+    failing records, each with its witness, among passing ones."""
+    from curvkit import VertexFunction
+    from curvkit.verify import CurvatureReport, VertexReport
+
+    def record(x, verdict, witness):
+        return VertexReport(
+            vertex=x, girth=inf if x == 2 else 5, cd_bound=-1 / 3, cd_computed=0.1 + 0.2,
+            cd_margin=-0.0, cde_bound=None, cde_sampled_min=None, cde_margin=None,
+            verdict=verdict, seed=None, witness=witness,
+        )
+
+    witness = VertexFunction(np.arange(10) / 7)
+    return CurvatureReport(records=(
+        record(0, "pass", None), record(1, "fail", witness), record(2, "pass", None),
+        record(3, "fail", witness),
+    ))
+
+
+@pytest.mark.parametrize(
+    "argv, failing",
+    [
+        (("girth",), False),
+        (("girth", "--per-vertex"), False),
+        (("curvature-cd",), False),
+        (("curvature-cd", "--vertex", "3"), False),
+        (("curvature-cde", "--samples", "200"), False),
+        (("verify", "--theorem", "cd"), False),
+        (("verify", "--samples", "200"), False),
+        (("verify",), True),
+    ],
+    ids=["girth", "girth-per-vertex", "curvature-cd", "curvature-cd-one", "curvature-cde",
+         "verify-cd", "verify", "verify-witness"],
+)
+def test_reports_are_the_standard_encoders_bytes(capsys, petersen_file, monkeypatch, argv, failing):
+    # every kind of document the CLI writes, byte for byte what
+    # json.dumps(indent=2) writes, witness records included
+    import curvkit.cli as cli_mod
+
+    if failing:
+        monkeypatch.setattr(cli_mod, "verify_theorems", lambda *a, **k: _failing_report())
+    code, out, _ = run(capsys, argv[0], petersen_file, *argv[1:], "--format", "json")
+    assert code == (1 if failing else 0)
+    doc = json.loads(out)
+    assert out == _standard(doc)
+    if failing:
+        assert [r["vertex"] for r in doc["records"] if "witness" in r] == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"a": {}, "b": [[], {}], "c": [{}], "d": [{"x": 1}, {}]},
+        [{"a": 1, "b": "},\n      {"}, {"a": [1, {"b": []}], "c": {"d": None}}, {"e": -0.0}],
+        [{"v": 0, "w": [0.5, 1.0]}, {"v": 1}, {"v": 2, "w": []}],
+        {1: [2], None: {True: 3.5}, 2.5: ({"q": ((1,),)},), "s\u00e9": ["\n"]},
+        [[1, 2], [[3]], {"k": [{"l": [4]}]}],
+        "", [], {}, 0, True, None,
+    ],
+)
+def test_dumps_is_the_standard_encoders_bytes(value):
+    assert dumps(value) == _standard(value)
 
 
 # ---- CSV against JSON -----------------------------------------------------

@@ -323,6 +323,9 @@ def test_local_evaluator_checks_the_vertex():
     for x in (-1, 10):
         with pytest.raises(ValueError, match="out of range"):
             LocalEvaluator(petersen(), x)
+    for x in (1.5, np.float64(2.0)):   # not truncated to an integer vertex
+        with pytest.raises(TypeError):
+            LocalEvaluator(petersen(), x)
 
 
 def test_two_ball_tree_property_iff_girth5(corpus_small):

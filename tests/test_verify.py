@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import curvkit.verify
+from conftest import tree_hub
 from curvkit import (
     Graph,
     PreconditionFailedError,
@@ -41,6 +42,15 @@ def test_cd_bound_examples():
     assert cd_bound_girth5(petersen(), 0) == pytest.approx(-1.0 / 3.0, abs=1e-15)
     # leaf of a star: single neighbor of degree 3
     assert cd_bound_girth5(star(3), 1) == pytest.approx(-1.0 / 3.0, abs=1e-15)
+
+
+def test_verify_cd_bounds_are_cd_bound_girth5(corpus_girth5, corpus_small):
+    # bit for bit: verify reads every bound from one array expression
+    for g in corpus_girth5 + corpus_small + [tree_hub(k) for k in (6, 10, 14, 50, 200)]:
+        bounds = [r.cd_bound for r in verify_theorems(g, "cd").records]
+        expected = [cd_bound_girth5(g, x) for x in range(g.vertex_count)]
+        assert all(type(b) is float for b in bounds)
+        assert np.array(bounds).tobytes() == np.array(expected).tobytes()
 
 
 def test_witness_value_examples():
