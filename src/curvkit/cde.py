@@ -49,9 +49,7 @@ import numpy as np
 from .cd import _check_dimension
 from .graph import Balls, Graph, _BallWitness, batches, check_function, _check_vertices
 from .localforms import LocalEvaluator, MoveScorer
-from .operators import (
-    NonpositiveValueError, _require_positive_two_ball, gamma, gamma2, gamma_f_ratio, laplacian
-)
+from .operators import NonpositiveValueError, gamma, gamma2, gamma_f_ratio, laplacian
 from .rng import counter_uniforms, derive_stream
 
 CDE_CHECK_TOL = 1e-12
@@ -107,8 +105,8 @@ def cde_ratio(g: Graph, x: int, n: float, f) -> float:
     """
     n = _check_dimension(n)
     vals = check_function(g, f)
-    try:
-        _require_positive_two_ball(g, vals, x)
+    try:   # gamma_f_ratio checks that f > 0 on the 2-ball
+        ratio_term = gamma_f_ratio(g, vals, x)
     except NonpositiveValueError as exc:
         raise InfeasibleFunctionError("positivity", f"f({exc.vertex}) = {exc.value}") from None
     lap = laplacian(g, vals, x)
@@ -117,7 +115,7 @@ def cde_ratio(g: Graph, x: int, n: float, f) -> float:
     den = gamma(g, vals, vals, x)
     if not den > 0.0:
         raise InfeasibleFunctionError("zero_gradient", "G(f)(x) = 0")
-    num = gamma2(g, vals, x) - gamma_f_ratio(g, vals, x) - lap * lap / n
+    num = gamma2(g, vals, x) - ratio_term - lap * lap / n
     return num / den
 
 
@@ -164,8 +162,7 @@ def cde_estimates(
     n = _check_dimension(n)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    vertices = list(vertices)
-    _check_vertices(g, vertices)
+    vertices = _check_vertices(g, list(vertices)).tolist()
     searched = (_search(g, x, n, samples, seed) for x in vertices)
     # a vertex's size is its descent coordinates: starts x d_x
     sized = ((s, s[1].size) for s in searched)

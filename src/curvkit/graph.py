@@ -146,12 +146,9 @@ class Graph:
     @property
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges as (u, v) with u < v, ascending."""
-        out = []
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    out.append((u, v))
-        return out
+        u = np.repeat(np.arange(self.vertex_count), self.degrees)
+        upper = u < self.indices
+        return list(zip(u[upper].tolist(), self.indices[upper].tolist()))
 
     @property
     def edge_count(self) -> int:
@@ -230,6 +227,7 @@ class VertexFunction:
 
     @classmethod
     def indicator(cls, g: Graph, vertex: int) -> "VertexFunction":
+        _check_vertex(g, vertex)
         vals = np.zeros(g.vertex_count)
         vals[vertex] = 1.0
         return cls(vals)
@@ -373,21 +371,23 @@ def batches(sized: Iterable[tuple], budget: int) -> Iterator[list]:
 
 
 def _check_vertex(g: Graph, x: int) -> None:
-    if not 0 <= x < g.vertex_count:
+    """The vertex rule: x is an integer, Python's or numpy's (else a
+    ``TypeError``; int() would truncate 1.5), in 0..n-1 (else a
+    ``ValueError``)."""
+    if not 0 <= operator.index(x) < g.vertex_count:
         raise ValueError(f"vertex {x} out of range 0..{g.vertex_count - 1}")
 
 
 def _check_vertices(g: Graph, vertices: Sequence[int]) -> np.ndarray:
     """The vertices as an intp array, checked at once when they are
-    integers; otherwise, or where one is out of range, one by one, so the
-    first that is not an integer (a ``TypeError``) or that ``_check_vertex``
-    refuses raises its error."""
+    integers in range; otherwise one by one, so the first that
+    ``_check_vertex`` refuses raises its error."""
     v = np.array(vertices)
     if v.ndim != 1 or v.dtype.kind not in "iu" or (
         v.size and not (0 <= v.min() and v.max() < g.vertex_count)
     ):
         for x in vertices:
-            _check_vertex(g, operator.index(x))
+            _check_vertex(g, x)
         return np.array(vertices, dtype=np.intp)
     return v.astype(np.intp, copy=False)
 

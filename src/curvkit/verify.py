@@ -102,7 +102,6 @@ def cd_witness_value(g: Graph, x: int, i: int) -> float:
     the CD bound's term of y_i, k_i = d_{y_i}, when the girth at x is >= 5
     (the distance-2 assignment f(z) = 2 f(y_i) minimizes the form).
     """
-    _check_vertex(g, x)
     if vertex_girth(g, x) < GIRTH_GATE:
         raise PreconditionFailedError(f"girth at vertex {x} is below {GIRTH_GATE}")
     nbrs = g.adjacency[x]

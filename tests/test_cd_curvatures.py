@@ -83,6 +83,24 @@ def test_curvatures_match_the_girth5_closed_form(corpus_girth5, n):
                 assert abs(r.curvature_K - cd_bound_girth5(g, r.vertex)) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 3.5, math.inf])
+def test_gated_curvature_is_the_smallest_eigenvalue_of_diag_plus_rank_one(corpus_girth5, n):
+    # at girth >= 5 the 2-ball is a tree and 2 d_x S = diag(a) + c J, with
+    # a_i = (2 - d_i)/d_i over the neighbour degrees and c = (1 - 2/n)/d_x
+    # (README, "The bounds the verify command checks")
+    for g in corpus_girth5 + [tree_hub(k) for k in (6, 10, 14, 200)]:
+        girths = all_vertex_girths(g)
+        xs = [x for x in range(g.vertex_count) if girths[x] >= 5]
+        for r in cd_curvatures(g, xs, n):
+            dy = g.degrees[list(g.adjacency[r.vertex])]
+            a = (2.0 - dy) / dy
+            c = (1.0 - 2.0 / n) / len(dy)
+            want = np.linalg.eigvalsh(np.diag(a) + c)[0]
+            assert abs(r.curvature_K - want) <= 1e-13 * max(abs(want), 1.0)
+            if n == 2.0:   # c = 0: the paper's bound, attained
+                assert abs(r.curvature_K - a.min()) <= 1e-14
+
+
 def test_results_do_not_depend_on_the_batching(monkeypatch, corpus_small):
     graphs = corpus_small[::3] + [tree_hub(14), random_with_girth(60, 90, 5, 4)]
     alone = {}

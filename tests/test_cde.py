@@ -8,6 +8,7 @@ from curvkit import (
     Graph,
     InfeasibleFunctionError,
     VertexFunction,
+    all_vertex_girths,
     approx_equal,
     cde_check,
     cde_estimate,
@@ -178,6 +179,22 @@ def test_structured_family_satisfies_bound_on_girth5(corpus_girth5):
                 for z in s2:
                     vals[z] = t * t
                 assert cde_check(g, x, 2.0, bound, vals)
+
+
+def test_gated_minima_keep_the_sharper_bound(corpus_girth5):
+    # at girth >= 5 the CDE ratio is argued to stay at or above
+    # -max(d_x/2, 1) for n >= 2, 1 above the paper's bound -d_x/2 - 1
+    # (ROADMAP, the girth-5 CDE bound in closed form); no search can cross it
+    for g in corpus_girth5 + [tree_hub(k) for k in (6, 10, 14, 100)]:
+        girths = all_vertex_girths(g)
+        xs = [x for x in range(g.vertex_count) if girths[x] >= 5]
+        for e in cde_estimates(g, xs, 2.0, 2000, 0):
+            bound = -max(g.degree(e.vertex) / 2.0, 1.0)
+            assert e.sampled_min >= bound - 1e-9, (
+                f"vertex {e.vertex}: CDE minimum {e.sampled_min!r} is below "
+                f"-max(d_x/2, 1) = {bound}: a defect in the code or in the "
+                "argument for the sharper bound"
+            )
 
 
 def test_estimate_deterministic(petersen_graph):

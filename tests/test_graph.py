@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import girth5_corpus, small_mixed_corpus, tree_hub
+from conftest import girth5_corpus, operator_corpus, small_mixed_corpus, tree_hub
 from curvkit import (
     DisconnectedError,
     EdgeListParseError,
@@ -11,10 +11,23 @@ from curvkit import (
     GraphError,
     SelfLoopError,
     VertexFunction,
+    assemble_cd_forms,
+    cd_bound_girth5,
+    cd_check,
     cd_curvature,
+    cd_witness_value,
+    cde_estimate,
+    cde_ratio,
     complete,
     cycle,
+    gamma,
+    gamma2,
+    gamma2_local,
+    gamma_f_ratio,
+    gamma_iterate,
+    gamma_local,
     graph_girth,
+    laplacian,
     parse_edge_list,
     path,
     petersen,
@@ -195,6 +208,15 @@ def test_graph_keeps_its_csr_arrays_read_only():
                 array[0] = array[0]
 
 
+def test_edges_are_the_adjacency_walk():
+    graphs = small_mixed_corpus() + girth5_corpus() + [g for g, _ in operator_corpus()]
+    for g in graphs:
+        walked = [(u, v) for u, row in enumerate(g.adjacency) for v in row if u < v]
+        edges = g.edges
+        assert edges == walked and len(edges) == g.edge_count
+        assert all(type(u) is int and type(v) is int for u, v in edges)
+
+
 def test_ranges_match_a_loop():
     rng = np.random.default_rng(24)
     for size in (0, 1, 2, 7, 50):
@@ -319,13 +341,53 @@ def test_balls_match_the_walked_two_ball():
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_local_evaluator_checks_the_vertex():
-    for x in (-1, 10):
-        with pytest.raises(ValueError, match="out of range"):
-            LocalEvaluator(petersen(), x)
-    for x in (1.5, np.float64(2.0)):   # not truncated to an integer vertex
+# positive, and largest at vertex 3 of the Petersen graph: feasible there
+# for the CDE ratio (Df(3) < 0, G(f)(3) > 0)
+_F = np.linspace(0.5, 1.5, 10)
+_F[3] = 2.0
+
+# every public entry point that takes a vertex, as a function of (graph,
+# vertex) that returns what it computes, as arrays of values
+VERTEX_ENTRY_POINTS = {
+    "vertex_girth": vertex_girth,
+    "cd_bound_girth5": cd_bound_girth5,
+    "cd_witness_value": lambda g, x: cd_witness_value(g, x, 1),
+    "laplacian": lambda g, x: laplacian(g, _F, x),
+    "gamma": lambda g, x: gamma(g, _F, _F[::-1], x),
+    "gamma2": lambda g, x: gamma2(g, _F, x),
+    "gamma_iterate": lambda g, x: gamma_iterate(g, _F, _F[::-1], x, 3),
+    "gamma_f_ratio": lambda g, x: gamma_f_ratio(g, _F, x),
+    "gamma_local": lambda g, x: gamma_local(g, _F, x),
+    "gamma2_local": lambda g, x: gamma2_local(g, _F, x),
+    "cd_check": lambda g, x: cd_check(g, x, 2.0, -1.0, _F),
+    "cde_ratio": lambda g, x: cde_ratio(g, x, 2.0, _F),
+    "cd_curvature": lambda g, x: ((r := cd_curvature(g, x, 3.5)).curvature_K, r.function.values),
+    "cde_estimate": lambda g, x: (
+        (e := cde_estimate(g, x, 2.0, 50, 1)).sampled_min, e.function.values),
+    "assemble_cd_forms": lambda g, x: assemble_cd_forms(g, x, 2.0),
+    "LocalEvaluator": lambda g, x: (
+        (ev := LocalEvaluator(g, x)).vertices, ev.ratios(_F[ev.vertices][None], 2.0)),
+    "VertexFunction.indicator": lambda g, x: VertexFunction.indicator(g, x).values,
+}
+
+
+@pytest.mark.parametrize("name", VERTEX_ENTRY_POINTS)
+def test_every_vertex_entry_point_checks_the_vertex(name):
+    # one rule: an integer (Python's or numpy's) in 0..n-1; anything else
+    # is refused, never truncated or wrapped around to another vertex
+    entry, g = VERTEX_ENTRY_POINTS[name], petersen()
+    for x in (1.5, np.float64(2.0)):
         with pytest.raises(TypeError):
-            LocalEvaluator(petersen(), x)
+            entry(g, x)
+    for x in (-1, g.vertex_count):
+        with pytest.raises(ValueError, match=rf"^vertex {x} out of range 0\.\.9$"):
+            entry(g, x)
+    want = entry(g, 3)
+    for x in (np.int64(3), np.uint8(3)):
+        got = entry(g, x)
+        assert type(got) is type(want)
+        pairs = zip(got, want, strict=True) if isinstance(want, tuple) else [(got, want)]
+        assert all(np.array_equal(a, b) for a, b in pairs)
 
 
 def test_two_ball_tree_property_iff_girth5(corpus_small):
