@@ -24,12 +24,12 @@ Sampling and the scans run per vertex; the refinement runs over the
 candidates of many consecutive vertices at once, in one lockstep descent
 per batch of rows of mixed widths, scored over one ``graph.Balls`` of the
 batch's vertices as the CD batches are, so its numpy call count does not
-grow with the number of vertices. The result is an upper bound on the true
-pointwise infimum; "no violation found" is the acceptance outcome, a
-found violation is re-verified definitionally (``cde_ratio``, which reads
-none of the closed local formulas) before being reported; the
-witness is the best candidate with sphere 2 filled by f(z)*, built at
-full length on first read.
+grow with the number of vertices; candidates that stop leave the rows it
+scores. The result is an upper bound on the true pointwise infimum; "no
+violation found" is the acceptance outcome, a found violation is
+re-verified definitionally (``cde_ratio``, which reads none of the closed
+local formulas) before being reported; the witness is the best candidate
+with sphere 2 filled by f(z)*, built at full length on first read.
 
 Sampling is driven by counter-mode SplitMix64 (see rng.py): sample i is a
 pure function of (seed, vertex, i), so estimates are deterministic,
@@ -47,7 +47,7 @@ from itertools import chain
 import numpy as np
 
 from .cd import _check_dimension
-from .graph import Balls, Graph, _BallWitness, batches, check_function, _check_vertices
+from .graph import Balls, Graph, _BallWitness, _ranges, batches, check_function, _check_vertices
 from .localforms import LocalEvaluator, MoveScorer
 from .operators import NonpositiveValueError, gamma, gamma2, gamma_f_ratio, laplacian
 from .rng import counter_uniforms, derive_stream
@@ -278,16 +278,15 @@ def _batch_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
 
 def _reduced_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
     """R of each sphere-1 row, over blocks of _RATIO_CHUNK rows, fewer (at
-    least one) above _RATIO_PAIRS values; rows are independent, so the
-    blocks change no bit."""
-    chunk = max(1, _RATIO_CHUNK * _RATIO_PAIRS // max(ev.degree, _RATIO_PAIRS))
+    least one) above _RATIO_PAIRS values, all scored by one scorer: a short
+    last block is the last full-length window, its first rows scored again.
+    Rows are independent, so the blocks change no bit."""
+    chunk = min(len(rows), max(1, _RATIO_CHUNK * _RATIO_PAIRS // max(ev.degree, _RATIO_PAIRS)))
     out = np.empty(len(rows))
-    scorer = None
-    for i in range(0, len(rows), chunk):
-        block = rows[i : i + chunk]
-        if scorer is None or len(scorer.first) != len(block):   # the last block may be short
-            scorer = MoveScorer(ev.balls, [len(block)])
-        out[i : i + chunk] = scorer.ratios(np.ravel(block), n)
+    scorer = MoveScorer(ev.balls, [chunk])
+    for i in range(0, len(rows), max(chunk, 1)):
+        i = min(i, len(rows) - chunk)
+        out[i : i + chunk] = scorer.ratios(np.ravel(rows[i : i + chunk]), n)
     return out
 
 
@@ -354,35 +353,56 @@ def _descend(
     over the ragged rows of all vertices at once, O(1) each on a girth-5
     ball (see ``localforms.MoveScorer``), so a sweep costs a handful of
     numpy calls whatever the number of vertices. A candidate whose step
-    fell below the floor is still scored with the rest (few stop within
-    the sweep cap) but no longer moves. Returns (values, rows) per vertex,
-    the values being R of the rows, so they never exceed those of the
-    starts. Deterministic; a candidate's path depends only on its own
-    start.
+    fell below the floor no longer moves; once the live candidates are at
+    most half of the rows scored, later sweeps score the live rows alone,
+    with a scorer of their own on the same ``Balls`` (a row's scores depend
+    only on its own entries, so this changes no bit). Returns (values,
+    rows) per vertex from the scorer of every start, the values being R of
+    the rows, so they never exceed those of the starts. Deterministic; a
+    candidate's path depends only on its own start.
     """
-    scorer = MoveScorer(Balls(evs[0].graph, [ev.center for ev in evs]), [len(s) for s in starts])
-    current = np.concatenate([np.ravel(s) for s in starts]).astype(np.float64)
+    balls = Balls(evs[0].graph, [ev.center for ev in evs])
+    full = scorer = MoveScorer(balls, [len(s) for s in starts])
+    flat = current = np.concatenate([np.ravel(s) for s in starts]).astype(np.float64)
+    entry = np.arange(len(flat))   # where the scored entries lie in flat
     step = np.full(len(scorer.first), 0.5)
     for _ in range(_DESCENT_SWEEPS):
         live = step >= _DESCENT_MIN_STEP
         if not live.any():
             break
-        moved, values, _, _, unmoved = _score_moves(scorer, current, step, n)
-        # slot 2 m + k is the k-th move of coordinate m: per row, column
-        # order, up before down
-        slots = values.T.ravel()
-        seg = 2 * scorer.first
-        best = np.minimum.reduceat(slots, seg)
-        hit = slots == np.repeat(best[scorer.row_of], 2)
-        pick = np.minimum.reduceat(np.where(hit, np.arange(len(slots)), len(slots)), seg)
-        gain = _ACCEPT_TOL * np.maximum(1.0, np.abs(unmoved))
-        gain[np.isinf(gain)] = 0.0   # any finite move improves an infinite ratio
-        improved = live & (best + gain < unmoved)
-        m, k = np.divmod(pick[improved], 2)
-        current[m] = moved[k, m]
-        step[live & ~improved] *= 0.5
-    values = np.split(scorer.ratios(current, n), np.cumsum(scorer.counts)[:-1])
-    return list(zip(values, scorer.split(current)))
+        if 2 * np.count_nonzero(live) <= len(live):   # score the live rows only
+            of = scorer.vertex_of[live]
+            keep, _ = _ranges(scorer.first[live], scorer.degrees[of])
+            flat[entry] = current
+            entry, current, step = entry[keep], current[keep], step[live]
+            scorer = MoveScorer(balls, np.bincount(of, minlength=len(evs)))
+            live = live[live]
+        _sweep(scorer, current, step, live, n)
+    flat[entry] = current
+    values = np.split(full.ratios(flat, n), np.cumsum(full.counts)[:-1])
+    return list(zip(values, full.split(flat)))
+
+
+def _sweep(
+    scorer: MoveScorer, current: np.ndarray, step: np.ndarray, live: np.ndarray, n: float
+) -> None:
+    """One sweep of ``_descend`` over the rows of the scorer: moves the
+    live rows of current that improve and halves the step of the others,
+    in place. Its temporaries are freed before the next sweep scores."""
+    moved, values, _, _, unmoved = _score_moves(scorer, current, step, n)
+    # slot 2 m + k is the k-th move of coordinate m: per row, column
+    # order, up before down
+    slots = values.T.ravel()
+    seg = 2 * scorer.first
+    best = np.minimum.reduceat(slots, seg)
+    hit = slots == np.repeat(best[scorer.row_of], 2)
+    pick = np.minimum.reduceat(np.where(hit, np.arange(len(slots)), len(slots)), seg)
+    gain = _ACCEPT_TOL * np.maximum(1.0, np.abs(unmoved))
+    gain[np.isinf(gain)] = 0.0   # any finite move improves an infinite ratio
+    improved = live & (best + gain < unmoved)
+    m, k = np.divmod(pick[improved], 2)
+    current[m] = moved[k, m]
+    step[live & ~improved] *= 0.5
 
 
 def _score_moves(

@@ -593,6 +593,87 @@ def test_descent_takes_no_move_within_rounding():
         assert np.array_equal(values, _reduced_ratios(ev, converged, 2.0))
 
 
+def _counting_scorers(monkeypatch):
+    """Record the counts of every MoveScorer the cde module builds."""
+    built = []
+
+    class Counting(MoveScorer):
+        def __init__(self, balls, counts):
+            built.append(np.array(counts))
+            super().__init__(balls, counts)
+
+    monkeypatch.setattr(cde_mod, "MoveScorer", Counting)
+    return built
+
+
+def _search_starts(ev, samples):
+    """The descent starts of ``_search`` at ev (seed 0): the sampled rows
+    that enter the running top-10."""
+    sampled = _sampled_rows(ev, derive_stream(0, ev.center), samples)
+    return sampled[_trigger_rows(_reduced_ratios(ev, sampled, 2.0))]
+
+
+def test_descent_scores_fewer_rows_as_candidates_stop(monkeypatch):
+    # stopped candidates leave the scored rows: per descent, the rows
+    # scored per sweep never rise and end below half of the first sweep's
+    g = girth5_corpus()[1]
+    sweeps = []
+    score, descend = cde_mod._score_moves, cde_mod._descend
+
+    def descending(evs, starts, n):
+        sweeps.append([])
+        return descend(evs, starts, n)
+
+    def scoring(scorer, current, step, n):
+        sweeps[-1].append(len(step))
+        return score(scorer, current, step, n)
+
+    monkeypatch.setattr(cde_mod, "_descend", descending)
+    monkeypatch.setattr(cde_mod, "_score_moves", scoring)
+    list(cde_estimates(g, range(g.vertex_count), 2.0, samples=2000, seed=0))
+    assert sweeps
+    for rows in sweeps:
+        assert all(b <= a for a, b in zip(rows, rows[1:])), rows
+        assert 2 * rows[-1] < rows[0], rows
+
+
+@pytest.mark.parametrize("n", [0.5, 2.0, 3.5, np.inf])
+def test_descent_of_a_batch_is_each_vertex_descended_alone(monkeypatch, n):
+    # the rows still moving are scored again by a scorer of their own, on
+    # every term kind: a graph with triangles and distance-2 vertices of
+    # several parents, and a girth-5 graph; every vertex in one batch
+    # against each vertex's starts alone, bit for bit
+    built = _counting_scorers(monkeypatch)
+    emptied = False
+    for g, samples in [(small_mixed_corpus()[17], 300), (girth5_corpus()[1], 2000)]:
+        evs = [LocalEvaluator(g, x) for x in range(g.vertex_count)]
+        starts = [_search_starts(ev, samples) for ev in evs]
+        built.clear()
+        together = _descend(evs, starts, n)
+        # a rebuilt scorer where one ball has no rows left while others do
+        emptied |= any(c.sum() and not c.all() for c in built[1:])
+        for ev, start, (values, rows) in zip(evs, starts, together):
+            ((alone_values, alone_rows),) = _descend([ev], [start], n)
+            assert np.array_equal(values, alone_values)
+            assert np.array_equal(rows, alone_rows)
+    # at n = 0.5 more than half of the candidates still move at the sweep cap
+    assert emptied or n == 0.5
+
+
+@pytest.mark.parametrize("samples", [10000, 1000])
+def test_reduced_ratios_build_one_scorer(monkeypatch, samples):
+    # 10^4 sampled rows are 4 blocks of 2048 and a short one of 1808, scored
+    # as the last full-length window; 1000 rows are one short block
+    ev = LocalEvaluator(girth5_corpus()[1], 0)
+    sampled = _sampled_rows(ev, derive_stream(0, 0), samples)
+    one_block = MoveScorer(ev.balls, [samples]).ratios(sampled.ravel(), 2.0)
+    built = _counting_scorers(monkeypatch)
+    ratios = _reduced_ratios(ev, sampled, 2.0)
+    assert len(built) == 1
+    assert built[0].tolist() == [min(samples, cde_mod._RATIO_CHUNK)]
+    assert np.array_equal(ratios, one_block)
+
+
 def test_estimates_do_not_depend_on_the_batching(monkeypatch):
     # each vertex alone against all vertices in batches of several
     # vertices each (a small batch constant makes many batches)

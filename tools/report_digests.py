@@ -10,14 +10,16 @@ agree exactly where their reports, log lines and exit codes are
 byte-identical. No digests are kept in the repository, because the CD bits
 depend on the numpy and LAPACK build.
 
-The 110 runs:
+The 174 runs:
 
 * the benchmark's workload cases (``perfbench/workloads.py``) at seed 1,
   each with its own ``verify`` options;
 * ``verify --theorem both --samples 1000 --seed 1`` on every graph of
   ``girth5_corpus()`` and ``small_mixed_corpus()`` (``tests/conftest.py``);
 * ``curvature-cde --samples 1000 --seed 1`` on every graph of
-  ``small_mixed_corpus()``;
+  ``small_mixed_corpus()``, at the default ``--dim 2`` and again at
+  ``--dim 0.5`` and ``--dim 3.5``, so the descent runs at other dimensions
+  and over the coupling terms of triangles and 4-cycles;
 * ``verify --theorem cd -v`` on the README's generated ``g.edges``.
 """
 
@@ -75,8 +77,12 @@ def runs():
     mixed = [written(f"mixed-{i}.edges", g) for i, g in enumerate(corpora.small_mixed_corpus())]
     for i, file in enumerate(mixed):
         yield f"mixed-{i}", ["verify", file, *both]
+    cde = ["--samples", "1000", "--seed", "1"]
     for i, file in enumerate(mixed):
-        yield f"mixed-{i}-cde", ["curvature-cde", file, "--samples", "1000", "--seed", "1"]
+        yield f"mixed-{i}-cde", ["curvature-cde", file, *cde]
+    for dim in ("0.5", "3.5"):
+        for i, file in enumerate(mixed):
+            yield f"mixed-{i}-cde-dim{dim}", ["curvature-cde", file, *cde, "--dim", dim]
     gen = ["gen", "random-girth", "30", "36", "--min-girth", "5", "--seed", "7", "-o", "g.edges"]
     if cli.main(gen) != 0:
         raise SystemExit("could not write the README's g.edges")
