@@ -67,10 +67,10 @@ _DESCENT_MIN_STEP = 1e-3
 # to max(1, |ratio|): the scorer's rounding error is a few 1e-13 of that
 _ACCEPT_TOL = 1e-12
 # rows per ratio block, fewer above _RATIO_PAIRS temporaries per row (2 per pair of a
-# full row, 1 per sphere-1 value): a block holds at most _RATIO_CHUNK x _RATIO_PAIRS
+# full row, 1 per term of a sphere-1 row): a block holds at most _RATIO_CHUNK x _RATIO_PAIRS
 _RATIO_CHUNK = 2048
 _RATIO_PAIRS = 64
-_DESCENT_BATCH = 1 << 13   # coordinates (rows x d_x) per lockstep descent
+_DESCENT_BATCH = 1 << 13   # terms (rows x terms per row) per lockstep descent
 
 
 class InfeasibleFunctionError(ValueError):
@@ -154,7 +154,7 @@ def cde_estimates(
     make the candidate set a superset).
 
     Sampling and the scans run per vertex; the refinement runs in batches
-    of consecutive vertices of up to ``_DESCENT_BATCH`` coordinates, one
+    of consecutive vertices of up to ``_DESCENT_BATCH`` scored terms, one
     lockstep descent per batch. A candidate's path depends only on its own
     start, so the estimates do not depend on the batching. Arguments are
     checked before the first estimate is requested.
@@ -164,8 +164,8 @@ def cde_estimates(
         raise ValueError("samples must be >= 1")
     vertices = _check_vertices(g, list(vertices)).tolist()
     searched = (_search(g, x, n, samples, seed) for x in vertices)
-    # a vertex's size is its descent coordinates: starts x d_x
-    sized = ((s, s[1].size) for s in searched)
+    # a vertex's size is the terms its descent scores: starts x terms per row
+    sized = ((s, len(s[1]) * s[0].row_terms()) for s in searched)
     return chain.from_iterable(_refine(b, n, samples, seed) for b in batches(sized, _DESCENT_BATCH))
 
 
@@ -278,10 +278,10 @@ def _batch_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
 
 def _reduced_ratios(ev: LocalEvaluator, rows: np.ndarray, n: float) -> np.ndarray:
     """R of each sphere-1 row, over blocks of _RATIO_CHUNK rows, fewer (at
-    least one) above _RATIO_PAIRS values, all scored by one scorer: a short
-    last block is the last full-length window, its first rows scored again.
-    Rows are independent, so the blocks change no bit."""
-    chunk = min(len(rows), max(1, _RATIO_CHUNK * _RATIO_PAIRS // max(ev.degree, _RATIO_PAIRS)))
+    least one) above _RATIO_PAIRS terms per row, all scored by one scorer: a
+    short last block is the last full-length window, its first rows scored
+    again. Rows are independent, so the blocks change no bit."""
+    chunk = min(len(rows), max(1, _RATIO_CHUNK * _RATIO_PAIRS // max(ev.row_terms(), _RATIO_PAIRS)))
     out = np.empty(len(rows))
     scorer = MoveScorer(ev.balls, [chunk])
     for i in range(0, len(rows), max(chunk, 1)):

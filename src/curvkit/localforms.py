@@ -75,6 +75,12 @@ class LocalEvaluator:
         self.vertices = np.concatenate([b.centres, b.sphere1, b.sphere2])
         self.pair_y, self.pair_z, self.pair_w = b.pair_y, b.pair_z, b.pair_w
 
+    def row_terms(self) -> int:
+        """The terms of a ``MoveScorer`` row of this ball: d_x own terms, the
+        triangle pairs and the pairs to distance-2 vertices of several parents."""
+        z, d = self.pair_z, self.degree
+        return d + int(np.count_nonzero((z > 0) & ((z <= d) | (np.bincount(z)[z] > 1))))
+
     def laplacian(self, rows: np.ndarray) -> np.ndarray:
         return rows[:, self.s1_cols].sum(axis=1) / self.degree - rows[:, 0]
 

@@ -8,11 +8,11 @@ girth included; the hypothesis under which the paper proves both bounds):
 * CDE bound: the sampled minimum of the exponential-type ratio must be at
   least -d_x/2 - 1.
 
-Vertices failing the gate are reported as precondition_not_met but their
-numbers are still computed (informational). A margin below -1e-8 is only
-reported as a failure after the candidate function re-verifies against a
-from-scratch definitional evaluation; margins in (-1e-8, 0) are logged as
-tight.
+Neither bound is computed at a vertex failing the gate; its record is
+precondition_not_met, with its girth and null numbers. A margin below
+-1e-8 is only reported as a failure after the candidate function
+re-verifies against a from-scratch definitional evaluation; margins in
+(-1e-8, 0) are logged as tight.
 
 The paper states both bounds at dimension n = 2, and both are checked
 there only: both curvatures only grow with n, so a larger n is implied.
@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# cd_curvature and cde_estimate are no longer called here, but stay
-# importable under this module's name, which perfbench/tracer.py wraps:
-# without them a traced run reports verify.self_s, verify.vertex_ms_p50
-# and verify.vertex_ms_max (and the cd and cde metrics) as missing
+# cd_curvature and cde_estimate are not called here, but perfbench/tracer.py
+# wraps them under this module's name: without them a traced run reports
+# verify.self_s, verify.vertex_ms_* and the cd and cde metrics as missing
 from .cd import cd_check, cd_curvature, cd_curvatures  # noqa: F401
 from .cde import cde_check, cde_estimate, cde_estimates  # noqa: F401
 from .girth import GirthValue, all_vertex_girths, vertex_girth
@@ -50,7 +49,7 @@ class PreconditionFailedError(ValueError):
 
 @dataclass(frozen=True)
 class VertexReport:
-    """Per-vertex verification record; None marks a theorem that was not run."""
+    """Per-vertex record; None marks a theorem that was not run, or a gated-out vertex."""
 
     vertex: int
     girth: GirthValue
@@ -125,42 +124,37 @@ def verify_theorems(
     if theorem not in ("cd", "cde", "both"):
         raise ValueError(f"theorem must be cd, cde or both, got {theorem!r}")
     girths = all_vertex_girths(g)
-    vertices = range(g.vertex_count)
-    # name -> (yields (bound, value, result) per vertex in order, re-verifies
-    # the result's function); that function is built only where the margin
-    # is negative
+    gated = [x for x, girth in enumerate(girths) if girth >= GIRTH_GATE]
+    # name -> (bound per vertex, (value, result) per gated vertex, re-check);
+    # a result's function is built only where its margin is negative
     runs = {}
     if theorem != "cde":
-        cd = cd_curvatures(g, vertices, DIM)
-        runs["cd"] = ((b, r.curvature_K, r) for b, r in zip(_cd_bounds(g), cd)), cd_check
+        cd = cd_curvatures(g, gated, DIM)
+        runs["cd"] = _cd_bounds(g), ((r.curvature_K, r) for r in cd), cd_check
     if theorem != "cd":
-        cde_bounds = (-g.degrees / 2.0 - 1.0).tolist()
-        cde = cde_estimates(g, vertices, DIM, samples, seed)
-        runs["cde"] = ((b, e.sampled_min, e) for b, e in zip(cde_bounds, cde)), cde_check
+        cde = cde_estimates(g, gated, DIM, samples, seed)
+        runs["cde"] = (-g.degrees / 2 - 1.0).tolist(), ((e.sampled_min, e) for e in cde), cde_check
 
     records = []
     for x, girth_here in enumerate(girths):
-        gate = girth_here >= GIRTH_GATE
-
         # name -> (bound, computed value, margin); all None when not run
         results = {"cd": (None,) * 3, "cde": (None,) * 3}
         witness: VertexFunction | None = None
-        for name, (computed, check) in runs.items():
-            bound, value, result = next(computed)
-            margin = value - bound
-            if gate and margin < -MARGIN_TOL:
-                if not check(g, x, DIM, bound, result.function):
-                    witness = result.function
-                else:
-                    logger.warning("vertex %d: %s margin %.3e did not re-verify as a violation",
-                                   x, name, margin)
-            elif gate and margin < 0:
-                logger.info("vertex %d: tight %s margin %.3e", x, name, margin)
-            results[name] = (bound, value, margin)
-
-        verdict = ("pass" if witness is None else "fail") if gate else "precondition_not_met"
-        records.append(VertexReport(
-            x, girth_here, *results["cd"], *results["cde"], verdict,
-            seed if "cde" in runs else None, witness,
-        ))
+        verdict = "precondition_not_met"
+        if girth_here >= GIRTH_GATE:
+            for name, (bounds, computed, check) in runs.items():
+                bound, (value, result) = bounds[x], next(computed)
+                margin = value - bound
+                if margin < -MARGIN_TOL:
+                    if not check(g, x, DIM, bound, result.function):
+                        witness = result.function
+                    else:
+                        logger.warning("vertex %d: %s margin %.3e did not re-verify as a violation",
+                                       x, name, margin)
+                elif margin < 0:
+                    logger.info("vertex %d: tight %s margin %.3e", x, name, margin)
+                results[name] = (bound, value, margin)
+            verdict = "pass" if witness is None else "fail"
+        records.append(VertexReport(x, girth_here, *results["cd"], *results["cde"], verdict,
+                                    seed if "cde" in runs else None, witness))
     return CurvatureReport(records=tuple(records))

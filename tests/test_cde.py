@@ -697,6 +697,40 @@ def test_estimates_do_not_depend_on_the_batching(monkeypatch):
         assert np.array_equal(alone.function.values, est.function.values)
 
 
+def test_descent_batches_are_sized_by_the_terms_they_score(monkeypatch):
+    # small_mixed_corpus()[17] has triangles and distance-2 vertices with
+    # several parents, so its rows hold more terms than sphere-1 values; a
+    # batch counted by starts x d_x holds up to twice the budget in terms
+    g = small_mixed_corpus()[17]
+    sizes = []
+    descend = cde_mod._descend
+
+    def recording(evs, starts, n):
+        sizes.append([len(s) * ev.row_terms() for ev, s in zip(evs, starts)])
+        return descend(evs, starts, n)
+
+    monkeypatch.setattr(cde_mod, "_descend", recording)
+    monkeypatch.setattr(cde_mod, "_DESCENT_BATCH", 1000)
+    list(cde_estimates(g, range(g.vertex_count), 2.0, samples=300, seed=0))
+    assert sum(map(len, sizes)) == g.vertex_count and max(map(len, sizes)) >= 2
+    assert all(len(s) == 1 or sum(s) <= 1000 for s in sizes), sizes
+
+
+def test_row_terms_are_the_terms_of_a_scorer_row():
+    # d_x own terms plus the coupling pairs of a MoveScorer row: its
+    # triangle pairs and its pairs to distance-2 vertices with several
+    # parents; none at girth >= 5
+    coupled = 0
+    for g in small_mixed_corpus() + girth5_corpus()[:5]:
+        for x, girth in enumerate(all_vertex_girths(g)):
+            ev = LocalEvaluator(g, x)
+            one = MoveScorer(ev.balls, [1])
+            assert ev.row_terms() == ev.degree + len(one.tri_y) + len(one.shared_y)
+            assert girth < 5 or ev.row_terms() == ev.degree
+            coupled += ev.row_terms() > ev.degree
+    assert coupled > 0
+
+
 def test_estimates_check_arguments_before_the_first_estimate(petersen_graph):
     with pytest.raises(ValueError):
         cde_estimates(petersen_graph, [0, 10], 2.0, samples=10, seed=0)
@@ -801,6 +835,20 @@ def test_hub_center_estimate_peak_is_one_sample_array():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_dense_vertex_estimate_memory_is_bounded():
+    # each row at a vertex of K_40 holds 39 sphere-1 values and 1482
+    # triangle pairs; ratio blocks of 2048 rows, sized by the sphere-1
+    # values alone, traced 261 MiB, and blocks sized by the terms a row
+    # scores trace under 19 MiB
+    tracemalloc.start()
+    try:
+        cde_estimate(complete(40), 0, 2.0, samples=10000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_parameter_validation(petersen_graph):

@@ -15,8 +15,8 @@ import pytest
 
 from conftest import girth5_corpus, tree_hub
 from curvkit import (
-    Graph, cd_curvature, cycle, parse_edge_list, petersen, random_tree, random_with_girth,
-    serialize_edge_list, star,
+    Graph, all_vertex_girths, cd_bound_girth5, cd_curvature, cycle, parse_edge_list, petersen,
+    random_tree, random_with_girth, serialize_edge_list, star,
 )
 from curvkit.cli import main
 from curvkit.report import dumps, load_schema
@@ -47,6 +47,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# the numbers of a verify record, all null at a gated-out vertex
+NUMBERS = ("cd_bound", "cd_computed", "cd_margin", "cde_bound", "cde_sampled_min", "cde_margin")
 
 
 # ---- girth ----------------------------------------------------------------
@@ -194,8 +198,28 @@ def test_verify_triangle_exit3(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["summary"]["precondition_not_met"] == 3
     jsonschema.validate(doc, load_schema())
-    # numbers still reported for gated-out vertices
-    assert doc["records"][0]["cd_computed"] is not None
+    # no theorem runs at a gated-out vertex: its record keeps its girth,
+    # verdict, seed and dimension, and its numbers are null
+    for x, r in enumerate(doc["records"]):
+        assert (r["vertex"], r["girth"], r["verdict"]) == (x, 3, "precondition_not_met")
+        assert (r["seed"], r["dim"]) == (0, 2.0)
+        assert [r[k] for k in NUMBERS] == [None] * 6
+
+
+def test_verify_complete40_gates_out_every_vertex_fast(capsys, tmp_path):
+    # every vertex of K_40 lies on a triangle, so verify runs no theorem:
+    # running both at every vertex took about 50 s and 318 MB on a 2-core VM
+    f = str(tmp_path / "k40.edges")
+    assert run(capsys, "gen", "complete", "40", "-o", f)[0] == 0
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", f)
+    elapsed = time.perf_counter() - start
+    assert code == 3 and err == ""
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_schema())
+    assert doc["summary"]["precondition_not_met"] == len(doc["records"]) == 40
+    assert all([r[k] for k in NUMBERS] == [None] * 6 for r in doc["records"])
+    assert elapsed < 5.0, f"{elapsed:.1f} s over the 5 s budget"
 
 
 def test_verify_cd_only_schema(capsys, petersen_file):
@@ -242,8 +266,10 @@ def test_verify_random_girth5_corpus_exit0(capsys, tmp_path):
     ids=["petersen", "random-girth", "triangle"],
 )
 def test_verify_agrees_with_the_curvature_commands(capsys, tmp_path, graph):
-    # verify computes K(x, 2) and the CDE sampled minimum with the same
-    # samples and seed as curvature-cd and curvature-cde, to the bit
+    # at a gated vertex verify computes K(x, 2), its bound and the CDE
+    # sampled minimum as curvature-cd, cd_bound_girth5 and curvature-cde do
+    # with the same samples and seed, to the bit; at a gated-out vertex it
+    # computes none of its numbers
     f = tmp_path / "g.edges"
     f.write_text(serialize_edge_list(graph))
     sample = ("--samples", "300", "--seed", "3")
@@ -255,8 +281,15 @@ def test_verify_agrees_with_the_curvature_commands(capsys, tmp_path, graph):
     cde = json.loads(out)["records"]
     for rows in (cd, cde):
         assert [r["vertex"] for r in rows] == [r["vertex"] for r in records]
-    assert [r["cd_computed"] for r in records] == [r["curvature"] for r in cd]
-    assert [r["cde_sampled_min"] for r in records] == [r["sampled_min"] for r in cde]
+    gated = [girth >= 5 for girth in all_vertex_girths(graph)]
+    assert [r["verdict"] != "precondition_not_met" for r in records] == gated
+    for r, k, e in zip(records, cd, cde):
+        if r["verdict"] == "precondition_not_met":
+            assert [r[name] for name in NUMBERS] == [None] * 6
+        else:
+            assert r["cd_computed"] == k["curvature"]
+            assert r["cd_bound"] == cd_bound_girth5(graph, r["vertex"])
+            assert r["cde_sampled_min"] == e["sampled_min"]
 
 
 def test_verify_cde_only_schema(capsys, star3_file):
@@ -330,8 +363,9 @@ def test_verify_high_degree_within_budget(capsys, tmp_path, name, graph, budget)
 def test_verify_high_degree_non_tree_within_budget(capsys, tmp_path):
     # the degree-100 hub with each pair of consecutive neighbours joined:
     # triangle pairs at the centre and shared distance-2 vertices at every
-    # neighbour, so every CDE move there also scores coupling terms; about
-    # 3 s on a 2-core VM
+    # neighbour. verify gates those 101 vertices out; curvature-cde searches
+    # them, so every CDE move there also scores coupling terms; the two runs
+    # take about 1.3 s together on a 2-core VM
     hub = tree_hub(100)
     g = Graph.from_edges(hub.edges + [(y, y + 1) for y in range(1, 100)])
     f = tmp_path / "hub100-triangles.edges"
@@ -344,7 +378,18 @@ def test_verify_high_degree_non_tree_within_budget(capsys, tmp_path):
     assert len(records) == g.vertex_count
     # the centre and its neighbours lie on triangles; the leaves pass
     assert [r["verdict"] for r in records] == ["precondition_not_met"] * 101 + ["pass"] * 300
+    assert all([r[k] for k in NUMBERS] == [None] * 6 for r in records[:101])
     assert elapsed < 30.0, f"{elapsed:.1f} s over the 30 s budget"
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, "curvature-cde", str(f), "--samples", "100")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    cde = json.loads(out)["records"]
+    assert [r["vertex"] for r in cde] == list(range(g.vertex_count))
+    assert all(np.isfinite(r["sampled_min"]) for r in cde[:101])
+    assert [r["sampled_min"] for r in cde[101:]] == [r["cde_sampled_min"] for r in records[101:]]
+    assert elapsed < 30.0, f"curvature-cde: {elapsed:.1f} s over the 30 s budget"
 
 
 def test_verify_verbose_logs_tight_margins(capsys, tmp_path):

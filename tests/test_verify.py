@@ -45,12 +45,19 @@ def test_cd_bound_examples():
 
 
 def test_verify_cd_bounds_are_cd_bound_girth5(corpus_girth5, corpus_small):
-    # bit for bit: verify reads every bound from one array expression
+    # bit for bit at every gated vertex: verify reads every bound from one
+    # array expression; a gated-out vertex has none
+    gated_out = 0
     for g in corpus_girth5 + corpus_small + [tree_hub(k) for k in (6, 10, 14, 50, 200)]:
-        bounds = [r.cd_bound for r in verify_theorems(g, "cd").records]
-        expected = [cd_bound_girth5(g, x) for x in range(g.vertex_count)]
+        records = verify_theorems(g, "cd").records
+        gated = [x for x, girth in enumerate(all_vertex_girths(g)) if girth >= 5]
+        assert [r.vertex for r in records if r.cd_bound is not None] == gated
+        gated_out += len(records) - len(gated)
+        bounds = [records[x].cd_bound for x in gated]
+        expected = [cd_bound_girth5(g, x) for x in gated]
         assert all(type(b) is float for b in bounds)
         assert np.array(bounds).tobytes() == np.array(expected).tobytes()
+    assert gated_out > 0
 
 
 def test_witness_value_examples():
@@ -133,8 +140,9 @@ def test_verify_cd_triangle_precondition_not_met():
     for r in report.records:
         assert r.verdict == "precondition_not_met"
         assert r.girth == 3
-        # numbers still reported
-        assert r.cd_computed is not None and r.cd_bound is not None
+        # no theorem runs at a gated-out vertex
+        assert (r.cd_bound, r.cd_computed, r.cd_margin) == (None,) * 3
+        assert (r.cde_bound, r.cde_sampled_min, r.cde_margin) == (None,) * 3
     assert report.all_precondition_not_met
     assert not report.has_failures
 
