@@ -20,7 +20,8 @@ f(z) = f(y)^2 over the whole 2-ball, whose full rows are scored by
 localforms.LocalEvaluator.ratios. A refinement move changes one
 sphere-1 value, so it is scored by delta in O(1) on a girth-5 ball
 (localforms.MoveScorer) rather than by re-evaluating a whole row.
-Sampling and the scans run per vertex; the refinement runs over the
+Sampling and the scans run once per signature at tree 2-balls (below)
+and once per vertex elsewhere; the refinement runs over the
 candidates of many consecutive vertices at once, in one lockstep descent
 per batch of rows of mixed widths, scored over one ``graph.Balls`` of the
 batch's vertices as the CD batches are, so its numpy call count does not
@@ -32,9 +33,12 @@ local formulas) before being reported; the witness is the best candidate
 with sphere 2 filled by f(z)*, built at full length on first read.
 
 Sampling is driven by counter-mode SplitMix64 (see rng.py): sample i is a
-pure function of (seed, vertex, i), so estimates are deterministic,
-parallelize per vertex, and are monotone in the sample count (the
-candidate set for a larger count is a superset).
+pure function of (seed, signature, i) at a vertex whose 2-ball is a tree
+(every vertex of girth >= 5), the signature being d_x and the sorted
+neighbour degrees, over the canonical layout of ``graph.Balls``, and of
+(seed, vertex, i) elsewhere. So estimates are deterministic, do not
+depend on vertex labels at girth >= 5, and are monotone in the sample
+count (the candidate set for a larger count is a superset).
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 
 import numpy as np
@@ -153,29 +158,62 @@ def cde_estimates(
     row, so it never increases when `samples` grows (counter-mode draws
     make the candidate set a superset).
 
-    Sampling and the scans run per vertex; the refinement runs in batches
-    of consecutive vertices of up to ``_DESCENT_BATCH`` scored terms, one
-    lockstep descent per batch. A candidate's path depends only on its own
-    start, so the estimates do not depend on the batching. Arguments are
-    checked before the first estimate is requested.
+    At a vertex whose 2-ball is a tree (girth >= 5 there) the search is
+    a function of its signature, d_x and the neighbour degrees in sphere-1
+    order (sorted, see ``graph.Balls``): its stream is the seed with the
+    signature folded in by ``derive_stream``, and each signature is
+    searched once per call, at its first vertex. Every other vertex of
+    that signature takes that vertex's minimum, and its function mapped
+    onto its own ball: sphere 1 column by column, and each distance-2
+    vertex at the value of its parent's children. So equal signatures
+    give equal bits, and relabelling the graph only permutes the
+    estimates. Any other vertex draws from ``derive_stream(seed, x)``.
+
+    Sampling and the scans run per vertex searched; the refinement runs
+    in batches of consecutive vertices of up to ``_DESCENT_BATCH`` scored
+    terms, one lockstep descent per batch. A candidate's path depends
+    only on its own start, so the estimates do not depend on the batching,
+    and ``cde_estimate`` gives each vertex's estimate bit for bit.
+    Arguments are checked before the first estimate is requested.
     """
     n = _check_dimension(n)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     vertices = _check_vertices(g, list(vertices)).tolist()
-    searched = (_search(g, x, n, samples, seed) for x in vertices)
-    # a vertex's size is the terms its descent scores: starts x terms per row
-    sized = ((s, len(s[1]) * s[0].row_terms()) for s in searched)
-    return chain.from_iterable(_refine(b, n, samples, seed) for b in batches(sized, _DESCENT_BATCH))
+    searched = _searches(g, vertices, n, samples, seed)
+    # a vertex's size is the terms its descent scores: starts x terms per
+    # row, none where it takes an earlier vertex's search
+    sized = ((s, len(s[2][0]) * s[0].row_terms() if s[2] else 0) for s in searched)
+    found: dict[tuple, tuple] = {}
+    return chain.from_iterable(
+        _refine(b, n, samples, seed, found) for b in batches(sized, _DESCENT_BATCH))
 
 
-def _search(g: Graph, x: int, n: float, samples: int, seed: int):
-    """Sample and scan at x. Returns (evaluator, descent starts as sphere-1
-    rows, (best value, its full row) so far). The best is finite: the scan
-    holds the uniform rows f(y) = v < 1, f(z) = v^2, whose G(f)(x) =
-    (1 - v)^2 / 2 >= 0.005 is above the gradient floor."""
-    ev = LocalEvaluator(g, x)
-    stream = derive_stream(seed, x)
+def _searches(g: Graph, vertices: list[int], n: float, samples: int, seed: int) -> Iterator[tuple]:
+    """(evaluator, signature, search) per vertex, in order: the signature
+    of a tree 2-ball, else None, and ``_search`` at the vertex, or None at
+    a vertex whose signature an earlier vertex searched."""
+    seen = set()
+    for x in vertices:
+        ev = LocalEvaluator(g, x)
+        key = (ev.degree, *ev.balls.s1_degree.tolist()) if ev.row_terms() == ev.degree else None
+        if key is None:
+            stream = derive_stream(seed, x)
+        elif key in seen:
+            yield ev, key, None
+            continue
+        else:
+            seen.add(key)
+            stream = reduce(derive_stream, key, seed)
+        yield ev, key, _search(ev, n, samples, stream)
+
+
+def _search(ev: LocalEvaluator, n: float, samples: int, stream: int):
+    """Sample and scan at ev's centre, drawing from stream. Returns
+    (descent starts as sphere-1 rows, (best value, its full row) so far).
+    The best is finite: the scan holds the uniform rows f(y) = v < 1,
+    f(z) = v^2, whose G(f)(x) = (1 - v)^2 / 2 >= 0.005 is above the
+    gradient floor."""
     sampled = _sampled_rows(ev, stream, samples)
     ratios = _reduced_ratios(ev, sampled, n)
     # refine every sample that enters the running top-10
@@ -184,7 +222,7 @@ def _search(g: Graph, x: int, n: float, samples: int, seed: int):
     del sampled, ratios
     structured = _structured_rows(ev, stream)
     best = _better(best, _batch_ratios(ev, structured, n), structured)
-    return ev, starts, best
+    return starts, best
 
 
 def _better(best: tuple, ratios: np.ndarray, rows: np.ndarray, fill=np.copy) -> tuple:
@@ -216,21 +254,38 @@ def _sampled_rows(ev: LocalEvaluator, stream: int, samples: int) -> np.ndarray:
     return s1
 
 
-def _refine(batch: list[tuple], n: float, samples: int, seed: int) -> Iterator[CdeEstimate]:
-    """Descend every start of the batch in lockstep, then yield each
-    vertex's estimate."""
-    evs, starts, bests = zip(*batch)
-    for ev, best, (values, rows) in zip(evs, bests, _descend(list(evs), list(starts), n)):
-        best_value, best_row = _better(best, values, rows, ev.fill)
+def _refine(
+    batch: list[tuple], n: float, samples: int, seed: int, found: dict
+) -> Iterator[CdeEstimate]:
+    """Descend every start of the batch's searches in lockstep, then yield
+    each vertex's estimate. found maps each signature searched so far to
+    its minimum and its function at the vertex searched: the centre and
+    sphere-1 values, and by sphere-1 column the value of that column's
+    distance-2 children (on a tree ball they depend on their parent
+    alone); a vertex without a search of its own takes them. A batch
+    begins with a search (``batches`` splits only before an item of
+    positive size), so each descent has a vertex."""
+    searched = [(ev, search) for ev, _, search in batch if search]
+    descents = iter(_descend([ev for ev, _ in searched], [s[0] for _, s in searched], n))
+    for ev, key, search in batch:
+        if search:
+            value, row = _better(search[1], *next(descents), ev.fill)
+            if key is not None:
+                child = np.empty(1 + ev.degree)
+                child[ev.parent] = row[ev.s2_cols]
+                found[key] = value, row[: 1 + ev.degree], child
+        else:
+            value, head, child = found[key]
+            row = np.concatenate([head, child[ev.parent]])
         yield CdeEstimate(
             vertex=ev.center,
             dimension_n=n,
-            sampled_min=best_value,
+            sampled_min=value,
             samples_used=samples,
             seed=seed,
             vertex_count=ev.graph.vertex_count,
             ball_vertices=ev.vertices,
-            ball_values=best_row,
+            ball_values=row,
         )
 
 
@@ -328,10 +383,7 @@ def _structured_rows(ev: LocalEvaluator, stream: int) -> np.ndarray:
     rows[:, 0] = 1.0
     rows[:, ev.s1_cols] = feasible
     if len(ev.s2_cols):
-        # each sphere-2 column's parent: the smallest column of its pairs' y ends
-        parent = np.full(ev.width, ev.width)
-        np.minimum.at(parent, ev.pair_z, ev.pair_y)
-        rows[:, ev.s2_cols] = rows[:, parent[ev.s2_cols]] ** 2
+        rows[:, ev.s2_cols] = rows[:, ev.parent] ** 2
     return rows
 
 
@@ -361,7 +413,7 @@ def _descend(
     the rows, so they never exceed those of the starts. Deterministic; a
     candidate's path depends only on its own start.
     """
-    balls = Balls(evs[0].graph, [ev.center for ev in evs])
+    balls = Balls(evs[0].graph, [ev.center for ev in evs], canonical=True)
     full = scorer = MoveScorer(balls, [len(s) for s in starts])
     flat = current = np.concatenate([np.ravel(s) for s in starts]).astype(np.float64)
     entry = np.arange(len(flat))   # where the scored entries lie in flat

@@ -354,11 +354,12 @@ def rayleigh_matrix_minimum(
 
 
 def walked_fill(ev: LocalEvaluator, t: np.ndarray) -> np.ndarray:
-    """Full rows from sphere-1 rows t: f(x) = 1, and each distance-2 vertex
+    """Full rows from sphere-1 rows t, over the columns of ev (the vertex
+    behind each is ``ev.vertices``): f(x) = 1, and each distance-2 vertex
     z at sum w t_y / sum w / t_y over its parents y, w = 1/(2 d_x d_y),
     the parents found by a set walk."""
     g = ev.graph
-    sphere1, sphere2, _ = walked_two_ball(g, ev.center)
+    sphere1, sphere2 = _ball_columns(ev)
     rows = np.empty((len(t), ev.width))
     rows[:, 0] = 1.0
     rows[:, 1 : 1 + len(sphere1)] = t
@@ -491,11 +492,22 @@ def listed_structured_rows(ev: LocalEvaluator, stream: int) -> np.ndarray:
     rows[:, 0] = 1.0
     rows[:, ev.s1_cols] = feasible
     if len(ev.s2_cols):
-        sphere1, sphere2, _ = walked_two_ball(ev.graph, ev.center)
+        sphere1, sphere2 = _ball_columns(ev)
         for z, col in zip(sphere2, ev.s2_cols):
-            parent = min(v for v in ev.graph.adjacency[z] if v in sphere1)
-            rows[:, col] = rows[:, 1 + sphere1.index(parent)] ** 2
+            # the parent in the first sphere-1 column
+            parent = min(sphere1.index(v) for v in ev.graph.adjacency[z] if v in sphere1)
+            rows[:, col] = rows[:, 1 + parent] ** 2
     return rows
+
+
+def _ball_columns(ev: LocalEvaluator) -> tuple[list[int], list[int]]:
+    """The vertices of ev's sphere-1 and sphere-2 columns, checked against
+    the spheres of the walked 2-ball."""
+    sphere1 = ev.vertices[ev.s1_cols].tolist()
+    sphere2 = ev.vertices[ev.s2_cols].tolist()
+    s1, s2, _ = walked_two_ball(ev.graph, ev.center)
+    assert sorted(sphere1) == list(s1) and sorted(sphere2) == list(s2)
+    return sphere1, sphere2
 
 
 def expression_sampled_rows(ev: LocalEvaluator, stream: int, samples: int) -> np.ndarray:

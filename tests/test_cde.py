@@ -380,7 +380,7 @@ def test_reduced_ratio_is_separable_at_girth_5():
             continue
         ev = LocalEvaluator(g, x)
         d = ev.degree
-        dy = np.array([g.degree(y) for y in g.adjacency[x]], dtype=np.float64)
+        dy = np.array([g.degree(y) for y in ev.vertices[ev.s1_cols]], dtype=np.float64)
         w = 1.0 / (2.0 * d * dy)
         t = np.exp(rng.uniform(-2.0, 0.5, size=(10, d)))
         lap, gx = t.mean(axis=1) - 1.0, ((t - 1.0) ** 2).sum(axis=1) / (2.0 * d)
@@ -479,7 +479,7 @@ def test_delta_moves_match_proposal_tensor(corpus_small, monkeypatch, route):
     for g, xs in _move_batches(corpus_small):
         evs = [LocalEvaluator(g, x) for x in xs]
         rows = [_move_rows(ev, rng) for ev in evs]
-        scorer = MoveScorer(Balls(g, xs), [len(r) for r in rows])
+        scorer = MoveScorer(Balls(g, xs, canonical=True), [len(r) for r in rows])
         current = np.concatenate([r.ravel() for r in rows])
         step = np.tile(steps, len(evs))
         for n in (2.0, 3.5, np.inf):
@@ -516,7 +516,7 @@ def test_scored_moves_do_not_depend_on_the_rows_beside_them():
     evs = [LocalEvaluator(g, x) for x in xs]
     rows = [_move_rows(ev, rng)[[0, 1, 4, 5]] for ev in evs]
     steps = np.array([0.5, 0.03, 0.25, 2.0])
-    scorer = MoveScorer(Balls(g, xs), [4] * len(evs))
+    scorer = MoveScorer(Balls(g, xs, canonical=True), [4] * len(evs))
     current = np.concatenate([r.ravel() for r in rows])
     together = _score_moves(scorer, current, np.tile(steps, len(evs)), 2.0)
     together = [_per_vertex(scorer, a) for a in together[:4]] + [together[4].reshape(-1, 4)]
@@ -542,8 +542,8 @@ def test_one_graph_batch_of_every_term_kind_matches_one_vertex_scorers(monkeypat
     rng = np.random.default_rng(11)
     counts = [3, 1, 2, 3, 2, 1] + [2] * (len(xs) - 6)
     rows = [0.9 * np.exp(rng.uniform(-2.0, 0.0, size=(c, d))) for c, d in
-            zip(counts, Balls(g, xs).degree)]
-    scorer = MoveScorer(Balls(g, xs), counts)
+            zip(counts, Balls(g, xs, canonical=True).degree)]
+    scorer = MoveScorer(Balls(g, xs, canonical=True), counts)
     current = np.concatenate([r.ravel() for r in rows])
     values = np.stack([current * 1.3, current / 1.7])
     together = scorer.ratios(current, 2.0), *scorer.moves(current, values, 2.0)
@@ -674,6 +674,15 @@ def test_reduced_ratios_build_one_scorer(monkeypatch, samples):
     assert np.array_equal(ratios, one_block)
 
 
+def _searched_vertices(g):
+    """The vertices ``cde_estimates`` searches over all of g: each of girth
+    < 5, and one per signature (d_x and the sorted d_y) of the others."""
+    girths = all_vertex_girths(g)
+    signatures = {(g.degree(x), *sorted(map(g.degree, g.adjacency[x])))
+                  for x, girth in enumerate(girths) if girth >= 5}
+    return sum(girth < 5 for girth in girths) + len(signatures)
+
+
 def test_estimates_do_not_depend_on_the_batching(monkeypatch):
     # each vertex alone against all vertices in batches of several
     # vertices each (a small batch constant makes many batches)
@@ -689,12 +698,40 @@ def test_estimates_do_not_depend_on_the_batching(monkeypatch):
     monkeypatch.setattr(cde_mod, "_DESCENT_BATCH", 1000)
     together = list(cde_estimates(g, range(g.vertex_count), 2.0, samples=2000, seed=3))
     assert len(batches) >= 2 and max(batches) >= 2
-    assert sum(batches) == g.vertex_count
+    assert sum(batches) == _searched_vertices(g) < g.vertex_count
     assert [e.vertex for e in together] == list(range(g.vertex_count))
     for x, est in enumerate(together):
         alone = cde_estimate(g, x, 2.0, samples=2000, seed=3)
         assert alone.sampled_min == est.sampled_min
         assert np.array_equal(alone.function.values, est.function.values)
+
+
+@pytest.mark.parametrize("budget", [cde_mod._DESCENT_BATCH, 1])
+def test_each_signature_is_searched_once(monkeypatch, budget):
+    # tree_hub(14) has 57 vertices of 3 signatures (the centre, its
+    # neighbours, the leaves): 3 vertices are descended, and every other
+    # vertex takes its signature's search, mapped onto its own ball, with
+    # the bits of its own search alone and a function that re-verifies;
+    # at a budget of 1 every search is a batch of its own, and the
+    # vertices that take an earlier search ride in its batch
+    monkeypatch.setattr(cde_mod, "_DESCENT_BATCH", budget)
+    g = tree_hub(14)
+    descended = []
+    descend = cde_mod._descend
+
+    def counting(evs, starts, n):
+        descended.extend(ev.center for ev in evs)
+        return descend(evs, starts, n)
+
+    monkeypatch.setattr(cde_mod, "_descend", counting)
+    together = list(cde_estimates(g, range(g.vertex_count), 2.0, samples=2000, seed=5))
+    assert descended == [0, 1, 15] and _searched_vertices(g) == 3
+    for x, est in enumerate(together):
+        alone = cde_estimate(g, x, 2.0, samples=2000, seed=5)
+        assert alone.sampled_min == est.sampled_min
+        assert np.array_equal(alone.function.values, est.function.values)
+        assert approx_equal(cde_ratio(g, x, 2.0, est.function), est.sampled_min, rel=1e-9)
+    assert len({e.sampled_min for e in together}) == 3
 
 
 def test_descent_batches_are_sized_by_the_terms_they_score(monkeypatch):
@@ -712,7 +749,7 @@ def test_descent_batches_are_sized_by_the_terms_they_score(monkeypatch):
     monkeypatch.setattr(cde_mod, "_descend", recording)
     monkeypatch.setattr(cde_mod, "_DESCENT_BATCH", 1000)
     list(cde_estimates(g, range(g.vertex_count), 2.0, samples=300, seed=0))
-    assert sum(map(len, sizes)) == g.vertex_count and max(map(len, sizes)) >= 2
+    assert sum(map(len, sizes)) == _searched_vertices(g) and max(map(len, sizes)) >= 2
     assert all(len(s) == 1 or sum(s) <= 1000 for s in sizes), sizes
 
 

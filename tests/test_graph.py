@@ -1,4 +1,5 @@
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -309,13 +310,20 @@ def test_ball_invariants(corpus_small):
 
 
 def test_balls_match_the_walked_two_ball():
+    # the canonical layout: sphere 1 by (degree, vertex), and the centre
+    # first among the pairs of each y, the others in adjacency order
     graphs = small_mixed_corpus() + girth5_corpus()[::3] + [tree_hub(14), path(5), star(8)]
-    for g in graphs:
-        whole = Balls(g, range(g.vertex_count))
+    for g, canonical in product(graphs, (False, True)):
+        whole = Balls(g, range(g.vertex_count), canonical)
         for x in range(g.vertex_count):
-            b = Balls(g, [x])
+            b = Balls(g, [x], canonical)
             s1, s2, pairs = walked_two_ball(g, x)
             assert _spheres(g, x) == (s1, s2) == _bfs_spheres(g, x)
+            if canonical:
+                s1 = tuple(sorted(s1, key=lambda y: (g.degree(y), y)))
+                pairs = sorted(pairs, key=lambda p: (s1.index(p[0]), p[1] != x))
+            assert (tuple(b.sphere1.tolist()), tuple(b.sphere2.tolist())) == (s1, s2)
+            assert b.s1_degree.tolist() == [g.degree(y) for y in s1]
             assert np.all(np.diff(b.sphere2) > 0)
             col = {v: i for i, v in enumerate((x,) + s1 + s2)}
             assert b.width.tolist() == [len(col)]

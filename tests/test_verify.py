@@ -186,6 +186,25 @@ def test_verify_both_combines(petersen_graph):
         assert record_to_dict(r)["dim"] == 2.0
 
 
+def test_relabelling_permutes_the_records(corpus_girth5):
+    # at a gated vertex both searches depend on its 2-ball up to labels:
+    # a seeded random relabelling of each graph permutes the records, and
+    # every number keeps its bits
+    fields = ("girth", "cd_bound", "cd_computed", "cd_margin",
+              "cde_bound", "cde_sampled_min", "cde_margin")
+    for i, g in enumerate(corpus_girth5):
+        label = np.random.default_rng(i).permutation(g.vertex_count)   # new id of each vertex
+        h = Graph.from_edges([(label[u], label[v]) for u, v in g.edges])
+        before = verify_theorems(g, "both", samples=1000, seed=1).records
+        after = verify_theorems(h, "both", samples=1000, seed=1).records
+        moved = [after[label[x]] for x in range(g.vertex_count)]
+        assert [r.verdict for r in moved] == [r.verdict for r in before]
+        for name in fields:
+            got = np.array([getattr(r, name) for r in moved], dtype=np.float64)
+            want = np.array([getattr(r, name) for r in before], dtype=np.float64)
+            assert got.tobytes() == want.tobytes(), (i, name)
+
+
 def test_mixed_girth_gating():
     # triangle with a pendant path: tail vertices have infinite girth and
     # are verified; triangle vertices are gated out per-vertex

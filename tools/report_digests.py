@@ -10,16 +10,18 @@ agree exactly where their reports, log lines and exit codes are
 byte-identical. No digests are kept in the repository, because the CD bits
 depend on the numpy and LAPACK build.
 
-The 174 runs:
+The 183 runs:
 
 * the benchmark's workload cases (``perfbench/workloads.py``) at seed 1,
   each with its own ``verify`` options;
 * ``verify --theorem both --samples 1000 --seed 1`` on every graph of
   ``girth5_corpus()`` and ``small_mixed_corpus()`` (``tests/conftest.py``);
 * ``curvature-cde --samples 1000 --seed 1`` on every graph of
-  ``small_mixed_corpus()``, at the default ``--dim 2`` and again at
-  ``--dim 0.5`` and ``--dim 3.5``, so the descent runs at other dimensions
-  and over the coupling terms of triangles and 4-cycles;
+  ``small_mixed_corpus()`` and on three graphs of ``girth5_corpus()``
+  (Petersen, a random girth-5 graph and a tree), at the default
+  ``--dim 2`` and again at ``--dim 0.5`` and ``--dim 3.5``, so the descent
+  runs at other dimensions, over the coupling terms of triangles and
+  4-cycles, and over the tree 2-balls whose signatures are searched once;
 * ``verify --theorem cd -v`` on the README's generated ``g.edges``.
 """
 
@@ -72,17 +74,22 @@ def runs():
         for case in cases(1):
             yield case.label, ["verify", written(f"{case.label}.edges", case.graph), *case.options]
     both = ["--theorem", "both", "--samples", "1000", "--seed", "1"]
-    for i, g in enumerate(corpora.girth5_corpus()):
-        yield f"girth5-{i}", ["verify", written(f"girth5-{i}.edges", g), *both]
-    mixed = [written(f"mixed-{i}.edges", g) for i, g in enumerate(corpora.small_mixed_corpus())]
-    for i, file in enumerate(mixed):
-        yield f"mixed-{i}", ["verify", file, *both]
+    girth5 = {f"girth5-{i}": written(f"girth5-{i}.edges", g)
+              for i, g in enumerate(corpora.girth5_corpus())}
+    for label, file in girth5.items():
+        yield label, ["verify", file, *both]
+    mixed = {f"mixed-{i}": written(f"mixed-{i}.edges", g)
+             for i, g in enumerate(corpora.small_mixed_corpus())}
+    for label, file in mixed.items():
+        yield label, ["verify", file, *both]
     cde = ["--samples", "1000", "--seed", "1"]
-    for i, file in enumerate(mixed):
-        yield f"mixed-{i}-cde", ["curvature-cde", file, *cde]
+    # Petersen, a random girth-5 graph and a tree
+    cde_files = {**mixed, **{i: girth5[i] for i in ("girth5-0", "girth5-1", "girth5-21")}}
+    for label, file in cde_files.items():
+        yield f"{label}-cde", ["curvature-cde", file, *cde]
     for dim in ("0.5", "3.5"):
-        for i, file in enumerate(mixed):
-            yield f"mixed-{i}-cde-dim{dim}", ["curvature-cde", file, *cde, "--dim", dim]
+        for label, file in cde_files.items():
+            yield f"{label}-cde-dim{dim}", ["curvature-cde", file, *cde, "--dim", dim]
     gen = ["gen", "random-girth", "30", "36", "--min-girth", "5", "--seed", "7", "-o", "g.edges"]
     if cli.main(gen) != 0:
         raise SystemExit("could not write the README's g.edges")
