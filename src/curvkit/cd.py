@@ -59,7 +59,8 @@ from itertools import chain
 import numpy as np
 
 from .graph import (
-    Balls, Graph, _BallWitness, _check_vertices, _firsts, _ranges, batches, check_function,
+    Balls, Graph, _BallWitness, _check_vertices, _firsts, _ranges, _two_paths, batches,
+    check_function,
 )
 from .localforms import cd_entries
 from .operators import gamma, gamma2, laplacian
@@ -133,9 +134,7 @@ def cd_curvatures(g: Graph, vertices: Iterable[int], n: float = 2.0) -> Iterator
     v = _check_vertices(g, vertices)
     # each ball's sphere-1 entries plus 2-paths, d_x^2 + the sum of its d_y
     dx = g.degrees[v]
-    arc, ball = _ranges(g.indptr[v], dx)
-    paths = np.bincount(ball, g.degrees[g.indices[arc]], len(v)).astype(np.intp)
-    sized = zip(vertices, (dx * dx + paths).tolist())
+    sized = zip(vertices, (dx * dx + _two_paths(g, v)).tolist())
     return chain.from_iterable(_batch(g, xs, n) for xs in batches(sized, _CD_BATCH))
 
 

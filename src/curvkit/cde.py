@@ -35,7 +35,7 @@ with sphere 2 filled by f(z)*, built at full length on first read.
 Sampling is driven by counter-mode SplitMix64 (see rng.py): sample i is a
 pure function of (seed, signature, i) at a vertex whose 2-ball is a tree
 (every vertex of girth >= 5), the signature being d_x and the sorted
-neighbour degrees, over the canonical layout of ``graph.Balls``, and of
+neighbour degrees, over the layout of ``graph.Balls``, and of
 (seed, vertex, i) elsewhere. So estimates are deterministic, do not
 depend on vertex labels at girth >= 5, and are monotone in the sample
 count (the candidate set for a larger count is a superset).
@@ -48,11 +48,14 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from .cd import _check_dimension
-from .graph import Balls, Graph, _BallWitness, _ranges, batches, check_function, _check_vertices
+from .graph import (
+    Balls, Graph, _BallWitness, _ranges, _two_paths, batches, check_function, _check_vertices,
+)
 from .localforms import LocalEvaluator, MoveScorer
 from .operators import NonpositiveValueError, gamma, gamma2, gamma_f_ratio, laplacian
 from .rng import counter_uniforms, derive_stream
@@ -171,7 +174,8 @@ def cde_estimates(
 
     Sampling and the scans run per vertex searched; the refinement runs
     in batches of consecutive vertices of up to ``_DESCENT_BATCH`` scored
-    terms, one lockstep descent per batch. A candidate's path depends
+    terms (a vertex that takes an earlier search counts its columns), one
+    lockstep descent per batch. A candidate's path depends
     only on its own start, so the estimates do not depend on the batching,
     and ``cde_estimate`` gives each vertex's estimate bit for bit.
     Arguments are checked before the first estimate is requested.
@@ -179,33 +183,55 @@ def cde_estimates(
     n = _check_dimension(n)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    vertices = _check_vertices(g, list(vertices)).tolist()
-    searched = _searches(g, vertices, n, samples, seed)
-    # a vertex's size is the terms its descent scores: starts x terms per
-    # row, none where it takes an earlier vertex's search
-    sized = ((s, len(s[2][0]) * s[0].row_terms() if s[2] else 0) for s in searched)
+    vertices = _check_vertices(g, list(vertices))
     found: dict[tuple, tuple] = {}
     return chain.from_iterable(
-        _refine(b, n, samples, seed, found) for b in batches(sized, _DESCENT_BATCH))
+        _refine(b, g, n, samples, seed, found)
+        for b in batches(_searches(g, vertices, n, samples, seed), _DESCENT_BATCH))
 
 
-def _searches(g: Graph, vertices: list[int], n: float, samples: int, seed: int) -> Iterator[tuple]:
-    """(evaluator, signature, search) per vertex, in order: the signature
-    of a tree 2-ball, else None, and ``_search`` at the vertex, or None at
-    a vertex whose signature an earlier vertex searched."""
+class _Copy(NamedTuple):
+    """What a vertex that takes an earlier vertex's search keeps of its
+    ball: the vertex behind each column and each sphere-2 column's parent."""
+
+    center: int
+    vertices: np.ndarray
+    parent: np.ndarray
+
+
+def _searches(g: Graph, vertices: np.ndarray, n: float, samples: int, seed: int) -> Iterator[tuple]:
+    """((ball, signature, search), size) per vertex, in order. The
+    signature is that of a tree 2-ball, else None. At a vertex whose
+    signature an earlier vertex searched, the ball is a ``_Copy`` and the
+    search None; elsewhere the ball is the vertex's ``LocalEvaluator`` and
+    the search ``_search`` there. The size is what a descent batch holds
+    for the vertex: the terms its descent scores (starts x terms per row),
+    or a copy's columns. The signatures are read from one ``Balls`` per
+    group of vertices of up to ``_DESCENT_BATCH`` 2-paths."""
     seen = set()
-    for x in vertices:
-        ev = LocalEvaluator(g, x)
-        key = (ev.degree, *ev.balls.s1_degree.tolist()) if ev.row_terms() == ev.degree else None
-        if key is None:
-            stream = derive_stream(seed, x)
-        elif key in seen:
-            yield ev, key, None
-            continue
-        else:
-            seen.add(key)
-            stream = reduce(derive_stream, key, seed)
-        yield ev, key, _search(ev, n, samples, stream)
+    for xs in batches(zip(vertices.tolist(), _two_paths(g, vertices)), _DESCENT_BATCH):
+        b = Balls(g, xs)
+        s1_end, s2_count = b.s1_first + b.degree, b.width - 1 - b.degree
+        # a tree 2-ball: each 2-path x ~ y ~ z, z != x, ends at its own sphere-2 z
+        tree = s2_count == np.bincount(b.pair_ball, minlength=len(xs)) - b.degree
+        s1_degree = b.s1_degree.tolist()
+        spans = zip(b.s1_first.tolist(), s1_end.tolist(), b.s2_first.tolist(),
+                    (b.s2_first + s2_count).tolist())
+        for x, is_tree, (s1, e1, s2, e2) in zip(xs, tree.tolist(), spans):
+            key = (e1 - s1, *s1_degree[s1:e1]) if is_tree else None
+            if key in seen:
+                copy = _Copy(x, np.concatenate(([x], b.sphere1[s1:e1], b.sphere2[s2:e2])),
+                             b.parent[s2:e2].copy())
+                yield (copy, key, None), len(copy.vertices)
+                continue
+            ev = LocalEvaluator(g, x)
+            if key is None:
+                stream = derive_stream(seed, x)
+            else:
+                seen.add(key)
+                stream = reduce(derive_stream, key, seed)
+            search = _search(ev, n, samples, stream)
+            yield (ev, key, search), len(search[0]) * ev.row_terms()
 
 
 def _search(ev: LocalEvaluator, n: float, samples: int, stream: int):
@@ -255,36 +281,36 @@ def _sampled_rows(ev: LocalEvaluator, stream: int, samples: int) -> np.ndarray:
 
 
 def _refine(
-    batch: list[tuple], n: float, samples: int, seed: int, found: dict
+    batch: list[tuple], g: Graph, n: float, samples: int, seed: int, found: dict
 ) -> Iterator[CdeEstimate]:
     """Descend every start of the batch's searches in lockstep, then yield
     each vertex's estimate. found maps each signature searched so far to
     its minimum and its function at the vertex searched: the centre and
     sphere-1 values, and by sphere-1 column the value of that column's
     distance-2 children (on a tree ball they depend on their parent
-    alone); a vertex without a search of its own takes them. A batch
-    begins with a search (``batches`` splits only before an item of
-    positive size), so each descent has a vertex."""
-    searched = [(ev, search) for ev, _, search in batch if search]
-    descents = iter(_descend([ev for ev, _ in searched], [s[0] for _, s in searched], n))
-    for ev, key, search in batch:
+    alone); a ``_Copy`` takes them, its searched vertex being earlier in
+    this batch or in an earlier one."""
+    evs = [ev for ev, _, search in batch if search]
+    starts = [search[0] for _, _, search in batch if search]
+    descents = iter(_descend(evs, starts, n) if evs else ())
+    for ball, key, search in batch:
         if search:
-            value, row = _better(search[1], *next(descents), ev.fill)
+            value, row = _better(search[1], *next(descents), ball.fill)
             if key is not None:
-                child = np.empty(1 + ev.degree)
-                child[ev.parent] = row[ev.s2_cols]
-                found[key] = value, row[: 1 + ev.degree], child
+                child = np.empty(1 + ball.degree)
+                child[ball.balls.parent] = row[ball.s2_cols]
+                found[key] = value, row[: 1 + ball.degree], child
         else:
             value, head, child = found[key]
-            row = np.concatenate([head, child[ev.parent]])
+            row = np.concatenate([head, child[ball.parent]])
         yield CdeEstimate(
-            vertex=ev.center,
+            vertex=ball.center,
             dimension_n=n,
             sampled_min=value,
             samples_used=samples,
             seed=seed,
-            vertex_count=ev.graph.vertex_count,
-            ball_vertices=ev.vertices,
+            vertex_count=g.vertex_count,
+            ball_vertices=ball.vertices,
             ball_values=row,
         )
 
@@ -383,7 +409,7 @@ def _structured_rows(ev: LocalEvaluator, stream: int) -> np.ndarray:
     rows[:, 0] = 1.0
     rows[:, ev.s1_cols] = feasible
     if len(ev.s2_cols):
-        rows[:, ev.s2_cols] = rows[:, ev.parent] ** 2
+        rows[:, ev.s2_cols] = rows[:, ev.balls.parent] ** 2
     return rows
 
 
@@ -413,7 +439,7 @@ def _descend(
     the rows, so they never exceed those of the starts. Deterministic; a
     candidate's path depends only on its own start.
     """
-    balls = Balls(evs[0].graph, [ev.center for ev in evs], canonical=True)
+    balls = Balls(evs[0].graph, [ev.center for ev in evs])
     full = scorer = MoveScorer(balls, [len(s) for s in starts])
     flat = current = np.concatenate([np.ravel(s) for s in starts]).astype(np.float64)
     entry = np.arange(len(flat))   # where the scored entries lie in flat

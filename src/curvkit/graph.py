@@ -291,24 +291,22 @@ def serialize_edge_list(g: Graph) -> str:
 class Balls:
     """The 2-balls of many centres: the one statement of their layout.
 
-    Ball i has ``width[i]`` columns: 0 its centre x, 1..d_x sphere 1 (in
-    adjacency order, so vertex order), then sphere 2 in vertex order. Its
-    pairs are the 2-paths x ~ y ~ z, y in sphere-1 order and z in
-    adjacency order, as the columns ``pair_y`` and ``pair_z`` (z may be x
-    or, in a triangle, in sphere 1) with weight ``pair_w`` = 1/(2 d_x d_y).
-    The arrays hold ball after ball: each ball's spheres begin at
-    ``s1_first`` and ``s2_first``, and ``pair_ball`` is the ball of each
-    pair.
+    Ball i has ``width[i]`` columns: 0 its centre x, 1..d_x sphere 1 by
+    (degree, vertex), then sphere 2 in vertex order. Its pairs are the
+    2-paths x ~ y ~ z, y in sphere-1 order and, for each y, z = x first,
+    then the others in adjacency order, as the columns ``pair_y`` and
+    ``pair_z`` (z may be x or, in a triangle, in sphere 1) with weight
+    ``pair_w`` = 1/(2 d_x d_y). The arrays hold ball after ball: each
+    ball's spheres begin at ``s1_first`` and ``s2_first``, and
+    ``pair_ball`` is the ball of each pair.
 
-    The canonical layout (``canonical=True``, the CDE search's) orders
-    sphere 1 by (degree, vertex) and puts each y's pair with the centre
-    first among its pairs. On a 2-ball that is a tree, every ball of the
-    same signature (d_x and the multiset of the d_y) then holds the same
-    sphere-1 degrees and pair weights in the same order, and the pairs of
-    one y differ only in their distance-2 ends, which a CDE row fills alike.
+    On a 2-ball that is a tree, every ball of the same signature (d_x and
+    the multiset of the d_y) then holds the same sphere-1 degrees and pair
+    weights in the same order, and the pairs of one y differ only in their
+    distance-2 ends, which a CDE row fills alike.
     """
 
-    def __init__(self, g: Graph, centres: Sequence[int], canonical: bool = False):
+    def __init__(self, g: Graph, centres: Sequence[int]):
         nv = g.vertex_count
         self.centres = _check_vertices(g, centres)
         # per 1-path x ~ y and per 2-path x ~ y ~ z: the ball of x
@@ -316,25 +314,24 @@ class Balls:
         arc, ball1 = _ranges(g.indptr[self.centres], dx)
         y = g.indices[arc]
         key1 = ball1 * nv + y   # ascending
-        if canonical:   # by degree, the ids already ascending within a ball
-            by_degree = np.lexsort((g.degrees[y], ball1))
-            s1_rank = np.empty_like(by_degree)   # each y's place in sphere 1
-            s1_rank[by_degree] = np.arange(len(y))
-            y = y[by_degree]
+        # sphere 1 by degree, the ids already ascending within a ball
+        by_degree = np.argsort(ball1 * nv + g.degrees[y], kind="stable")
+        s1_rank = np.empty_like(by_degree)   # each y's place in sphere 1
+        s1_rank[by_degree] = np.arange(len(y))
+        y = y[by_degree]
         dy = g.degrees[y]
         arc, edge = _ranges(g.indptr[y], dy)
         z = g.indices[arc]
         s1_first = _firsts(dx)
         ball2 = ball1[edge]
-        if canonical:   # the centre first among the pairs of each y
-            centre_first = np.lexsort((z != self.centres[ball2], edge))
-            z, edge = z[centre_first], edge[centre_first]
+        # the centre first among the pairs of each y
+        centre_first = np.argsort(2 * edge + (z != self.centres[ball2]), kind="stable")
+        z, edge = z[centre_first], edge[centre_first]
 
         key = ball2 * nv + z
         pos = np.minimum(np.searchsorted(key1, key), len(key1) - 1)
         in_s1 = key1[pos] == key
-        if canonical:
-            pos = s1_rank[pos]
+        pos = s1_rank[pos]
         in_s2 = ~in_s1 & (z != self.centres[ball2])
         # sphere 2 in (ball, vertex) order, by sorting: np.unique would
         # import numpy.ma, a megabyte of resident memory
@@ -360,10 +357,28 @@ class Balls:
         self.pair_w = 1.0 / (2.0 * dx[ball2] * dy[edge])
         self.pair_ball = ball2
 
+    @cached_property
+    def parent(self) -> np.ndarray:
+        """Each sphere-2 vertex's parent, as a column of its ball: the
+        smallest of its pairs' y ends where it has several."""
+        at = self.pair_z > self.degree[self.pair_ball]   # the pairs into sphere 2
+        ball = self.pair_ball[at]
+        parent = np.full(len(self.sphere2), np.iinfo(np.intp).max)
+        s2 = self.s2_first[ball] + self.pair_z[at] - 1 - self.degree[ball]
+        np.minimum.at(parent, s2, self.pair_y[at])
+        return parent
+
 
 def _firsts(lengths: np.ndarray) -> np.ndarray:
     """Where each of consecutive segments of these lengths begins."""
     return np.cumsum(lengths) - lengths
+
+
+def _two_paths(g: Graph, v: np.ndarray) -> np.ndarray:
+    """The 2-paths x ~ y ~ z of each vertex x of v, the pairs of its
+    2-ball: the sum of its d_y."""
+    arc, ball = _ranges(g.indptr[v], g.degrees[v])
+    return np.bincount(ball, g.degrees[g.indices[arc]], len(v)).astype(np.intp)
 
 
 def _ranges(first: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -375,12 +390,11 @@ def _ranges(first: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def batches(sized: Iterable[tuple], budget: int) -> Iterator[list]:
     """The items of (item, size) pairs, grouped in order while their sizes
-    sum to at most budget; a larger item is a group of its own, and an
-    item of size 0 joins the group before it. A group is yielded as soon
-    as the next item does not fit."""
+    sum to at most budget; a larger item is a group of its own. A group is
+    yielded as soon as the next item does not fit."""
     batch, total = [], 0
     for item, size in sized:
-        if size and batch and total + size > budget:
+        if batch and total + size > budget:
             yield batch
             batch, total = [], 0
         batch.append(item)

@@ -42,8 +42,6 @@ centres of its rows.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .graph import Balls, Graph, _firsts, _ranges
@@ -63,11 +61,10 @@ GRADIENT_FLOOR = 1e-3
 
 class LocalEvaluator:
     """Vectorized Laplacian / gradient-form evaluation on a 2-ball, over
-    the columns of its ``graph.Balls`` (``balls``, in the canonical layout):
-    center, sphere 1 by (degree, vertex), sphere 2."""
+    the columns of its ``graph.Balls`` (``balls``): center, sphere 1, sphere 2."""
 
     def __init__(self, g: Graph, x: int):
-        b = self.balls = Balls(g, [x], canonical=True)
+        b = self.balls = Balls(g, [x])
         self.graph = g
         self.center = x
         d, width = int(b.degree[0]), int(b.width[0])
@@ -77,14 +74,6 @@ class LocalEvaluator:
         # the vertex behind each column
         self.vertices = np.concatenate([b.centres, b.sphere1, b.sphere2])
         self.pair_y, self.pair_z, self.pair_w = b.pair_y, b.pair_z, b.pair_w
-
-    @cached_property
-    def parent(self) -> np.ndarray:
-        """The column of each sphere-2 column's parent, the smallest of its
-        pairs' y ends where it has several."""
-        parent = np.full(self.width, self.width)
-        np.minimum.at(parent, self.pair_z, self.pair_y)
-        return parent[self.s2_cols]
 
     def row_terms(self) -> int:
         """The terms of a ``MoveScorer`` row of this ball: d_x own terms, the

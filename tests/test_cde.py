@@ -479,7 +479,7 @@ def test_delta_moves_match_proposal_tensor(corpus_small, monkeypatch, route):
     for g, xs in _move_batches(corpus_small):
         evs = [LocalEvaluator(g, x) for x in xs]
         rows = [_move_rows(ev, rng) for ev in evs]
-        scorer = MoveScorer(Balls(g, xs, canonical=True), [len(r) for r in rows])
+        scorer = MoveScorer(Balls(g, xs), [len(r) for r in rows])
         current = np.concatenate([r.ravel() for r in rows])
         step = np.tile(steps, len(evs))
         for n in (2.0, 3.5, np.inf):
@@ -516,7 +516,7 @@ def test_scored_moves_do_not_depend_on_the_rows_beside_them():
     evs = [LocalEvaluator(g, x) for x in xs]
     rows = [_move_rows(ev, rng)[[0, 1, 4, 5]] for ev in evs]
     steps = np.array([0.5, 0.03, 0.25, 2.0])
-    scorer = MoveScorer(Balls(g, xs, canonical=True), [4] * len(evs))
+    scorer = MoveScorer(Balls(g, xs), [4] * len(evs))
     current = np.concatenate([r.ravel() for r in rows])
     together = _score_moves(scorer, current, np.tile(steps, len(evs)), 2.0)
     together = [_per_vertex(scorer, a) for a in together[:4]] + [together[4].reshape(-1, 4)]
@@ -542,8 +542,8 @@ def test_one_graph_batch_of_every_term_kind_matches_one_vertex_scorers(monkeypat
     rng = np.random.default_rng(11)
     counts = [3, 1, 2, 3, 2, 1] + [2] * (len(xs) - 6)
     rows = [0.9 * np.exp(rng.uniform(-2.0, 0.0, size=(c, d))) for c, d in
-            zip(counts, Balls(g, xs, canonical=True).degree)]
-    scorer = MoveScorer(Balls(g, xs, canonical=True), counts)
+            zip(counts, Balls(g, xs).degree)]
+    scorer = MoveScorer(Balls(g, xs), counts)
     current = np.concatenate([r.ravel() for r in rows])
     values = np.stack([current * 1.3, current / 1.7])
     together = scorer.ratios(current, 2.0), *scorer.moves(current, values, 2.0)
@@ -712,8 +712,8 @@ def test_each_signature_is_searched_once(monkeypatch, budget):
     # neighbours, the leaves): 3 vertices are descended, and every other
     # vertex takes its signature's search, mapped onto its own ball, with
     # the bits of its own search alone and a function that re-verifies;
-    # at a budget of 1 every search is a batch of its own, and the
-    # vertices that take an earlier search ride in its batch
+    # at a budget of 1 every vertex is a batch of its own, so most
+    # batches hold no search
     monkeypatch.setattr(cde_mod, "_DESCENT_BATCH", budget)
     g = tree_hub(14)
     descended = []
@@ -732,6 +732,33 @@ def test_each_signature_is_searched_once(monkeypatch, budget):
         assert np.array_equal(alone.function.values, est.function.values)
         assert approx_equal(cde_ratio(g, x, 2.0, est.function), est.sampled_min, rel=1e-9)
     assert len({e.sampled_min for e in together}) == 3
+
+
+def test_vertices_that_take_a_search_are_held_in_bounded_batches(monkeypatch):
+    # every vertex of cycle(16000) has the signature (2, 2, 2), so 15999
+    # vertices take vertex 0's search; each is held in a descent batch by
+    # the 5 columns of its ball, so a batch holds at most 1 + 8192 / 5
+    # vertices however long the cycle. Held without a size, they all
+    # waited in one batch, and the peak traced 9.2 MiB (41 MiB with their
+    # evaluators); here it is 4.3 MiB
+    g = cycle(16000)
+    held = []
+    refine = cde_mod._refine
+
+    def recording(batch, *args):
+        held.append(len(batch))
+        return refine(batch, *args)
+
+    monkeypatch.setattr(cde_mod, "_refine", recording)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in cde_estimates(g, range(g.vertex_count), 2.0, samples=100, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == sum(held) == g.vertex_count
+    assert max(held) <= 1 + cde_mod._DESCENT_BATCH // 5, max(held)
+    assert peak < 7 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_descent_batches_are_sized_by_the_terms_they_score(monkeypatch):

@@ -1,5 +1,4 @@
 import warnings
-from itertools import product
 
 import numpy as np
 import pytest
@@ -288,6 +287,11 @@ def _spheres(g, x):
     return tuple(b.sphere1.tolist()), tuple(b.sphere2.tolist())
 
 
+def _by_degree(g, s1):
+    """Sphere 1 in the layout of Balls: by (degree, vertex)."""
+    return tuple(sorted(s1, key=lambda y: (g.degree(y), y)))
+
+
 def test_ball_examples():
     assert _spheres(star(3), 0) == ((1, 2, 3), ())
     s1, s2 = _spheres(cycle(6), 0)
@@ -304,30 +308,32 @@ def test_ball_invariants(corpus_small):
             s1, s2 = _spheres(g, x)
             assert x not in s1 and x not in s2
             assert not set(s1) & set(s2)
-            assert (s1, s2) == _bfs_spheres(g, x)
+            bfs1, bfs2 = _bfs_spheres(g, x)
+            assert (s1, s2) == (_by_degree(g, bfs1), bfs2)
             for z in s2:
                 assert any(y in s1 for y in g.adjacency[z])
 
 
 def test_balls_match_the_walked_two_ball():
-    # the canonical layout: sphere 1 by (degree, vertex), and the centre
-    # first among the pairs of each y, the others in adjacency order
     graphs = small_mixed_corpus() + girth5_corpus()[::3] + [tree_hub(14), path(5), star(8)]
-    for g, canonical in product(graphs, (False, True)):
-        whole = Balls(g, range(g.vertex_count), canonical)
+    for g in graphs:
+        whole = Balls(g, range(g.vertex_count))
         for x in range(g.vertex_count):
-            b = Balls(g, [x], canonical)
+            b = Balls(g, [x])
             s1, s2, pairs = walked_two_ball(g, x)
-            assert _spheres(g, x) == (s1, s2) == _bfs_spheres(g, x)
-            if canonical:
-                s1 = tuple(sorted(s1, key=lambda y: (g.degree(y), y)))
-                pairs = sorted(pairs, key=lambda p: (s1.index(p[0]), p[1] != x))
-            assert (tuple(b.sphere1.tolist()), tuple(b.sphere2.tolist())) == (s1, s2)
+            assert (s1, s2) == _bfs_spheres(g, x)
+            # sphere 1 by (degree, vertex), and the centre first among the
+            # pairs of each y, the others in adjacency order
+            s1 = _by_degree(g, s1)
+            pairs = sorted(pairs, key=lambda p: (s1.index(p[0]), p[1] != x))
+            assert _spheres(g, x) == (s1, s2)
             assert b.s1_degree.tolist() == [g.degree(y) for y in s1]
             assert np.all(np.diff(b.sphere2) > 0)
             col = {v: i for i, v in enumerate((x,) + s1 + s2)}
             assert b.width.tolist() == [len(col)]
             assert b.pair_y.dtype == b.pair_z.dtype == np.intp
+            # each sphere-2 vertex's parent: its first sphere-1 column
+            assert b.parent.tolist() == [min(col[y] for y, w, _ in pairs if w == z) for z in s2]
             got = list(zip(b.pair_y.tolist(), b.pair_z.tolist(), b.pair_w.tolist()))
             assert got == [(col[y], col[z], w) for y, z, w in pairs]
             # the all-vertex layout, sliced at x, is the one-centre layout
@@ -342,6 +348,7 @@ def test_balls_match_the_walked_two_ball():
                 (whole.sphere1[s1_span], b.sphere1),
                 (whole.s1_degree[s1_span], b.s1_degree),
                 (whole.sphere2[s2_span], b.sphere2),
+                (whole.parent[s2_span], b.parent),
                 (whole.pair_y[at], b.pair_y),
                 (whole.pair_z[at], b.pair_z),
                 (whole.pair_w[at], b.pair_w),

@@ -187,11 +187,13 @@ def test_verify_both_combines(petersen_graph):
 
 
 def test_relabelling_permutes_the_records(corpus_girth5):
-    # at a gated vertex both searches depend on its 2-ball up to labels:
+    # at a gated vertex the CDE search depends on its 2-ball up to labels:
     # a seeded random relabelling of each graph permutes the records, and
-    # every number keeps its bits
-    fields = ("girth", "cd_bound", "cd_computed", "cd_margin",
-              "cde_bound", "cde_sampled_min", "cde_margin")
+    # girth, verdict and every CDE number keep their bits. CD's eigensolve
+    # sees its matrices with rows permuted, whose bits the LAPACK build
+    # decides, so its numbers are compared within 1e-12
+    exact = ("girth", "cde_bound", "cde_sampled_min", "cde_margin")
+    close = ("cd_bound", "cd_computed", "cd_margin")
     for i, g in enumerate(corpus_girth5):
         label = np.random.default_rng(i).permutation(g.vertex_count)   # new id of each vertex
         h = Graph.from_edges([(label[u], label[v]) for u, v in g.edges])
@@ -199,10 +201,13 @@ def test_relabelling_permutes_the_records(corpus_girth5):
         after = verify_theorems(h, "both", samples=1000, seed=1).records
         moved = [after[label[x]] for x in range(g.vertex_count)]
         assert [r.verdict for r in moved] == [r.verdict for r in before]
-        for name in fields:
+        for name in exact + close:
             got = np.array([getattr(r, name) for r in moved], dtype=np.float64)
             want = np.array([getattr(r, name) for r in before], dtype=np.float64)
-            assert got.tobytes() == want.tobytes(), (i, name)
+            if name in exact:
+                assert got.tobytes() == want.tobytes(), (i, name)
+            else:
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True), (i, name)
 
 
 def test_mixed_girth_gating():
