@@ -23,28 +23,53 @@ dense form (Cushing, Liu, Peyerimhoff, arXiv:1606.01496, write the
 curvature this way). Consecutive vertices form a batch of up to
 ``_CD_BATCH`` 2-paths plus sphere-1 entries; a wider vertex is a batch of
 its own. The batch's 2-balls, their columns and their 2-paths
-x ~ y ~ z, come from ``graph.Balls``, which states the layout once; the
-entries of ``localforms.cd_entries`` over those 2-paths are scattered
-straight into the sphere-1 blocks, the sphere-2 pivots and the
-sphere-2/sphere-1 couplings; each sphere-2 vertex then subtracts the
-products of its couplings over its pivot from its ball's Schur complement
-(several parents where the ball has 4-cycles). One stacked eigensolve per
-sphere-1 size finishes the batch. Each eigenvector's sign is fixed so its
-largest-magnitude component is positive. The batch's results are built
-together: one expression gives every K, and one gather lays out every
-ball's witness, sphere 1 then sphere 2, so each result holds two slices of
-the batch's arrays. The vertex list is checked and the batches are sized
-from the graph's CSR arrays, all vertices at once. Results are
-deterministic for a given numpy/LAPACK build.
+x ~ y ~ z, come from ``graph.Balls``, which states the layout once.
+
+Where the 2-ball is a tree (``Balls.tree``: girth >= 5 at x), K is known
+in closed form from the neighbour degrees d_i alone (README, "The bounds
+the verify command checks"): 2 d_x times the Schur complement is
+diag(a) + cJ, with a_i = (2 - d_i)/d_i, c = (1 - 2/n)/d_x and J all ones,
+and each sphere-2 vertex sits at twice its parent's value. Sphere 1 runs
+by degree, so its last entries hold min a_i, m times.
+
+* At n = 2, c = 0 and K = min a_i, the bits of the CD bound itself; the
+  witness is 1 at the first neighbour of the largest degree.
+* For n > 2 with m > 1, K = min a_i as well, on (e_i - e_j)/sqrt(2) for the
+  first two such neighbours.
+* Otherwise K = min a_i + c s, where s solves the secular equation
+  1 + c sum_i 1/(a_i - K) = 0 (Golub, SIAM Review 15, 1973), scaled to
+  m/s + sum over the other i of 1/(s - e_i) = 1 with e_i = (a_i - min a_i)/c.
+  Each step replaces the other terms by p + q/(s - e), e the nearest of
+  their poles, matched in value and slope at the current s, and takes
+  the root of the quadratic that leaves (the rational step of Bunch,
+  Nielsen and Sorensen, Numer. Math. 31, 1978); the first step puts every
+  other pole at e. ``_SECULAR_STEPS`` steps run over the whole batch at
+  once. The witness is u_i proportional to 1/(a_i - K) = 1/(c (e_i - s)),
+  at unit length.
+
+At the other balls the entries of ``localforms.cd_entries`` over the
+2-paths are scattered straight into the sphere-1 blocks, the sphere-2
+pivots and the sphere-2/sphere-1 couplings; each sphere-2 vertex then
+subtracts the products of its couplings over its pivot from its ball's
+Schur complement (several parents where the ball has 4-cycles). One
+stacked eigensolve per sphere-1 size finishes them. Every witness's sign
+is fixed so its first largest-magnitude component is positive. The
+batch's results are built together: one array holds every K, and one
+gather lays out every ball's witness, sphere 1 then sphere 2, so each
+result holds two slices of the batch's arrays. The vertex list is
+checked and the batches are sized from the graph's CSR arrays, all
+vertices at once. Results at tree balls depend on the degrees only;
+elsewhere they are deterministic for a given numpy/LAPACK build.
 
 The dense route, ``assemble_cd_forms`` with ``schur_minimize``,
 ``schur_minimizer`` and ``smallest_eigenvalue``, lives here only as the
 tests' reference: it builds the whole form of one ball, checks that it is
 finite and symmetric and that the sphere-2 block is exactly diagonal with
 every pivot above ``PIVOT_FLOOR``, then divides by that block. It sums
-every entry in the same order as ``cd_curvatures``, reads the same
-``graph.Balls`` layout and shares its eigensolve, so the two give the
-same bits. It stays in this module, not in ``tests/oracles.py``, because
+every entry in the same order as the scatter, reads the same
+``graph.Balls`` layout and shares its eigensolve, so at a ball that is
+not a tree the two give the same bits; at a tree ball they agree to
+rounding. It stays in this module, not in ``tests/oracles.py``, because
 the benchmark's tracer (``perfbench/tracer.py``) looks its names up here:
 moved out, the four names join the tracer's missing list, and
 ``test_tracer_reports_a_removed_private_name_as_missing`` fails.
@@ -69,6 +94,9 @@ CD_CHECK_TOL = 1e-12
 PIVOT_FLOOR = 1e-12
 # 2-paths plus sphere-1 entries (d_x^2) per batch, bounding its temporaries
 _CD_BATCH = 1 << 13
+# steps of the secular solve: the root needs at most 5 on the signatures
+# of tests/test_cd_curvatures.py, degrees 1 to 5000 included
+_SECULAR_STEPS = 6
 
 
 class NonFiniteError(ValueError):
@@ -124,10 +152,12 @@ def cd_curvatures(g: Graph, vertices: Iterable[int], n: float = 2.0) -> Iterator
 
     Vertices are computed in batches of consecutive vertices (see the
     module docstring); a result's full-length witness is built on first
-    read. Equal bit for bit to ``smallest_eigenvalue`` of
-    ``schur_minimize`` of the ``assemble_cd_forms`` form, times 2 d_x, with
-    the witness's sphere-2 values from ``schur_minimizer``. Arguments are
-    checked before the first result is requested.
+    read. At a ball that is a tree, K and the witness come from the closed
+    form in the neighbour degrees, with no eigensolve. At any other ball
+    they equal bit for bit ``smallest_eigenvalue`` of ``schur_minimize``
+    of the ``assemble_cd_forms`` form, times 2 d_x, with the witness's
+    sphere-2 values from ``schur_minimizer``. Arguments are checked before
+    the first result is requested.
     """
     n = _check_dimension(n)
     vertices = list(vertices)
@@ -139,8 +169,99 @@ def cd_curvatures(g: Graph, vertices: Iterable[int], n: float = 2.0) -> Iterator
 
 
 def _batch(g: Graph, xs: list[int], n: float) -> Iterator[CdResult]:
-    """The results at xs, in order, from the 2-paths of their balls."""
+    """The results at xs, in order: the closed form at the balls that are
+    trees, the scatter and eigensolve at the others."""
     balls = Balls(g, xs)
+    dx, s1_first, s2_first = balls.degree, balls.s1_first, balls.s2_first
+    s2_count = balls.width - 1 - dx
+    curvature, u, w = _closed_form(balls, n)
+    other = np.flatnonzero(~balls.tree)
+    if other.size:
+        others = balls if other.size == len(xs) else Balls(g, [xs[i] for i in other])
+        s1, _ = _ranges(s1_first[other], dx[other])
+        s2, _ = _ranges(s2_first[other], s2_count[other])
+        curvature[other], u[s1], w[s2] = _eigen(others, n)
+
+    # every ball's sphere 1, then its sphere 2, ball after ball: result k
+    # holds its slice
+    entry, _ = _ranges(
+        np.column_stack((s1_first, len(u) + s2_first)).ravel(),
+        np.column_stack((dx, s2_count)).ravel(),
+    )
+    ball_vertices = np.concatenate((balls.sphere1, balls.sphere2))[entry]
+    ball_values = np.concatenate((u, w))[entry]
+    ends = np.cumsum(balls.width - 1).tolist()
+    vertex_count = g.vertex_count
+    for x, k, a, b in zip(xs, curvature.tolist(), [0] + ends, ends):
+        yield CdResult(
+            vertex=x,
+            dimension_n=n,
+            curvature_K=k,
+            vertex_count=vertex_count,
+            ball_vertices=ball_vertices[a:b],
+            ball_values=ball_values[a:b],
+        )
+
+
+def _closed_form(balls: Balls, n: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K, the sphere-1 witness and its sphere-2 values of every ball, from
+    the sphere-1 degrees alone: right at the balls that are trees (see the
+    module docstring), meaningless but finite at the others."""
+    dx, first = balls.degree, balls.s1_first
+    ball = np.repeat(np.arange(len(dx)), dx)
+    a = (2.0 - balls.s1_degree) / balls.s1_degree   # the CD bound's terms, bit for bit
+    # sphere 1 runs by degree, so the m smallest a_i end it, from lead on
+    last = first + dx - 1
+    k = a[last]
+    top = a == k[ball]
+    m = np.bincount(ball, top, len(dx))
+    lead = last + 1 - m.astype(np.intp)
+    scale = 1.0 - 2.0 / n
+    if scale == 0.0:
+        u = np.zeros(len(a))
+        u[lead] = 1.0
+    else:
+        # K = min a_i + c s, s the root of m/s + sum over the rest of
+        # 1/(s - e_i) = 1, e_i = (a_i - min a_i)/c (module docstring)
+        c = scale / dx
+        e = (a - k[ball]) / c[ball]
+        rest = ~top
+        # the rest's pole nearest 0; with no rest, any pole past m on c's side
+        pole = np.where(m < dx, e[lead - 1], np.copysign(m, scale))
+        p, q = 0.0, np.bincount(ball, rest, len(dx))
+        for step in range(_SECULAR_STEPS):
+            if step:
+                r = rest / (s[ball] - e)
+                r1, r2 = np.bincount(ball, r, len(dx)), np.bincount(ball, r * r, len(dx))
+                q, p = r2 * (s - pole) ** 2, r1 - r2 * (s - pole)
+            # with the rest at p + q/(s - pole), s solves
+            # qa s^2 - qb s + qc = 0, whose roots are h/qa and qc/h: the one
+            # in (0, pole) for c > 0, the positive one for c < 0
+            qa, qb, qc = 1.0 - p, (1.0 - p) * pole + q + m, m * pole
+            h = 0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+            s = qc / h if scale > 0 else np.maximum(h / qa, qc / h)
+        v = 1.0 / (s[ball] - e)
+        u = v / np.sqrt(np.bincount(ball, v * v, len(dx)))[ball]
+        # signed as the eigensolve's: the first largest-magnitude value positive
+        mag = np.abs(u)
+        at = np.where(mag == np.maximum.reduceat(mag, first)[ball], np.arange(len(u)), len(u))
+        u *= np.where(u[np.minimum.reduceat(at, first)] < 0.0, -1.0, 1.0)[ball]
+        k = k + c * s
+        if scale > 0:
+            # min a_i repeated: K = min a_i, on e_i - e_j
+            tie = np.flatnonzero(m > 1)
+            k[tie] = a[last[tie]]
+            u[_ranges(first[tie], dx[tie])[0]] = 0.0
+            u[lead[tie]], u[lead[tie] + 1] = np.sqrt(0.5), -np.sqrt(0.5)
+    # each sphere-2 vertex at twice its parent
+    s2_ball = np.repeat(np.arange(len(dx)), balls.width - 1 - dx)
+    return k, u, 2.0 * u[first[s2_ball] + balls.parent - 1]
+
+
+def _eigen(balls: Balls, n: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K, the sphere-1 witness and its sphere-2 values of every ball, from
+    its 2-paths scattered into its Schur complement and one stacked
+    eigensolve per sphere-1 size."""
     dx, s1_first, s2_first = balls.degree, balls.s1_first, balls.s2_first
     df, rows, cols, values = cd_entries(balls.pair_y, balls.pair_z, balls.pair_w, dx, n)
     slot = np.repeat(balls.pair_ball, 4)
@@ -164,7 +285,7 @@ def _batch(g: Graph, xs: list[int], n: float) -> Iterator[CdResult]:
     b, a = _ranges(_firsts(per_vertex)[e], per_vertex[e])
     np.add.at(s, s_first[slot[at[a]]] + i[a] * p[at[a]] + i[b], -(m[a] * m[b]) / pivot[e[a]])
 
-    lam = np.empty(len(xs))
+    lam = np.empty(len(dx))
     u = np.empty(len(balls.sphere1))
     for d in sorted(set(dx.tolist())):
         group = np.flatnonzero(dx == d)
@@ -172,26 +293,7 @@ def _batch(g: Graph, xs: list[int], n: float) -> Iterator[CdResult]:
         lam[group], u[s1_first[group][:, None] + np.arange(d)] = _smallest_eigenpairs(mats)
     acc = np.zeros(len(pivot))
     np.add.at(acc, e, m * u[s1_first[slot[at]] + i])
-    w_star = -acc / pivot
-
-    # every ball's sphere 1, then its sphere 2, ball after ball: result k
-    # holds its slice
-    entry, _ = _ranges(
-        np.column_stack((s1_first, len(u) + s2_first)).ravel(),
-        np.column_stack((dx, balls.width - 1 - dx)).ravel(),
-    )
-    ball_vertices = np.concatenate((balls.sphere1, balls.sphere2))[entry]
-    ball_values = np.concatenate((u, w_star))[entry]
-    ends = np.cumsum(balls.width - 1).tolist()
-    for x, curvature, a, b in zip(xs, (2.0 * dx * lam).tolist(), [0] + ends, ends):
-        yield CdResult(
-            vertex=x,
-            dimension_n=n,
-            curvature_K=curvature,
-            vertex_count=g.vertex_count,
-            ball_vertices=ball_vertices[a:b],
-            ball_values=ball_values[a:b],
-        )
+    return 2.0 * dx * lam, u, -acc / pivot
 
 
 def _smallest_eigenpairs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -212,12 +212,10 @@ def _searches(g: Graph, vertices: np.ndarray, n: float, samples: int, seed: int)
     for xs in batches(zip(vertices.tolist(), _two_paths(g, vertices)), _DESCENT_BATCH):
         b = Balls(g, xs)
         s1_end, s2_count = b.s1_first + b.degree, b.width - 1 - b.degree
-        # a tree 2-ball: each 2-path x ~ y ~ z, z != x, ends at its own sphere-2 z
-        tree = s2_count == np.bincount(b.pair_ball, minlength=len(xs)) - b.degree
         s1_degree = b.s1_degree.tolist()
         spans = zip(b.s1_first.tolist(), s1_end.tolist(), b.s2_first.tolist(),
                     (b.s2_first + s2_count).tolist())
-        for x, is_tree, (s1, e1, s2, e2) in zip(xs, tree.tolist(), spans):
+        for x, is_tree, (s1, e1, s2, e2) in zip(xs, b.tree.tolist(), spans):
             key = (e1 - s1, *s1_degree[s1:e1]) if is_tree else None
             if key in seen:
                 copy = _Copy(x, np.concatenate(([x], b.sphere1[s1:e1], b.sphere2[s2:e2])),

@@ -368,6 +368,13 @@ class Balls:
         np.minimum.at(parent, s2, self.pair_y[at])
         return parent
 
+    @cached_property
+    def tree(self) -> np.ndarray:
+        """Whether each ball is a tree (girth >= 5 at its centre): every
+        2-path x ~ y ~ z but the d_x back to x ends at its own sphere-2 z,
+        so its 2-paths number exactly its columns past the centre."""
+        return np.bincount(self.pair_ball, minlength=len(self.degree)) == self.width - 1
+
 
 def _firsts(lengths: np.ndarray) -> np.ndarray:
     """Where each of consecutive segments of these lengths begins."""

@@ -1,5 +1,6 @@
 """The whole-graph CD route against the dense validating route and, at girth
->= 5, against the closed form in the neighbor degrees."""
+>= 5, against the closed form in the neighbor degrees, which it computes
+there without an eigensolve."""
 
 import math
 
@@ -10,12 +11,14 @@ import curvkit.cd as cd_mod
 from conftest import tree_hub
 from oracles import closed_form_cd_curvature
 from curvkit import (
+    Graph,
     NotEliminableError,
     all_vertex_girths,
     assemble_cd_forms,
     cd_bound_girth5,
     cd_curvature,
     cd_curvatures,
+    cycle,
     gamma2,
     gamma_local,
     laplacian,
@@ -25,8 +28,10 @@ from curvkit import (
     schur_minimize,
     schur_minimizer,
     smallest_eigenvalue,
+    verify_theorems,
 )
-from curvkit.cd import CD_CHECK_TOL
+from curvkit.cd import CD_CHECK_TOL, DIM_FLOOR
+from curvkit.graph import Balls
 
 DIMS = (2.0, 3.5, math.inf)
 
@@ -45,6 +50,7 @@ def _dense(g, x, n):
 
 def test_curvatures_match_the_dense_route(corpus_small, corpus_girth5):
     for g in _graphs(corpus_small, corpus_girth5):
+        tree = Balls(g, range(g.vertex_count)).tree
         for n in DIMS:
             results = list(cd_curvatures(g, range(g.vertex_count), n))
             assert [r.vertex for r in results] == list(range(g.vertex_count))
@@ -57,15 +63,17 @@ def test_curvatures_match_the_dense_route(corpus_small, corpus_girth5):
                 lap = laplacian(g, f, x)
                 slack = gamma2(g, f, x) - lap * lap / n - r.curvature_K * gamma_local(g, f, x)
                 assert abs(slack) <= CD_CHECK_TOL
-                # ... and is the dense route's eigenvector, with the dense
-                # minimizer over sphere 2 and zero elsewhere; the two routes
-                # sum every entry in the same order, so they agree bit for
-                # bit, degenerate eigenspaces included
+                # ... and, where the ball is not a tree, is the dense route's
+                # eigenvector, with the dense minimizer over sphere 2 and zero
+                # elsewhere; the two routes sum every entry in the same
+                # order, so they agree bit for bit, degenerate eigenspaces
+                # included (a tree ball takes the closed form, tested below)
                 values = f.values
-                assert np.array_equal(values[coordinates[keep]], vec)
-                if len(coordinates) > len(keep):
-                    expected = schur_minimizer(a, keep, vec)
-                    assert np.array_equal(values[coordinates[len(keep) :]], expected)
+                if not tree[x]:
+                    assert np.array_equal(values[coordinates[keep]], vec)
+                    if len(coordinates) > len(keep):
+                        expected = schur_minimizer(a, keep, vec)
+                        assert np.array_equal(values[coordinates[len(keep) :]], expected)
                 outside = np.ones(g.vertex_count, dtype=bool)
                 outside[[x, *coordinates]] = False
                 assert not values[outside].any() and values[x] == 0.0
@@ -145,11 +153,133 @@ def test_curvatures_check_arguments_before_the_first_result():
 
 
 def test_curvatures_check_the_pivot_floor(monkeypatch):
-    # a path end's only sphere-2 pivot is 1/8 at dimension 2
+    # the opposite corner of a 4-cycle has two parents, each adding
+    # 1/(4 d_x d_y) = 1/16 to its pivot: 1/8 at dimension 2. A tree ball
+    # takes the closed form, which divides by no pivot
     monkeypatch.setattr(cd_mod, "PIVOT_FLOOR", 0.125)
     with pytest.raises(NotEliminableError):
-        cd_curvature(path(4), 0, 2.0)
-    a, _, _ = assemble_cd_forms(path(4), 0, 2.0)
+        cd_curvature(cycle(4), 0, 2.0)
+    a, _, _ = assemble_cd_forms(cycle(4), 0, 2.0)
     with pytest.raises(NotEliminableError):
         schur_minimize(a, [0])
 
+
+
+# ---- tree balls: the closed form ---------------------------------------------
+
+GRID = (DIM_FLOOR, 0.5, 1.0, 2.0, 3.5, math.inf)
+
+
+def _spider(degrees):
+    """A tree whose centre 0 has neighbours 1, 2, ... of these degrees."""
+    edges, leaf = [], len(degrees) + 1
+    for y, d in enumerate(degrees, 1):
+        edges.append((0, y))
+        edges += [(y, leaf + i) for i in range(d - 1)]
+        leaf += d - 1
+    return Graph.from_edges(edges)
+
+
+# centres whose neighbour degrees lie far apart or one apart, where the
+# secular solve is hardest: its poles crowd or its knee is sharp
+SPIDERS = [_spider(d) for d in (
+    [1], [2], [5000], [1, 1], [2, 3], [1000, 1001], [3, 1000, 1001], [1] * 30 + [3000],
+    [2] * 40 + [7, 7], [999, 1000, 1001], [1, 2, 3, 4, 5, 6, 7, 8], [3000, 3001, 3002, 3003],
+)]
+
+
+@pytest.fixture(scope="module")
+def gated(corpus_girth5):
+    """(graph, its vertices of girth >= 5) for the girth-5 corpus, the tree
+    hubs and a 1000-vertex girth-5 graph."""
+    graphs = corpus_girth5 + [tree_hub(k) for k in (6, 10, 14, 50, 200)]
+    graphs.append(random_with_girth(1000, 1500, 5, 1))
+    return [(g, [x for x, girth in enumerate(all_vertex_girths(g)) if girth >= 5])
+            for g in graphs]
+
+
+def _secular_matrix(g, x, n):
+    """diag(a) + cJ of the README, over x's neighbours in sphere-1 order."""
+    dy = np.sort(g.degrees[list(g.adjacency[x])], kind="stable")
+    return np.diag((2.0 - dy) / dy) + (1.0 - 2.0 / n) / len(dy)
+
+
+@pytest.mark.parametrize("n", GRID)
+def test_tree_balls_match_the_dense_route(gated, n):
+    # the dense route rounds a Schur complement and an eigensolve; the
+    # closed form stays within 1e-13 of max(|K|, 1) of it (6.1e-15 at
+    # worst here), 1e300 in size at DIM_FLOOR included
+    for g, xs in gated:
+        for r in cd_curvatures(g, xs, n):
+            k = _dense(g, r.vertex, n)[3]
+            assert abs(r.curvature_K - k) <= 1e-13 * max(abs(k), 1.0), (r.vertex, n)
+    # centres too wide for the dense form: against diag(a) + cJ
+    for g in SPIDERS:
+        (r,) = cd_curvatures(g, [0], n)
+        k = np.linalg.eigvalsh(_secular_matrix(g, 0, n))[0]
+        assert abs(r.curvature_K - k) <= 1e-13 * max(abs(k), 1.0), (g.degree(0), n)
+
+
+@pytest.mark.parametrize("n", GRID)
+def test_tree_ball_witness_attains_equality_and_is_a_unit_eigenvector(gated, n):
+    for g, xs in gated[:-1] + [(g, [0]) for g in SPIDERS[:-3]]:
+        parents = Balls(g, xs).parent
+        at = 0
+        for r in cd_curvatures(g, xs, n):
+            x, f, k, d = r.vertex, r.function, r.curvature_K, g.degree(r.vertex)
+            u, w = r.ball_values[:d], r.ball_values[d:]
+            m = _secular_matrix(g, x, n)
+            assert abs(u @ u - 1.0) <= 1e-14
+            assert np.abs(m @ u - k * u).max() <= 1e-13 * max(abs(k), 1.0)
+            # sphere 2 at twice its parent
+            assert np.array_equal(w, 2.0 * u[parents[at : at + len(w)] - 1])
+            at += len(w)
+            lap = laplacian(g, f, x)
+            terms = gamma2(g, f, x), lap * lap / n, k * gamma_local(g, f, x)
+            slack = terms[0] - terms[1] - terms[2]
+            assert abs(slack) <= CD_CHECK_TOL * max(1.0, *map(abs, terms)), (x, n)
+
+
+def test_the_secular_solve_has_converged(monkeypatch, gated):
+    # twice the steps move no K by more than an ulp or two
+    xs_of = [(g, xs) for g, xs in gated] + [(g, [0]) for g in SPIDERS]
+    for n in (DIM_FLOOR, 0.5, 1.0, 1.9, 2.5, 3.5, math.inf):
+        before = [r.curvature_K for g, xs in xs_of for r in cd_curvatures(g, xs, n)]
+        monkeypatch.setattr(cd_mod, "_SECULAR_STEPS", 2 * cd_mod._SECULAR_STEPS)
+        after = [r.curvature_K for g, xs in xs_of for r in cd_curvatures(g, xs, n)]
+        monkeypatch.undo()
+        assert np.allclose(after, before, rtol=1e-15, atol=1e-16), n
+
+
+@pytest.mark.parametrize("n", [3.0, math.inf])
+def test_a_repeated_largest_degree_keeps_the_curvature_at_n_2(gated, n):
+    # for n > 2, e_i - e_j of two largest-degree neighbours is an
+    # eigenvector of diag(a) + cJ at min a_i, which is then its smallest
+    # eigenvalue: K(x, n) = K(x, 2) to the bit
+    count = 0
+    for g, xs in gated:
+        top = [x for x in xs
+               if np.sum(g.degrees[list(g.adjacency[x])] == max(g.degree(y) for y in g.adjacency[x])) > 1]
+        at_n, at_2 = cd_curvatures(g, top, n), cd_curvatures(g, top, 2.0)
+        assert [r.curvature_K for r in at_n] == [r.curvature_K for r in at_2]
+        count += len(top)
+    assert count > 200
+
+
+def test_verify_runs_no_eigensolve_at_gated_vertices(monkeypatch, corpus_small, gated):
+    calls = []
+    eigenpairs = cd_mod._smallest_eigenpairs
+    monkeypatch.setattr(cd_mod, "_smallest_eigenpairs",
+                        lambda mats: calls.append(len(mats)) or eigenpairs(mats))
+    records = []
+    for g in corpus_small + [g for g, _ in gated]:
+        records += verify_theorems(g, "cd").records
+    assert calls == []
+    # the bound is attained: computed and bound are the same bits
+    checked = [r for r in records if r.verdict != "precondition_not_met"]
+    assert len(checked) > 2000
+    for r in checked:
+        assert r.cd_computed == r.cd_bound and str(r.cd_margin) == "0.0", r.vertex
+    # the counter sees the eigensolve of a ball that is not a tree
+    list(cd_curvatures(cycle(4), [0, 1], 2.0))
+    assert calls == [2]

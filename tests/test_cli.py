@@ -392,9 +392,18 @@ def test_verify_high_degree_non_tree_within_budget(capsys, tmp_path):
     assert elapsed < 30.0, f"curvature-cde: {elapsed:.1f} s over the 30 s budget"
 
 
-def test_verify_verbose_logs_tight_margins(capsys, tmp_path):
+def test_verify_verbose_logs_tight_margins(capsys, tmp_path, monkeypatch):
     # README: margins in (-1e-8, 0) are logged as tight; -v sends those lines
-    # to stderr and leaves stdout byte-identical
+    # to stderr and leaves stdout byte-identical. A gated CD margin is
+    # exactly 0.0 (the closed form gives the bound's own bits), so the
+    # bound is raised by 1e-10 at every third vertex to make tight margins
+    import curvkit.verify
+
+    bounds = curvkit.verify._cd_bounds
+    monkeypatch.setattr(
+        curvkit.verify, "_cd_bounds",
+        lambda g: [b + (1e-10 if x % 3 == 0 else 0.0) for x, b in enumerate(bounds(g))],
+    )
     f = tmp_path / "g.edges"
     f.write_text(serialize_edge_list(girth5_corpus()[2]))
     code, quiet, quiet_err = run(capsys, "verify", str(f), "--theorem", "cd")
