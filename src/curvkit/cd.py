@@ -94,8 +94,9 @@ CD_CHECK_TOL = 1e-12
 PIVOT_FLOOR = 1e-12
 # 2-paths plus sphere-1 entries (d_x^2) per batch, bounding its temporaries
 _CD_BATCH = 1 << 13
-# steps of the secular solve: the root needs at most 5 on the signatures
-# of tests/test_cd_curvatures.py, degrees 1 to 5000 included
+# steps of the secular solve: 5 reach the root to rounding for neighbour
+# degrees from 1 to 5000, one apart or far apart (the spiders of
+# tests/test_cd_curvatures.py); the sixth is a margin
 _SECULAR_STEPS = 6
 
 

@@ -36,6 +36,24 @@ from curvkit.graph import Balls
 DIMS = (2.0, 3.5, math.inf)
 
 
+def _spider(degrees):
+    """A tree whose centre 0 has neighbours 1, 2, ... of these degrees."""
+    edges, leaf = [], len(degrees) + 1
+    for y, d in enumerate(degrees, 1):
+        edges.append((0, y))
+        edges += [(y, leaf + i) for i in range(d - 1)]
+        leaf += d - 1
+    return Graph.from_edges(edges)
+
+
+# centres whose neighbour degrees lie far apart or one apart, where the
+# secular solve is hardest: its poles crowd or its knee is sharp
+SPIDERS = [_spider(d) for d in (
+    [1], [2], [5000], [1, 1], [2, 3], [1000, 1001], [3, 1000, 1001], [1] * 30 + [3000],
+    [2] * 40 + [7, 7], [999, 1000, 1001], [1, 2, 3, 4, 5, 6, 7, 8], [3000, 3001, 3002, 3003],
+)]
+
+
 def _graphs(corpus_small, corpus_girth5):
     # triangles and 4-cycles, girth 5, wide tree hubs, and a path end
     return corpus_small + corpus_girth5 + [tree_hub(14), tree_hub(50), path(7)]
@@ -91,14 +109,15 @@ def test_curvatures_match_the_girth5_closed_form(corpus_girth5, n):
                 assert abs(r.curvature_K - cd_bound_girth5(g, r.vertex)) <= 1e-14
 
 
-@pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 3.5, math.inf])
+@pytest.mark.parametrize("n", [DIM_FLOOR, 0.5, 1.0, 2.0, 3.5, math.inf])
 def test_gated_curvature_is_the_smallest_eigenvalue_of_diag_plus_rank_one(corpus_girth5, n):
     # at girth >= 5 the 2-ball is a tree and 2 d_x S = diag(a) + c J, with
     # a_i = (2 - d_i)/d_i over the neighbour degrees and c = (1 - 2/n)/d_x
-    # (README, "The bounds the verify command checks")
-    for g in corpus_girth5 + [tree_hub(k) for k in (6, 10, 14, 200)]:
-        girths = all_vertex_girths(g)
-        xs = [x for x in range(g.vertex_count) if girths[x] >= 5]
+    # (README, "The bounds the verify command checks"); the spider centres
+    # are too wide for the dense form
+    graphs = corpus_girth5 + [tree_hub(k) for k in (6, 10, 14, 200)]
+    gated = [(g, [x for x, girth in enumerate(all_vertex_girths(g)) if girth >= 5]) for g in graphs]
+    for g, xs in gated + [(g, [0]) for g in SPIDERS]:
         for r in cd_curvatures(g, xs, n):
             dy = g.degrees[list(g.adjacency[r.vertex])]
             a = (2.0 - dy) / dy
@@ -170,24 +189,6 @@ def test_curvatures_check_the_pivot_floor(monkeypatch):
 GRID = (DIM_FLOOR, 0.5, 1.0, 2.0, 3.5, math.inf)
 
 
-def _spider(degrees):
-    """A tree whose centre 0 has neighbours 1, 2, ... of these degrees."""
-    edges, leaf = [], len(degrees) + 1
-    for y, d in enumerate(degrees, 1):
-        edges.append((0, y))
-        edges += [(y, leaf + i) for i in range(d - 1)]
-        leaf += d - 1
-    return Graph.from_edges(edges)
-
-
-# centres whose neighbour degrees lie far apart or one apart, where the
-# secular solve is hardest: its poles crowd or its knee is sharp
-SPIDERS = [_spider(d) for d in (
-    [1], [2], [5000], [1, 1], [2, 3], [1000, 1001], [3, 1000, 1001], [1] * 30 + [3000],
-    [2] * 40 + [7, 7], [999, 1000, 1001], [1, 2, 3, 4, 5, 6, 7, 8], [3000, 3001, 3002, 3003],
-)]
-
-
 @pytest.fixture(scope="module")
 def gated(corpus_girth5):
     """(graph, its vertices of girth >= 5) for the girth-5 corpus, the tree
@@ -213,11 +214,6 @@ def test_tree_balls_match_the_dense_route(gated, n):
         for r in cd_curvatures(g, xs, n):
             k = _dense(g, r.vertex, n)[3]
             assert abs(r.curvature_K - k) <= 1e-13 * max(abs(k), 1.0), (r.vertex, n)
-    # centres too wide for the dense form: against diag(a) + cJ
-    for g in SPIDERS:
-        (r,) = cd_curvatures(g, [0], n)
-        k = np.linalg.eigvalsh(_secular_matrix(g, 0, n))[0]
-        assert abs(r.curvature_K - k) <= 1e-13 * max(abs(k), 1.0), (g.degree(0), n)
 
 
 @pytest.mark.parametrize("n", GRID)
