@@ -25,27 +25,14 @@ curvature this way). Consecutive vertices form a batch of up to
 its own. The batch's 2-balls, their columns and their 2-paths
 x ~ y ~ z, come from ``graph.Balls``, which states the layout once.
 
-Where the 2-ball is a tree (``Balls.tree``: girth >= 5 at x), K is known
-in closed form from the neighbour degrees d_i alone (README, "The bounds
-the verify command checks"): 2 d_x times the Schur complement is
-diag(a) + cJ, with a_i = (2 - d_i)/d_i, c = (1 - 2/n)/d_x and J all ones,
-and each sphere-2 vertex sits at twice its parent's value. Sphere 1 runs
-by degree, so its last entries hold min a_i, m times.
-
-* At n = 2, c = 0 and K = min a_i, the bits of the CD bound itself; the
-  witness is 1 at the first neighbour of the largest degree.
-* For n > 2 with m > 1, K = min a_i as well, on (e_i - e_j)/sqrt(2) for the
-  first two such neighbours.
-* Otherwise K = min a_i + c s, where s solves the secular equation
-  1 + c sum_i 1/(a_i - K) = 0 (Golub, SIAM Review 15, 1973), scaled to
-  m/s + sum over the other i of 1/(s - e_i) = 1 with e_i = (a_i - min a_i)/c.
-  Each step replaces the other terms by p + q/(s - e), e the nearest of
-  their poles, matched in value and slope at the current s, and takes
-  the root of the quadratic that leaves (the rational step of Bunch,
-  Nielsen and Sorensen, Numer. Math. 31, 1978); the first step puts every
-  other pole at e. ``_SECULAR_STEPS`` steps run over the whole batch at
-  once. The witness is u_i proportional to 1/(a_i - K) = 1/(c (e_i - s)),
-  at unit length.
+At n = 2, where the 2-ball is a tree (``Balls.tree``: girth >= 5 at x),
+K is known in closed form from the neighbour degrees d_i alone (README,
+"The bounds the verify command checks"): 2 d_x times the Schur complement
+is diag(a) + cJ, with a_i = (2 - d_i)/d_i, c = (1 - 2/n)/d_x and J all
+ones, so c = 0 and K = min a_i, the bits of the CD bound itself. Sphere
+1 runs by degree, so its last entry holds min a_i. The witness is 1 at
+the first neighbour of the largest degree, and each sphere-2 vertex sits
+at twice its parent's value.
 
 At the other balls the entries of ``localforms.cd_entries`` over the
 2-paths are scattered straight into the sphere-1 blocks, the sphere-2
@@ -68,8 +55,8 @@ finite and symmetric and that the sphere-2 block is exactly diagonal with
 every pivot above ``PIVOT_FLOOR``, then divides by that block. It sums
 every entry in the same order as the scatter, reads the same
 ``graph.Balls`` layout and shares its eigensolve, so at a ball that is
-not a tree the two give the same bits; at a tree ball they agree to
-rounding. It stays in this module, not in ``tests/oracles.py``, because
+not a tree, or at any n other than 2, the two give the same bits; at a
+tree ball at n = 2 they agree to rounding. It stays in this module, not in ``tests/oracles.py``, because
 the benchmark's tracer (``perfbench/tracer.py``) looks its names up here:
 moved out, the four names join the tracer's missing list, and
 ``test_tracer_reports_a_removed_private_name_as_missing`` fails.
@@ -94,10 +81,6 @@ CD_CHECK_TOL = 1e-12
 PIVOT_FLOOR = 1e-12
 # 2-paths plus sphere-1 entries (d_x^2) per batch, bounding its temporaries
 _CD_BATCH = 1 << 13
-# steps of the secular solve: 5 reach the root to rounding for neighbour
-# degrees from 1 to 5000, one apart or far apart (the spiders of
-# tests/test_cd_curvatures.py); the sixth is a margin
-_SECULAR_STEPS = 6
 
 
 class NonFiniteError(ValueError):
@@ -153,9 +136,9 @@ def cd_curvatures(g: Graph, vertices: Iterable[int], n: float = 2.0) -> Iterator
 
     Vertices are computed in batches of consecutive vertices (see the
     module docstring); a result's full-length witness is built on first
-    read. At a ball that is a tree, K and the witness come from the closed
-    form in the neighbour degrees, with no eigensolve. At any other ball
-    they equal bit for bit ``smallest_eigenvalue`` of ``schur_minimize``
+    read. At n = 2 and a ball that is a tree, K and the witness come from
+    the closed form in the neighbour degrees, with no eigensolve. Anywhere
+    else they equal bit for bit ``smallest_eigenvalue`` of ``schur_minimize``
     of the ``assemble_cd_forms`` form, times 2 d_x, with the witness's
     sphere-2 values from ``schur_minimizer``. Arguments are checked before
     the first result is requested.
@@ -170,18 +153,21 @@ def cd_curvatures(g: Graph, vertices: Iterable[int], n: float = 2.0) -> Iterator
 
 
 def _batch(g: Graph, xs: list[int], n: float) -> Iterator[CdResult]:
-    """The results at xs, in order: the closed form at the balls that are
-    trees, the scatter and eigensolve at the others."""
+    """The results at xs, in order: at n = 2 the closed form at the balls
+    that are trees, the scatter and eigensolve at every other ball."""
     balls = Balls(g, xs)
     dx, s1_first, s2_first = balls.degree, balls.s1_first, balls.s2_first
     s2_count = balls.width - 1 - dx
-    curvature, u, w = _closed_form(balls, n)
-    other = np.flatnonzero(~balls.tree)
-    if other.size:
-        others = balls if other.size == len(xs) else Balls(g, [xs[i] for i in other])
-        s1, _ = _ranges(s1_first[other], dx[other])
-        s2, _ = _ranges(s2_first[other], s2_count[other])
-        curvature[other], u[s1], w[s2] = _eigen(others, n)
+    if n != 2.0:
+        curvature, u, w = _eigen(balls, n)
+    else:
+        curvature, u, w = _closed_form(balls)
+        other = np.flatnonzero(~balls.tree)
+        if other.size:
+            others = balls if other.size == len(xs) else Balls(g, [xs[i] for i in other])
+            s1, _ = _ranges(s1_first[other], dx[other])
+            s2, _ = _ranges(s2_first[other], s2_count[other])
+            curvature[other], u[s1], w[s2] = _eigen(others, n)
 
     # every ball's sphere 1, then its sphere 2, ball after ball: result k
     # holds its slice
@@ -204,59 +190,22 @@ def _batch(g: Graph, xs: list[int], n: float) -> Iterator[CdResult]:
         )
 
 
-def _closed_form(balls: Balls, n: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K, the sphere-1 witness and its sphere-2 values of every ball, from
-    the sphere-1 degrees alone: right at the balls that are trees (see the
-    module docstring), meaningless but finite at the others."""
-    dx, first = balls.degree, balls.s1_first
+def _closed_form(balls: Balls) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K, the sphere-1 witness and its sphere-2 values of every ball at
+    n = 2, from the sphere-1 degrees alone: right at the balls that are
+    trees (see the module docstring), meaningless but finite at the others."""
+    dx, first, degree = balls.degree, balls.s1_first, balls.s1_degree
+    # sphere 1 runs by degree: the largest ends it, and its first neighbour
+    # of that degree comes after the smaller ones
+    top = degree[first + dx - 1]
     ball = np.repeat(np.arange(len(dx)), dx)
-    a = (2.0 - balls.s1_degree) / balls.s1_degree   # the CD bound's terms, bit for bit
-    # sphere 1 runs by degree, so the m smallest a_i end it, from lead on
-    last = first + dx - 1
-    k = a[last]
-    top = a == k[ball]
-    m = np.bincount(ball, top, len(dx))
-    lead = last + 1 - m.astype(np.intp)
-    scale = 1.0 - 2.0 / n
-    if scale == 0.0:
-        u = np.zeros(len(a))
-        u[lead] = 1.0
-    else:
-        # K = min a_i + c s, s the root of m/s + sum over the rest of
-        # 1/(s - e_i) = 1, e_i = (a_i - min a_i)/c (module docstring)
-        c = scale / dx
-        e = (a - k[ball]) / c[ball]
-        rest = ~top
-        # the rest's pole nearest 0; with no rest, any pole past m on c's side
-        pole = np.where(m < dx, e[lead - 1], np.copysign(m, scale))
-        p, q = 0.0, np.bincount(ball, rest, len(dx))
-        for step in range(_SECULAR_STEPS):
-            if step:
-                r = rest / (s[ball] - e)
-                r1, r2 = np.bincount(ball, r, len(dx)), np.bincount(ball, r * r, len(dx))
-                q, p = r2 * (s - pole) ** 2, r1 - r2 * (s - pole)
-            # with the rest at p + q/(s - pole), s solves
-            # qa s^2 - qb s + qc = 0, whose roots are h/qa and qc/h: the one
-            # in (0, pole) for c > 0, the positive one for c < 0
-            qa, qb, qc = 1.0 - p, (1.0 - p) * pole + q + m, m * pole
-            h = 0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
-            s = qc / h if scale > 0 else np.maximum(h / qa, qc / h)
-        v = 1.0 / (s[ball] - e)
-        u = v / np.sqrt(np.bincount(ball, v * v, len(dx)))[ball]
-        # signed as the eigensolve's: the first largest-magnitude value positive
-        mag = np.abs(u)
-        at = np.where(mag == np.maximum.reduceat(mag, first)[ball], np.arange(len(u)), len(u))
-        u *= np.where(u[np.minimum.reduceat(at, first)] < 0.0, -1.0, 1.0)[ball]
-        k = k + c * s
-        if scale > 0:
-            # min a_i repeated: K = min a_i, on e_i - e_j
-            tie = np.flatnonzero(m > 1)
-            k[tie] = a[last[tie]]
-            u[_ranges(first[tie], dx[tie])[0]] = 0.0
-            u[lead[tie]], u[lead[tie] + 1] = np.sqrt(0.5), -np.sqrt(0.5)
+    lead = first + np.bincount(ball, degree < top[ball], len(dx)).astype(np.intp)
+    u = np.zeros(len(degree))
+    u[lead] = 1.0
     # each sphere-2 vertex at twice its parent
     s2_ball = np.repeat(np.arange(len(dx)), balls.width - 1 - dx)
-    return k, u, 2.0 * u[first[s2_ball] + balls.parent - 1]
+    # min a_i, written as verify._cd_bounds writes it: the bound's own bits
+    return (2.0 - top) / top, u, 2.0 * u[first[s2_ball] + balls.parent - 1]
 
 
 def _eigen(balls: Balls, n: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
