@@ -39,14 +39,14 @@ At the other balls the entries of ``localforms.cd_entries`` over the
 pivots and the sphere-2/sphere-1 couplings; each sphere-2 vertex then
 subtracts the products of its couplings over its pivot from its ball's
 Schur complement (several parents where the ball has 4-cycles). One
-stacked eigensolve per sphere-1 size finishes them. Every witness's sign
-is fixed so its first largest-magnitude component is positive. The
+stacked eigensolve per sphere-1 size finishes them. Each eigenvector's
+sign is fixed so its largest-magnitude component is positive. The
 batch's results are built together: one array holds every K, and one
 gather lays out every ball's witness, sphere 1 then sphere 2, so each
 result holds two slices of the batch's arrays. The vertex list is
 checked and the batches are sized from the graph's CSR arrays, all
-vertices at once. Results at tree balls depend on the degrees only;
-elsewhere they are deterministic for a given numpy/LAPACK build.
+vertices at once. Results at tree balls at n = 2 depend on the degrees
+only; the others are deterministic for a given numpy/LAPACK build.
 
 The dense route, ``assemble_cd_forms`` with ``schur_minimize``,
 ``schur_minimizer`` and ``smallest_eigenvalue``, lives here only as the
@@ -56,9 +56,10 @@ every pivot above ``PIVOT_FLOOR``, then divides by that block. It sums
 every entry in the same order as the scatter, reads the same
 ``graph.Balls`` layout and shares its eigensolve, so at a ball that is
 not a tree, or at any n other than 2, the two give the same bits; at a
-tree ball at n = 2 they agree to rounding. It stays in this module, not in ``tests/oracles.py``, because
-the benchmark's tracer (``perfbench/tracer.py``) looks its names up here:
-moved out, the four names join the tracer's missing list, and
+tree ball at n = 2 they agree to rounding. It stays in this module, not
+in ``tests/oracles.py``, because the benchmark's tracer
+(``perfbench/tracer.py``) looks its names up here: moved out, the four
+names join the tracer's missing list, and
 ``test_tracer_reports_a_removed_private_name_as_missing`` fails.
 """
 
