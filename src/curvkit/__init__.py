@@ -6,18 +6,7 @@ and sampled curvature estimates under the exponential-type variant, with
 generators and a CLI for verifying the girth-5 curvature bounds.
 """
 
-from .cd import (
-    CdResult,
-    NonFiniteError,
-    NotEliminableError,
-    assemble_cd_forms,
-    cd_check,
-    cd_curvature,
-    cd_curvatures,
-    schur_minimize,
-    schur_minimizer,
-    smallest_eigenvalue,
-)
+from .cd import CdResult, NotEliminableError, cd_check, cd_curvature, cd_curvatures
 from .cde import (
     CdeEstimate,
     InfeasibleFunctionError,
@@ -82,7 +71,6 @@ __all__ = [
     "GraphError",
     "InfeasibleFunctionError",
     "IterationTooDeepError",
-    "NonFiniteError",
     "NonpositiveValueError",
     "NotEliminableError",
     "PreconditionFailedError",
@@ -91,7 +79,6 @@ __all__ = [
     "VertexReport",
     "all_vertex_girths",
     "approx_equal",
-    "assemble_cd_forms",
     "cd_bound_girth5",
     "cd_check",
     "cd_curvature",
@@ -116,10 +103,7 @@ __all__ = [
     "petersen",
     "random_tree",
     "random_with_girth",
-    "schur_minimize",
-    "schur_minimizer",
     "serialize_edge_list",
-    "smallest_eigenvalue",
     "star",
     "verify_theorems",
     "vertex_girth",

@@ -49,8 +49,9 @@ vertices at once. Results at tree balls at n = 2 depend on the degrees
 only; the others are deterministic for a given numpy/LAPACK build.
 
 The dense route, ``assemble_cd_forms`` with ``schur_minimize``,
-``schur_minimizer`` and ``smallest_eigenvalue``, lives here only as the
-tests' reference: it builds the whole form of one ball, checks that it is
+``schur_minimizer``, ``smallest_eigenvalue`` and ``NonFiniteError``, is
+the tests' reference only, importable from ``curvkit.cd`` and not exported
+by ``curvkit``: it builds the whole form of one ball, checks that it is
 finite and symmetric and that the sphere-2 block is exactly diagonal with
 every pivot above ``PIVOT_FLOOR``, then divides by that block. It sums
 every entry in the same order as the scatter, reads the same

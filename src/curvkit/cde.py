@@ -222,13 +222,10 @@ def _searches(g: Graph, vertices: np.ndarray, n: float, samples: int, seed: int)
                              b.parent[s2:e2].copy())
                 yield (copy, key, None), len(copy.vertices)
                 continue
-            ev = LocalEvaluator(g, x)
-            if key is None:
-                stream = derive_stream(seed, x)
-            else:
+            if key is not None:
                 seen.add(key)
-                stream = reduce(derive_stream, key, seed)
-            search = _search(ev, n, samples, stream)
+            ev = LocalEvaluator(g, x)
+            search = _search(ev, n, samples, reduce(derive_stream, key or (x,), seed))
             yield (ev, key, search), len(search[0]) * ev.row_terms()
 
 
@@ -251,11 +248,11 @@ def _search(ev: LocalEvaluator, n: float, samples: int, stream: int):
 
 def _better(best: tuple, ratios: np.ndarray, rows: np.ndarray, fill=np.copy) -> tuple:
     """(value, full row) of the smallest ratio where it is below best's
-    value, else best; fill makes full rows of rows."""
-    if len(ratios):
-        j = int(np.argmin(ratios))
-        if ratios[j] < best[0]:
-            return float(ratios[j]), fill(rows[j : j + 1])[0]
+    value, else best; fill makes full rows of rows, of which there is at
+    least one."""
+    j = int(np.argmin(ratios))
+    if ratios[j] < best[0]:
+        return float(ratios[j]), fill(rows[j : j + 1])[0]
     return best
 
 

@@ -25,6 +25,7 @@ form ``tests/oracles.gamma_f_ratio_split``.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,34 +99,30 @@ def gamma_iterate(g: Graph, f: FunctionLike, h: FunctionLike, x: int, i: int) ->
     vals = (check_function(g, f), check_function(g, h))
     _check_vertex(g, x)
     h_index = 0 if h is f else 1
-    powers: dict[tuple[int, int, int], float] = {}
-    terms: dict[tuple[int, int, int, int], float] = {}
 
+    @cache
     def power(k: int, a: int, v: int) -> float:
         """D^a vals[k] at v."""
         if a == 0:
             return vals[k][v]
-        if (k, a, v) not in powers:
-            powers[k, a, v] = _laplacian_at(g, lambda y: power(k, a - 1, y), v)
-        return powers[k, a, v]
+        return _laplacian_at(g, lambda y: power(k, a - 1, y), v)
 
+    @cache
     def term(a: int, b: int, j: int, v: int) -> float:
         """G_j(D^a f, D^b h)(v)."""
         if j == 0:
             return float(power(0, a, v) * power(h_index, b, v))
-        if (a, b, j, v) not in terms and j == 1:
+        if j == 1:
             # the equal difference form keeps the digits that
             # D(PQ) - P DQ - Q DP cancels where P and Q are near constant
             p, q, nbrs = power(0, a, v), power(h_index, b, v), g.adjacency[v]
             acc = sum((power(0, a, y) - p) * (power(h_index, b, y) - q) for y in nbrs)
-            terms[a, b, j, v] = float(acc / (2 * len(nbrs)))
-        elif (a, b, j, v) not in terms:
-            terms[a, b, j, v] = 0.5 * (
-                _laplacian_at(g, lambda y: term(a, b, j - 1, y), v)
-                - term(a, b + 1, j - 1, v)
-                - term(a + 1, b, j - 1, v)
-            )
-        return terms[a, b, j, v]
+            return float(acc / (2 * len(nbrs)))
+        return 0.5 * (
+            _laplacian_at(g, lambda y: term(a, b, j - 1, y), v)
+            - term(a, b + 1, j - 1, v)
+            - term(a + 1, b, j - 1, v)
+        )
 
     return term(0, 0, i, x)
 

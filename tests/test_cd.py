@@ -8,7 +8,6 @@ from curvkit import (
     VertexFunction,
     all_vertex_girths,
     approx_equal,
-    assemble_cd_forms,
     cd_check,
     cd_curvature,
     cycle,
@@ -19,13 +18,16 @@ from curvkit import (
     petersen,
     random_tree,
     random_with_girth,
-    schur_minimize,
-    schur_minimizer,
-    smallest_eigenvalue,
     star,
     vertex_girth,
 )
-from curvkit.cd import DIM_FLOOR
+from curvkit.cd import (
+    DIM_FLOOR,
+    assemble_cd_forms,
+    schur_minimize,
+    schur_minimizer,
+    smallest_eigenvalue,
+)
 from oracles import cholesky_schur, rayleigh_cd_minimum, walked_two_ball
 
 

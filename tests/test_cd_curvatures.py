@@ -13,7 +13,6 @@ from oracles import closed_form_cd_curvature
 from curvkit import (
     NotEliminableError,
     all_vertex_girths,
-    assemble_cd_forms,
     cd_bound_girth5,
     cd_curvature,
     cd_curvatures,
@@ -24,12 +23,16 @@ from curvkit import (
     path,
     petersen,
     random_with_girth,
+    verify_theorems,
+)
+from curvkit.cd import (
+    CD_CHECK_TOL,
+    DIM_FLOOR,
+    assemble_cd_forms,
     schur_minimize,
     schur_minimizer,
     smallest_eigenvalue,
-    verify_theorems,
 )
-from curvkit.cd import CD_CHECK_TOL, DIM_FLOOR
 from curvkit.graph import Balls
 
 DIMS = (2.0, 3.5, math.inf)

@@ -11,7 +11,6 @@ from curvkit import (
     GraphError,
     SelfLoopError,
     VertexFunction,
-    assemble_cd_forms,
     cd_bound_girth5,
     cd_check,
     cd_curvature,
@@ -37,6 +36,7 @@ from curvkit import (
     star,
     vertex_girth,
 )
+from curvkit.cd import assemble_cd_forms
 from curvkit.graph import Balls, _ranges
 from curvkit.localforms import LocalEvaluator
 from oracles import walked_two_ball

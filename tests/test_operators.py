@@ -181,6 +181,30 @@ def test_gamma_iterate_reads_only_the_ball_it_needs():
             assert rows.read <= {v for v, d in dist.items() if d <= i - 1}
 
 
+def test_gamma_iterate_memoizes_laplacians(monkeypatch):
+    # each iterated Laplacian and each term is computed once per call; a
+    # recursion without the memo takes 249 Laplacians at i = 3, 3335 at i = 4
+    import curvkit.operators as operators
+
+    g = random_with_girth(60, 90, 5, 3)
+    rng = np.random.default_rng(0)
+    f, h = rng.normal(size=60), rng.normal(size=60)
+    laplacian_at = operators._laplacian_at
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return laplacian_at(*args)
+
+    monkeypatch.setattr(operators, "_laplacian_at", counted)
+    counts = []
+    for i in range(MAX_GAMMA_ITERATE + 1):
+        calls.clear()
+        gamma_iterate(g, f, h, 0, i)
+        counts.append(len(calls))
+    assert counts == [0, 0, 13, 69, 210]
+
+
 def test_gamma_iterate_depth_guard():
     g = cycle(5)
     f = VertexFunction.constant(g, 1.0)

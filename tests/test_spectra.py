@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvkit import (
+from curvkit.cd import (
     NonFiniteError,
     NotEliminableError,
     schur_minimize,

@@ -10,7 +10,7 @@ agree exactly where their reports, log lines and exit codes are
 byte-identical. No digests are kept in the repository, because the CD bits
 depend on the numpy and LAPACK build.
 
-The 183 runs:
+The 288 runs:
 
 * the benchmark's workload cases (``perfbench/workloads.py``) at seed 1,
   each with its own ``verify`` options;
@@ -22,6 +22,9 @@ The 183 runs:
   ``--dim 2`` and again at ``--dim 0.5`` and ``--dim 3.5``, so the descent
   runs at other dimensions, over the coupling terms of triangles and
   4-cycles, and over the tree 2-balls whose signatures are searched once;
+* ``curvature-cd`` on the same graphs at the same three dimensions, so
+  both the closed form at tree 2-balls (n = 2) and the eigensolve (every
+  other ball and dimension) are checked outside ``verify``;
 * ``verify --theorem cd -v`` on the README's generated ``g.edges``.
 """
 
@@ -82,14 +85,13 @@ def runs():
              for i, g in enumerate(corpora.small_mixed_corpus())}
     for label, file in mixed.items():
         yield label, ["verify", file, *both]
-    cde = ["--samples", "1000", "--seed", "1"]
     # Petersen, a random girth-5 graph and a tree
-    cde_files = {**mixed, **{i: girth5[i] for i in ("girth5-0", "girth5-1", "girth5-21")}}
-    for label, file in cde_files.items():
-        yield f"{label}-cde", ["curvature-cde", file, *cde]
-    for dim in ("0.5", "3.5"):
-        for label, file in cde_files.items():
-            yield f"{label}-cde-dim{dim}", ["curvature-cde", file, *cde, "--dim", dim]
+    files = {**mixed, **{i: girth5[i] for i in ("girth5-0", "girth5-1", "girth5-21")}}
+    for tag, options in (("cde", ["--samples", "1000", "--seed", "1"]), ("cd", [])):
+        for dim in ([], ["--dim", "0.5"], ["--dim", "3.5"]):
+            suffix = f"-dim{dim[1]}" if dim else ""
+            for label, file in files.items():
+                yield f"{label}-{tag}{suffix}", [f"curvature-{tag}", file, *options, *dim]
     gen = ["gen", "random-girth", "30", "36", "--min-girth", "5", "--seed", "7", "-o", "g.edges"]
     if cli.main(gen) != 0:
         raise SystemExit("could not write the README's g.edges")
